@@ -235,26 +235,27 @@ def soni_scan(nu_grid=None, z_grid=None) -> ScanReport:
         nu_grid = np.concatenate([[-0.5], -0.5 + np.geomspace(0.05, 8.0, 19)])
     if z_grid is None:
         z_grid = np.geomspace(1e-3, 1e3, 30)
+    z_grid = np.asarray(z_grid, dtype=float)
     worst = -math.inf
     min_gap = math.inf
     arg = ((0.0,), (0.0,))
     for nu in nu_grid:
-        for z in z_grid:
-            if nu == -0.5:
-                # I_{1/2}/I_{-1/2} = tanh z; the gap 1 - tanh z = 2/(e^{2z}+1)
-                # is below machine resolution as a difference for z > ~18,
-                # so use the stable closed form.
-                gap = 2.0 / (math.exp(min(2.0 * z, 700.0)) + 1.0)
-                ratio = 1.0 - gap
-            else:
-                lo = bessel_i_scaled(nu + 1.0, float(z))
-                hi = bessel_i_scaled(nu, float(z))
-                ratio = lo / hi
-                gap = (hi - lo) / hi
-            if ratio > worst:
-                worst = ratio
-                arg = ((float(nu),), (float(z),))
-            min_gap = min(min_gap, gap)
+        if nu == -0.5:
+            # I_{1/2}/I_{-1/2} = tanh z; the gap 1 - tanh z = 2/(e^{2z}+1)
+            # is below machine resolution as a difference for z > ~18,
+            # so use the stable closed form.
+            gap = 2.0 / (np.exp(np.minimum(2.0 * z_grid, 700.0)) + 1.0)
+            ratio = 1.0 - gap
+        else:
+            lo = bessel_i_scaled(nu + 1.0, z_grid)
+            hi = bessel_i_scaled(nu, z_grid)
+            ratio = lo / hi
+            gap = (hi - lo) / hi
+        k = int(np.argmax(ratio))
+        if ratio[k] > worst:
+            worst = float(ratio[k])
+            arg = ((float(nu),), (float(z_grid[k]),))
+        min_gap = min(min_gap, float(np.min(gap)))
     return ScanReport(
         max_ratio=worst,
         argmax_pair=arg,

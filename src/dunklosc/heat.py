@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import AlphaParams, hermite_fn_all_1d
-from .quadrature import QuadratureRule, SpectralCoeffs
+from .quadrature import QuadratureRule, SpectralCoeffs, _evaluate
 from .special import bessel_ratio_scaled
 
 __all__ = [
@@ -72,20 +72,6 @@ def q_plus_minus(x, y, s):
     return base + cross, base - cross
 
 
-def _log_sinh2t(t: float) -> float:
-    # log sinh(2t), stable for both tiny and large t.
-    if t > 10.0:
-        return 2.0 * t - math.log(2.0) + math.log1p(-math.exp(-4.0 * t))
-    return math.log(math.sinh(2.0 * t))
-
-
-def _coth2t(t: float) -> float:
-    if t > 10.0:
-        e = math.exp(-4.0 * t)
-        return 1.0 + 2.0 * e / (1.0 - e)
-    return math.cosh(2.0 * t) / math.sinh(2.0 * t)
-
-
 def all_parities(d: int) -> list[tuple[int, ...]]:
     """The 2^d parity vectors eps in {0,1}^d."""
     out = [()]
@@ -105,16 +91,31 @@ def _prepare_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bo
     return X, Y, scalar
 
 
-def heat_kernel(alpha: AlphaParams, t: float, x, y):
-    """G_t^alpha(x, y); accepts single points or (P, d) stacks."""
+def _kernel_prelude(alpha: AlphaParams, t: float, X: np.ndarray, Y: np.ndarray):
+    """b = 1/sinh 2t, c = coth 2t, z_i = x_i y_i b and the global exponent
+    -c (|x|^2+|y|^2)/2 + sum_i |z_i| - d log 2 - (d+|alpha|) log sinh 2t,
+    shared by every closed-form kernel on (P, d) stacks."""
     if t <= 0:
         raise ValueError("t must be positive")
+    # log sinh 2t and coth 2t, stable for both tiny and large t.
+    if t > 10.0:
+        e = math.exp(-4.0 * t)
+        ls = 2.0 * t - math.log(2.0) + math.log1p(-e)
+        c = 1.0 + 2.0 * e / (1.0 - e)
+    else:
+        ls = math.log(math.sinh(2.0 * t))
+        c = math.cosh(2.0 * t) / math.sinh(2.0 * t)
+    b = math.exp(-ls)
+    z = X * Y * b
+    expo = (-0.5 * c * (np.sum(X * X, axis=1) + np.sum(Y * Y, axis=1)) + np.sum(np.abs(z), axis=1)
+            - alpha.dim * math.log(2.0) - (alpha.dim + alpha.abs_sum) * ls)
+    return b, c, z, expo
+
+
+def heat_kernel(alpha: AlphaParams, t: float, x, y):
+    """G_t^alpha(x, y); accepts single points or (P, d) stacks."""
     X, Y, scalar = _prepare_pairs(alpha, x, y)
-    ls = _log_sinh2t(t)
-    c = _coth2t(t)
-    z = X * Y * math.exp(-ls)
-    expo = -0.5 * c * (np.sum(X * X, axis=1) + np.sum(Y * Y, axis=1)) + np.sum(np.abs(z), axis=1)
-    expo += -alpha.dim * math.log(2.0) - (alpha.dim + alpha.abs_sum) * ls
+    _, _, z, expo = _kernel_prelude(alpha, t, X, Y)
     factor = np.ones(X.shape[0])
     for i, a in enumerate(alpha):
         zi = z[:, i]
@@ -134,24 +135,14 @@ def heat_kernel_1d(a: float, t: float, x: float, y: float) -> float:
 
 def heat_kernel_component(alpha: AlphaParams, eps, t: float, x, y):
     """Parity component G_t^{alpha,eps}(x, y)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
     eps = tuple(int(e) for e in eps)
     if len(eps) != alpha.dim or any(e not in (0, 1) for e in eps):
         raise ValueError("eps must be a vector over {0,1} of matching dimension")
     X, Y, scalar = _prepare_pairs(alpha, x, y)
-    ls = _log_sinh2t(t)
-    c = _coth2t(t)
-    z = X * Y * math.exp(-ls)
-    expo = -0.5 * c * (np.sum(X * X, axis=1) + np.sum(Y * Y, axis=1)) + np.sum(np.abs(z), axis=1)
-    expo += -alpha.dim * math.log(2.0) - (alpha.dim + alpha.abs_sum) * ls
+    _, _, z, expo = _kernel_prelude(alpha, t, X, Y)
     factor = np.ones(X.shape[0])
     for i, a in enumerate(alpha):
-        zi = z[:, i]
-        if eps[i]:
-            factor *= zi * bessel_ratio_scaled(a + 1.0, zi)
-        else:
-            factor *= bessel_ratio_scaled(a, zi)
+        factor *= z[:, i] ** eps[i] * bessel_ratio_scaled(a + eps[i], z[:, i])
     out = np.exp(expo) * factor
     return float(out[0]) if scalar else out
 
@@ -225,10 +216,7 @@ def heat_apply_kernel(f, t: float, x, rule: QuadratureRule) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     X = np.broadcast_to(x, rule.nodes.shape)
     g = heat_kernel(rule.alpha, t, X, rule.nodes)
-    fv = np.asarray(f(rule.nodes), dtype=float).reshape(rule.nodes.shape[0])
-    if not np.all(np.isfinite(fv)):
-        idx = int(np.argmax(~np.isfinite(fv)))
-        raise ValueError(f"f returned non-finite value at node {rule.nodes[idx]}")
+    fv = _evaluate(f, rule.nodes)
     return float(np.sum(rule.weights * g * fv))
 
 

@@ -140,11 +140,13 @@ def hermite_fn_all_1d(nmax: int, a: float, x) -> np.ndarray:
     """Table h_n^a(x) for n = 0..nmax, vectorized over x.
 
     Runs the Laguerre recurrence directly on the normalized functions so
-    no intermediate overflows even for degrees in the hundreds.
+    no intermediate overflows even for degrees in the hundreds.  It carries
+    e^{-x^2/4} and multiplies the finished table by e^{-x^2/4}: e^{-x^2/2}
+    is subnormal beyond |x| ~ 38.4, inside the 512-node rule.
     Returns an array of shape (nmax+1, len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.exp(-0.5 * x * x)
+    g = np.exp(-0.25 * x * x)
     out = np.zeros((nmax + 1, x.size))
     y = x * x
     # Even chain: ell_m = h_{2m}; odd chain: o_m = h_{2m+1}.
@@ -169,7 +171,7 @@ def hermite_fn_all_1d(nmax: int, a: float, x) -> np.ndarray:
             c2 = math.sqrt((m - 1) * (m - 1 + b) / (m * (m + b)))
             o_prev, o = o, -c1 * o - c2 * o_prev
             out[n] = o
-    return out
+    return out * g
 
 
 def hermite_fn(n: MultiIndex, alpha: AlphaParams, x) -> float | np.ndarray:

@@ -169,9 +169,14 @@ def default_rule(alpha: AlphaParams, npoints: int = 80) -> QuadratureRule:
     return tensor_rule([gauss_rule_1d(a, npoints) for a in alpha])
 
 
-def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
-    vals = f(nodes)
-    return np.asarray(vals, dtype=float).reshape(nodes.shape[0])
+def _evaluate(f, nodes: np.ndarray, name: str = "f") -> np.ndarray:
+    """The M values of ``f`` at the (M, d) nodes; a non-finite value
+    raises, naming the offending node."""
+    vals = np.asarray(f(nodes), dtype=float).reshape(nodes.shape[0])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"{name} returned non-finite value at node {nodes[int(np.argmax(bad))]}")
+    return vals
 
 
 def inner_product(f, g, rule: QuadratureRule) -> float:
@@ -181,12 +186,7 @@ def inner_product(f, g, rule: QuadratureRule) -> float:
     Non-finite function values raise, naming the offending node.
     """
     fv = _evaluate(f, rule.nodes)
-    gv = _evaluate(g, rule.nodes)
-    for name, vals in (("f", fv), ("g", gv)):
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise ValueError(f"{name} returned non-finite value at node {rule.nodes[idx]}")
+    gv = _evaluate(g, rule.nodes, "g")
     return float(np.sum(rule.weights * fv * gv))
 
 
@@ -223,10 +223,6 @@ def multi_indices_upto(dim: int, max_degree: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _axis_tables(rule: QuadratureRule, max_degree: int) -> list[np.ndarray]:
-    return [hermite_fn_all_1d(max_degree, ax.alpha_j, ax.nodes) for ax in rule.axes]
-
-
 def project(f, alpha: AlphaParams, max_degree: int, rule: QuadratureRule) -> SpectralCoeffs:
     """Coefficients <f, h_n>_alpha for all |n| <= max_degree.
 
@@ -241,10 +237,6 @@ def project(f, alpha: AlphaParams, max_degree: int, rule: QuadratureRule) -> Spe
             f"rule exactness {rule.exactness_degree} insufficient for degree {max_degree}"
         )
     fv = _evaluate(f, rule.nodes)
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise ValueError(f"f returned non-finite value at node {rule.nodes[idx]}")
     shape = tuple(ax.nodes.size for ax in rule.axes)
     tensor = fv.reshape(shape)
     for ax in rule.axes:

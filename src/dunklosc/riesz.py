@@ -22,7 +22,7 @@ cancellation-limited accuracy very close to those sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,7 +32,7 @@ from scipy.special import roots_jacobi
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
 from .quadrature import QuadratureRule, SpectralCoeffs, project
 from .special import bessel_ratio_scaled, log_gamma
-from .heat import all_parities, q_plus_minus, t_of_zeta, zeta_of_t, _coth2t, _log_sinh2t
+from .heat import _kernel_prelude, _prepare_pairs, all_parities, q_plus_minus, t_of_zeta, zeta_of_t
 
 __all__ = [
     "SchlafliMeasure",
@@ -105,15 +105,14 @@ class KernelConfig:
     identity).  The exact path stays accurate arbitrarily close to the
     diagonal and the reflected diagonals, where a fixed Gauss-Jacobi grid
     cannot resolve the e^{-q_+/(4 zeta)} boundary layer; the scans use it
-    for that reason.  ``atomic_threshold`` is kept at 0: the nu = -1/2
-    atoms are detected by exact comparison on the user-supplied alpha.
+    for that reason.  The nu = -1/2 atoms of the Schlafli measure are
+    detected by exact comparison on the user-supplied alpha.
     """
 
     zeta_points: int = 128
     zeta_grading: float = 3.0
     s_points_per_dim: int = 48
     s_method: str = "gauss-jacobi"
-    atomic_threshold: float = 0.0
 
     def __post_init__(self):
         if self.zeta_points < 16:
@@ -126,11 +125,8 @@ class KernelConfig:
             raise ValueError("s_method must be 'gauss-jacobi' or 'exact'")
 
     def doubled(self) -> "KernelConfig":
-        return KernelConfig(zeta_points=2 * self.zeta_points,
-                            zeta_grading=self.zeta_grading,
-                            s_points_per_dim=2 * self.s_points_per_dim,
-                            s_method=self.s_method,
-                            atomic_threshold=self.atomic_threshold)
+        return replace(self, zeta_points=2 * self.zeta_points,
+                       s_points_per_dim=2 * self.s_points_per_dim)
 
 
 DEFAULT_KERNEL_CONFIG = KernelConfig()
@@ -153,15 +149,9 @@ def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _s_tensor(alpha: AlphaParams, eps, npoints: int,
-              atomic_threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def _s_tensor(alpha: AlphaParams, eps, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     """Product Schlafli measure Pi_{alpha+eps}: nodes (K, d), weights (K,)."""
-    measures = []
-    for i in range(alpha.dim):
-        nu = alpha[i] + eps[i]
-        if abs(nu + 0.5) <= atomic_threshold:
-            nu = -0.5
-        measures.append(SchlafliMeasure.from_nu(nu, npoints))
+    measures = [SchlafliMeasure.from_nu(alpha[i] + eps[i], npoints) for i in range(alpha.dim)]
     grids = np.meshgrid(*[m.nodes for m in measures], indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(nodes.shape[0])
@@ -244,26 +234,17 @@ def delta_psi(alpha: AlphaParams, eps, j: int, zeta: float, x, y, s):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
-    qp, qm = q_plus_minus(x, y, s)
     xj, yj, sj = x[..., j], y[..., j], s[..., j]
-    xy_eps = np.prod((x * y) ** np.array(eps, dtype=float), axis=-1)
-    bracket = xy_eps * (xj - (xj + yj * sj) / (2.0 * zeta) - zeta * (xj - yj * sj) / 2.0)
+    bracket = xj - (xj + yj * sj) / (2.0 * zeta) - zeta * (xj - yj * sj) / 2.0
+    out = psi_zeta(eps, zeta, x, y, s) * bracket
     if eps[j] == 1:
-        em = list(eps)
-        em[j] = 0
-        xy_em = np.prod((x * y) ** np.array(em, dtype=float), axis=-1)
-        bracket = bracket + (2.0 * alpha[j] + 2.0) * yj * xy_em
-    return bracket * np.exp(-qp / (4.0 * zeta) - zeta * qm / 4.0)
+        em = eps[:j] + (0,) + eps[j + 1:]
+        out = out + (2.0 * alpha[j] + 2.0) * yj * psi_zeta(em, zeta, x, y, s)
+    return out
 
 
 def _check_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    X = np.asarray(x, dtype=float)
-    Y = np.asarray(y, dtype=float)
-    scalar = X.ndim == 1
-    X = np.atleast_2d(X)
-    Y = np.atleast_2d(Y)
-    if X.shape != Y.shape or X.shape[1] != alpha.dim:
-        raise ValueError("x and y must be points (or stacks of points) in R^d")
+    X, Y, scalar = _prepare_pairs(alpha, x, y)
     dist = np.sqrt(np.sum((X - Y) ** 2, axis=1))
     if np.any(dist < NEAR_DIAGONAL):
         raise ValueError(f"kernel evaluation refused for |x-y| < {NEAR_DIAGONAL}")
@@ -328,7 +309,7 @@ def _component_batch(alpha: AlphaParams, eps, j: int, X: np.ndarray, Y: np.ndarr
         return _component_batch_exact(alpha, eps, j, X, Y, cfg)
     d = alpha.dim
     eps = tuple(int(e) for e in eps)
-    s_nodes, s_w = _s_tensor(alpha, eps, cfg.s_points_per_dim, cfg.atomic_threshold)
+    s_nodes, s_w = _s_tensor(alpha, eps, cfg.s_points_per_dim)
     zeta, zw = zeta_grid(cfg)
     lam = alpha.abs_sum + sum(eps)
     one_m = 1.0 - zeta * zeta
@@ -403,12 +384,7 @@ def _delta_heat(alpha: AlphaParams, j: int, t: float, x: np.ndarray, y: np.ndarr
 
     all under the shared global exponent.
     """
-    ls = _log_sinh2t(t)
-    c = _coth2t(t)
-    b = math.exp(-ls)
-    z = x * y * b
-    expo = (-0.5 * c * (np.sum(x * x) + np.sum(y * y)) + np.sum(np.abs(z))
-            - alpha.dim * math.log(2.0) - (alpha.dim + alpha.abs_sum) * ls)
+    b, c, (z,), (expo,) = _kernel_prelude(alpha, t, x[None], y[None])
     prod_rest = 1.0
     for i, a in enumerate(alpha):
         if i == j:

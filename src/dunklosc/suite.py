@@ -64,7 +64,8 @@ def parse_config(text: str) -> RunConfig:
     Required: "alpha" (list of reals >= -1/2).  Optional with defaults:
     max_degree 40, quad_points 80, kernel.zeta_points 96,
     kernel.zeta_grading 3.0, kernel.s_points_per_dim 48,
-    kernel.s_method "gauss-jacobi", seed 1234, output null.
+    kernel.s_method "gauss-jacobi", seed 1234, output null.  Any other
+    field raises an error that names its path (e.g. kernel.bogus).
     """
     try:
         doc = json.loads(text)
@@ -96,7 +97,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(kdoc, dict):
         _fail("kernel", "must be an object")
     for key in kdoc:
-        if key not in {"zeta_points", "zeta_grading", "s_points_per_dim", "s_method", "atomic_threshold"}:
+        if key not in {"zeta_points", "zeta_grading", "s_points_per_dim", "s_method"}:
             _fail(f"kernel.{key}", "unknown field")
     try:
         kernel = KernelConfig(
@@ -104,7 +105,6 @@ def parse_config(text: str) -> RunConfig:
             zeta_grading=float(kdoc.get("zeta_grading", 3.0)),
             s_points_per_dim=kdoc.get("s_points_per_dim", 48),
             s_method=kdoc.get("s_method", "gauss-jacobi"),
-            atomic_threshold=float(kdoc.get("atomic_threshold", 0.0)),
         )
     except ValueError as e:
         _fail("kernel", str(e))
@@ -128,7 +128,6 @@ def serialize_config(cfg: RunConfig) -> str:
             "zeta_grading": cfg.kernel.zeta_grading,
             "s_points_per_dim": cfg.kernel.s_points_per_dim,
             "s_method": cfg.kernel.s_method,
-            "atomic_threshold": cfg.kernel.atomic_threshold,
         },
         "seed": cfg.seed,
         "output": cfg.output,

@@ -43,6 +43,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="kernel.bad"):
             parse_config('{"alpha": [0.0], "kernel": {"bad": 1}}')
 
+    def test_atomic_threshold_rejected(self):
+        with pytest.raises(ValueError, match=r"kernel\.atomic_threshold"):
+            parse_config('{"alpha": [0.0], "kernel": {"atomic_threshold": 0}}')
+
     def test_round_trip_identity(self):
         cfg = parse_config('{"alpha": [0.0, 1.3], "max_degree": 12, "seed": 7,'
                            ' "kernel": {"zeta_points": 128, "s_method": "exact"}}')

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from dunklosc.heat import heat_apply_kernel
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn, hermite_fn_all_1d
 from dunklosc.quadrature import (MAX_POINTS, QuadratureRule, SpectralCoeffs, default_rule,
                                  gauss_rule_1d, inner_product, mms_constant,
@@ -52,6 +53,14 @@ class TestRule1d:
                 _, der = laguerre_and_deriv(u)
                 exact = mp.exp(mp.loggamma(n + am + 1) - mp.loggamma(n + 1) + u) / (u * der**2)
                 assert abs(2 * w_half - exact) / exact <= 1e-12, (float(x), float(exact))
+
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.3])
+    def test_christoffel_identity_at_every_node(self, a):
+        # 2 w_i sum_{m<n} h_{2m}(x_i)^2 = 1 on the widest rule: the Hermite
+        # table against the weights, out to the tail nodes (|x| up to 44.8)
+        r = gauss_rule_1d(a, MAX_POINTS)
+        table = hermite_fn_all_1d(2 * MAX_POINTS - 2, a, r.nodes)[0::2]
+        np.testing.assert_allclose(2 * r.weights * np.sum(table**2, axis=0), 1.0, rtol=1e-11)
 
     def test_first_moments(self):
         for a in (-0.5, 0.0, 1.3):
@@ -113,12 +122,16 @@ class TestInnerProduct:
         assert inner_product(g, g, rule) == pytest.approx(math.gamma(1.7), rel=1e-12)
 
     def test_nonfinite_detection_names_node(self):
+        # every route that samples a function at the nodes refuses a non-finite value
         al = AlphaParams((0.0,))
         rule = default_rule(al, 10)
         bad = lambda pts: np.where(pts[:, 0] > 0, np.nan, 1.0)
         good = lambda pts: np.ones(pts.shape[0])
-        with pytest.raises(ValueError, match="node"):
-            inner_product(bad, good, rule)
+        for call in (lambda: inner_product(bad, good, rule),
+                     lambda: project(bad, al, 4, rule),
+                     lambda: heat_apply_kernel(bad, 0.5, [0.3], rule)):
+            with pytest.raises(ValueError, match="f returned non-finite value at node"):
+                call()
 
 
 class TestProject:
