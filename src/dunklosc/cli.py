@@ -63,12 +63,17 @@ def _kernel_config(ns) -> KernelConfig:
                         s_points_per_dim=ns.s_points, s_method=ns.s_method)
 
 
-def _add_kernel_flags(p: argparse.ArgumentParser):
+def _add_kernel_flags(p: argparse.ArgumentParser, s_method: bool = True):
+    """The kernel quadrature flags; without ``--s-method`` the exact route
+    is fixed, as the scans need it near the diagonal."""
     p.add_argument("--zeta-points", type=int, default=192, dest="zeta_points")
     p.add_argument("--zeta-grading", type=float, default=3.0, dest="zeta_grading")
     p.add_argument("--s-points", type=int, default=48, dest="s_points")
-    p.add_argument("--s-method", choices=["gauss-jacobi", "exact"],
-                   default="gauss-jacobi", dest="s_method")
+    if s_method:
+        p.add_argument("--s-method", choices=["gauss-jacobi", "exact"],
+                       default="gauss-jacobi", dest="s_method")
+    else:
+        p.set_defaults(s_method="exact")
 
 
 def _read_pairs(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +251,7 @@ def _cmd_scan(ns, which: str) -> int:
     j = ns.j - 1
     if not 0 <= j < al.dim:
         raise SystemExit(f"error: --j must be in 1..{al.dim}")
-    cfg = KernelConfig(zeta_points=ns.zeta_points, zeta_grading=ns.zeta_grading,
-                       s_points_per_dim=ns.s_points, s_method="exact")
+    cfg = _kernel_config(ns)
     fn = growth_scan if which == "growth" else smoothness_scan
     rep = fn(al, j, n_pairs=ns.pairs, seed=ns.seed, cfg=cfg,
              positive_orthant=ns.positive_orthant)
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pairs", type=int, default=1000)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--positive-orthant", action="store_true")
-        _add_kernel_flags(p)
+        _add_kernel_flags(p, s_method=False)
         p.set_defaults(fn=lambda ns, w=which: _cmd_scan(ns, w))
 
     return top

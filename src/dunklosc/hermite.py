@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import laguerre, laguerre_deriv, log_gamma
+from .special import laguerre, laguerre_deriv, laguerre_scaled, log_gamma
 
 __all__ = [
     "MultiIndex",
@@ -123,17 +123,30 @@ def _norm_const(n: int, a: float) -> float:
 
 
 def hermite_fn_1d(n: int, a: float, x: float) -> float:
-    """One-dimensional generalized Hermite function h_n^a(x)."""
+    """One-dimensional generalized Hermite function h_n^a(x).
+
+    Evaluated from the Laguerre closed form: the normalization, e^{-x^2/2}
+    and the power-of-two scale of L_m are combined as one logarithm, so
+    the value stays finite where e^{-x^2/2} underflows and L_m overflows
+    (high degree, |x| beyond ~38).  Independent of ``hermite_fn_all_1d``,
+    which tests compare against it.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     m = n // 2
-    g = math.exp(-0.5 * x * x)
     if n % 2 == 0:
-        return _norm_const(n, a) * g * laguerre(m, a, x * x)
-    # Odd orders vanish identically at the origin through the explicit factor x.
-    if x == 0.0:
+        lag, k = laguerre_scaled(m, a, x * x)
+        log_x = 0.0
+    elif x == 0.0:
+        # Odd orders vanish identically at the origin through the factor x.
         return 0.0
-    return _norm_const(n, a) * g * x * laguerre(m, a + 1.0, x * x)
+    else:
+        lag, k = laguerre_scaled(m, a + 1.0, x * x)
+        lag = lag if x > 0.0 else -lag
+        log_x = math.log(abs(x))
+    norm = _norm_const(n, a)
+    log_mag = math.log(abs(norm)) - 0.5 * x * x + k * math.log(2.0) + log_x
+    return math.copysign(1.0, norm) * lag * math.exp(log_mag)
 
 
 def hermite_fn_all_1d(nmax: int, a: float, x) -> np.ndarray:

@@ -8,7 +8,9 @@ Three independent realizations:
       R_j^{alpha,eps}(x,y) = int Pi_{alpha+eps}(ds) int_0^1
           beta_{d,alpha+eps}(zeta) (delta_j psi_zeta^eps)(x,y,s) dzeta,
   evaluated by tensor Gauss-Jacobi in s (point masses when the order is
-  exactly -1/2) and a graded composite Gauss-Legendre grid in zeta;
+  exactly -1/2) and a graded composite Gauss-Legendre grid in zeta; with
+  s integrated exactly, the full kernel is one product over coordinates
+  instead of a sum over parities;
 * a direct t-integral of the differentiated heat kernel, kept as the
   slow independent oracle for the quadrature route.
 
@@ -132,21 +134,24 @@ class KernelConfig:
 DEFAULT_KERNEL_CONFIG = KernelConfig()
 
 
-def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes on (0,1), clustered at both endpoints
-    by the power map v -> v^g on each half; returns (nodes, weights)
-    including the Jacobian of the map."""
-    n2 = max(cfg.zeta_points // 2, 8)
-    v, wv = leggauss(n2)
+def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes on (0,1), npoints // 2 per half,
+    clustered at both endpoints by the power map v -> v^g on each half;
+    returns (nodes, weights) including the Jacobian of the map."""
+    v, wv = leggauss(npoints // 2)
     v = 0.5 * (v + 1.0)
     wv = 0.5 * wv
-    g = cfg.zeta_grading
     left = 0.5 * v**g
     wl = 0.5 * g * v ** (g - 1.0) * wv
     right = 1.0 - 0.5 * v**g
     nodes = np.concatenate([left, right[::-1]])
     weights = np.concatenate([wl, wl[::-1]])
     return nodes, weights
+
+
+def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The graded zeta rule on (0,1) of a KernelConfig: (nodes, weights)."""
+    return _graded_rule(cfg.zeta_points, cfg.zeta_grading)
 
 
 def _s_tensor(alpha: AlphaParams, eps, npoints: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,23 +256,33 @@ def _check_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool
     return X, Y, scalar
 
 
-def _component_batch_exact(alpha: AlphaParams, eps, j: int, X: np.ndarray, Y: np.ndarray,
-                           cfg: KernelConfig, chunk: int = 512) -> np.ndarray:
-    """One parity component with the s-integrals done analytically.
+def _exact_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
+                 cfg: KernelConfig, eps=None, chunk: int = 512) -> np.ndarray:
+    """The s-integrals done analytically: one parity component ``eps``, or
+    with ``eps=None`` the sum of all 2^d of them, as one product over
+    coordinates.
 
     For each coordinate, int e^{-w s} dPi_nu(s) = I_nu(w)/w^nu and
     int s e^{-w s} dPi_nu(s) = -w I_{nu+1}(w)/w^{nu+1}; only the graded
-    zeta quadrature remains.  Identical integral, uniformly accurate in
-    the pair geometry.
+    zeta quadrature remains, uniformly accurate in the pair geometry.
+    With w_i = x_i y_i h, h = 1/sinh 2t(zeta) and
+    rho_nu = e^{-|w|} I_nu(|w|)/|w|^nu, coordinate i != j contributes
+    rho_{a_i}(w_i) at eps_i = 0 and w_i rho_{a_i+1}(w_i) at eps_i = 1, and
+    coordinate j contributes
+
+        F_j^0 = A_0 rho_{a_j} - B_0 w_j rho_{a_j+1},
+        F_j^1 = w_j (A_0 rho_{a_j+1} - B_0 w_j rho_{a_j+2}) + (2a_j+2) y_j h rho_{a_j+1},
+
+    all under one exponent.  The sum over eps is therefore
+    prod_{i != j} (rho_{a_i} + w_i rho_{a_i+1}) (F_j^0 + F_j^1): 2d+1 Bessel
+    arrays per (pair, zeta) instead of (d+1) 2^d.
     """
     d = alpha.dim
-    eps = tuple(int(e) for e in eps)
-    lam = alpha.abs_sum + sum(eps)
+    parities = [(0, 1)] * d if eps is None else [(int(e),) for e in eps]
     zeta, zw = zeta_grid(cfg)
     h = (1.0 - zeta * zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
-    one_m = 1.0 - zeta * zeta
-    log_pow = (d + lam) * np.log(h)
-    beta_rest = (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi)) / one_m
+    log_pow = (d + alpha.abs_sum) * np.log(h)
+    beta_rest = (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi)) / (1.0 - zeta * zeta)
                  / np.sqrt(np.log((1.0 + zeta) / (1.0 - zeta))))
     zfac = zw * beta_rest
     coef = 1.0 / (4.0 * zeta) + zeta / 4.0
@@ -279,26 +294,26 @@ def _component_batch_exact(alpha: AlphaParams, eps, j: int, X: np.ndarray, Y: np
         w = (Xc * Yc)[:, :, None] * h  # (P, d, Z)
         expo = (-(np.sum(Xc * Xc, axis=1) + np.sum(Yc * Yc, axis=1))[:, None] * coef
                 + np.sum(np.abs(w), axis=1) + log_pow)
-        prod = np.ones((Xc.shape[0], zeta.size))
+        prod = np.exp(expo)
         for i in range(d):
-            if i == j:
-                continue
-            nu = alpha[i] + eps[i]
-            fac = bessel_ratio_scaled(nu, w[:, i, :])
-            if eps[i]:
-                fac = fac * (Xc[:, i] * Yc[:, i])[:, None]
+            a, wi, par = alpha[i], w[:, i, :], parities[i]
+            fac = 0.0
+            if i != j:
+                if 0 in par:
+                    fac = fac + bessel_ratio_scaled(a, wi)
+                if 1 in par:
+                    fac = fac + wi * bessel_ratio_scaled(a + 1.0, wi)
+            else:
+                A0 = Xc[:, j][:, None] * a0c
+                B0 = -Yc[:, j][:, None] * h
+                r1 = bessel_ratio_scaled(a + 1.0, wi)
+                if 0 in par:
+                    fac = fac + A0 * bessel_ratio_scaled(a, wi) - B0 * wi * r1
+                if 1 in par:
+                    fac = fac + (wi * (A0 * r1 - B0 * wi * bessel_ratio_scaled(a + 2.0, wi))
+                                 + (2.0 * a + 2.0) * Yc[:, j][:, None] * h * r1)
             prod *= fac
-        nuj = alpha[j] + eps[j]
-        wj = w[:, j, :]
-        r0 = bessel_ratio_scaled(nuj, wj)
-        r1 = bessel_ratio_scaled(nuj + 1.0, wj)
-        A0 = Xc[:, j][:, None] * a0c
-        B0 = -Yc[:, j][:, None] * h
-        Fj = A0 * r0 - B0 * wj * r1
-        if eps[j]:
-            Fj = Fj * (Xc[:, j] * Yc[:, j])[:, None]
-            Fj = Fj + (2.0 * alpha[j] + 2.0) * Yc[:, j][:, None] * r0
-        out[lo:lo + chunk] = (np.exp(expo) * Fj * prod) @ zfac
+        out[lo:lo + chunk] = prod @ zfac
     return out
 
 
@@ -306,7 +321,7 @@ def _component_batch(alpha: AlphaParams, eps, j: int, X: np.ndarray, Y: np.ndarr
                      cfg: KernelConfig, chunk: int = 24) -> np.ndarray:
     """Vectorized (zeta, s) quadrature of one parity component over pairs."""
     if cfg.s_method == "exact":
-        return _component_batch_exact(alpha, eps, j, X, Y, cfg)
+        return _exact_batch(alpha, j, X, Y, cfg, eps)
     d = alpha.dim
     eps = tuple(int(e) for e in eps)
     s_nodes, s_w = _s_tensor(alpha, eps, cfg.s_points_per_dim)
@@ -367,7 +382,12 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y,
 
 def riesz_kernel(alpha: AlphaParams, j: int, x, y,
                  cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
-    """Full kernel R_j^alpha(x, y) = sum over the 2^d parity components."""
+    """Full kernel R_j^alpha(x, y) = sum over the 2^d parity components;
+    on the exact-s route evaluated as one product over coordinates."""
+    if cfg.s_method == "exact":
+        X, Y, scalar = _check_pairs(alpha, x, y)
+        vals = _exact_batch(alpha, j, X, Y, cfg)
+        return float(vals[0]) if scalar else vals
     comps = riesz_kernel_components(alpha, j, x, y, cfg)
     return sum(comps.values())
 

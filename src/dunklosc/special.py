@@ -20,6 +20,7 @@ from scipy.special import xlogy
 __all__ = [
     "log_gamma",
     "laguerre",
+    "laguerre_scaled",
     "laguerre_deriv",
     "bessel_i_scaled",
     "bessel_ratio",
@@ -41,22 +42,33 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def laguerre(n: int, a: float, y: float) -> float:
-    """Laguerre polynomial L_n^a(y) by upward three-term recurrence.
-
-    Stable in the regime needed here (n up to a few hundred, a > -1).
+def laguerre_scaled(n: int, a: float, y: float) -> tuple[float, int]:
+    """(c, k) with L_n^a(y) = c 2^k, by the upward three-term recurrence
+    rescaled by exact powers of two, so neither part overflows at any
+    degree.  Stable in the regime needed here (n up to a few thousand,
+    a > -1).
     """
     if n < 0:
         raise ValueError("degree n must be >= 0")
     if a <= -1:
         raise ValueError("order a must be > -1")
     if n == 0:
-        return 1.0
+        return 1.0, 0
     prev = 1.0
     cur = 1.0 + a - y
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + a + 1 - y) * cur - (k + a) * prev) / (k + 1)
-    return cur
+    k = 0
+    for m in range(1, n):
+        prev, cur = cur, ((2 * m + a + 1 - y) * cur - (m + a) * prev) / (m + 1)
+        if abs(cur) > 2.0**500:
+            prev, cur, k = math.ldexp(prev, -500), math.ldexp(cur, -500), k + 500
+    return cur, k
+
+
+def laguerre(n: int, a: float, y: float) -> float:
+    """Laguerre polynomial L_n^a(y); raises OverflowError beyond the
+    double range (see :func:`laguerre_scaled`)."""
+    c, k = laguerre_scaled(n, a, y)
+    return math.ldexp(c, k)
 
 
 def laguerre_deriv(n: int, a: float, y: float) -> float:

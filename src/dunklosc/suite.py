@@ -447,12 +447,17 @@ def _check_ball(cfg: RunConfig):
         exact = F(1.2) - F(-0.6)
         resid = abs(v - exact)
         return _record("ball_measure", resid <= 1e-12, 1e-12, resid)
+    # The nested quadrature against the quasi-Monte Carlo oracle.  Its
+    # standard error comes from 8 replicates (ddof 0), so the error over
+    # the standard error is sqrt(8/7) times a Student t with 7 degrees of
+    # freedom: a 3-SE gate fails 2.6% of seeds on exact values, 5.78 SE
+    # fails 0.1%.
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(-1, 1, size=al.dim)
-    v, se = ball_measure(al, x, 0.9)
-    v2, se2 = ball_measure(al, x, 0.9, npoints=1 << 18, seed=cfg.seed + 9)
-    resid = abs(v - v2)
-    tol = 3.0 * math.sqrt(se**2 + se2**2)
+    v, _ = ball_measure(al, x, 0.9)
+    v_mc, se_mc = ball_measure(al, x, 0.9, npoints=1 << 18, seed=cfg.seed + 9, method="mc")
+    resid = abs(v - v_mc)
+    tol = 5.78 * se_mc
     return _record("ball_measure", resid <= tol, tol, resid, seed=cfg.seed)
 
 

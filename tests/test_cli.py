@@ -163,6 +163,14 @@ class TestSubcommands:
         assert rc == 2
         assert "--seed" in err
 
+    @pytest.mark.parametrize("which", ["growth", "smoothness"])
+    def test_scan_rejects_s_method(self, which):
+        # the scans always integrate s exactly; the flag must not be ignored
+        rc, out, err = run_cli(f"scan-{which}", "--alpha=0.0", "--j=1", "--pairs", "10",
+                               "--seed", "3", "--s-method", "gauss-jacobi")
+        assert rc == 2
+        assert "--s-method" in err
+
     def test_scan_growth_json(self):
         rc, out, err = run_cli("scan-growth", "--alpha=0.0", "--j=1",
                                "--pairs", "40", "--seed", "3")

@@ -65,6 +65,65 @@ class TestBallMeasure:
         half, _ = ball_measure(al, [0.1], 0.5, positive_orthant=True)
         assert 0 < half < full
 
+    @pytest.mark.parametrize("x,r", [([2.0, 1.5, 1.2], 0.7), ([0.2, -0.3, 0.1], 1.1)])
+    def test_lebesgue_balls_d2_d3(self, x, r):
+        # alpha = -1/2 is Lebesgue measure: pi r^2 and 4 pi r^3 / 3, for
+        # balls inside an orthant and balls across the axes
+        v2, se = ball_measure(AlphaParams((-0.5, -0.5)), x[:2], r)
+        assert v2 == pytest.approx(math.pi * r**2, rel=1e-13)
+        assert se == 0.0
+        v3, _ = ball_measure(AlphaParams((-0.5, -0.5, -0.5)), x, r)
+        assert v3 == pytest.approx(4.0 * math.pi * r**3 / 3.0, rel=1e-13)
+
+    def test_centred_weighted_ball(self):
+        # int_{|u| < r} |u_1| |u_2| du = r^4 / 2
+        v, _ = ball_measure(AlphaParams((0.0, 0.0)), [0.0, 0.0], 1.3)
+        assert v == pytest.approx(1.3**4 / 2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [(-0.45, 0.7), (-0.3, 2.5), (2.5, -0.45),
+                                       (0.7, -0.3), (-0.45, 0.7, -0.3), (2.5, -0.3, -0.45)])
+    @pytest.mark.parametrize("positive_orthant", [False, True])
+    def test_self_convergence(self, alpha, positive_orthant, monkeypatch):
+        # the module's rule against a four times finer one
+        import dunklosc.estimates as est
+        from dunklosc.riesz import _graded_rule
+        al = AlphaParams(alpha)
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-3, 3, size=(12, al.dim))
+        R = np.exp(rng.uniform(math.log(1e-2), math.log(10.0), 12))
+        v, _ = ball_measure(al, X, R, positive_orthant=positive_orthant)
+        t, w = _graded_rule(4 * est.BALL_NODES, est.BALL_GRADING)
+        monkeypatch.setattr(est, "_BALL_T", t)
+        monkeypatch.setattr(est, "_BALL_W", w)
+        ref, _ = ball_measure(al, X, R, positive_orthant=positive_orthant)
+        assert np.all((ref > 0) | ((ref == 0) & (v == 0)))
+        inside = ref > 0
+        assert np.max(np.abs(v - ref)[inside] / ref[inside]) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [(0.0, 0.7), (-0.45, 1.3), (0.0, -0.5, 1.3)])
+    @pytest.mark.parametrize("positive_orthant", [False, True])
+    def test_quadrature_agrees_with_mc(self, alpha, positive_orthant):
+        al = AlphaParams(alpha)
+        x = np.array([0.3, -0.2, 0.25][:al.dim])
+        v, _ = ball_measure(al, x, 0.9, positive_orthant=positive_orthant)
+        mc, se = ball_measure(al, x, 0.9, npoints=1 << 17, seed=5, method="mc",
+                              positive_orthant=positive_orthant)
+        assert se > 0
+        assert abs(v - mc) <= 3.0 * se
+
+    @pytest.mark.parametrize("alpha", [(0.0, 0.7), (0.0, -0.5, 1.3)])
+    def test_batch_equals_single_calls_bitwise(self, alpha):
+        # 20 balls: at d = 3 the batch spans three chunks
+        al = AlphaParams(alpha)
+        X, Y = pair_sample(al.dim, 20, seed=4)
+        R = np.linalg.norm(X - Y, axis=1)
+        for po in (False, True):
+            v, se = ball_measure(al, X, R, positive_orthant=po)
+            assert v.shape == se.shape == (20,)
+            single = [ball_measure(al, X[i], float(R[i]), positive_orthant=po)[0]
+                      for i in range(20)]
+            assert v.tolist() == single
+
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             ball_measure(AlphaParams((0.0,)), [0.0], 0.0)

@@ -73,6 +73,20 @@ class TestHermite1d:
                 ref = np.array([hermite_fn_1d(n, a, float(xx)) for xx in x])
                 np.testing.assert_allclose(tab[n], ref, atol=1e-12)
 
+    @pytest.mark.parametrize("n,a", [(1000, 0.0), (1001, 1.3)])
+    def test_pointwise_tail_against_mpmath(self, n, a):
+        # e^{-x^2/2} underflows and L_m(x^2) overflows at x = 39; the closed
+        # form must still match a 50-digit evaluation
+        import mpmath as mp
+        with mp.workdps(50):
+            m = n // 2
+            b = a if n % 2 == 0 else a + 1.0
+            x = mp.mpf(39)
+            ref = ((-1) ** m * mp.sqrt(mp.factorial(m) / mp.gamma(m + b + 1))
+                   * mp.exp(-x * x / 2) * x ** (n % 2) * mp.laguerre(m, b, x * x))
+        assert hermite_fn_1d(n, a, 39.0) == pytest.approx(float(ref), rel=1e-11)
+        assert hermite_fn_1d(n, a, -39.0) == pytest.approx((-1) ** n * float(ref), rel=1e-11)
+
     def test_high_degree_no_overflow(self):
         x = np.linspace(-20, 20, 41)
         tab = hermite_fn_all_1d(300, 1.3, x)

@@ -284,6 +284,42 @@ class TestKernelComponents:
             b = riesz_kernel(al, 1, x, y, CFG_EXACT)
             assert a == pytest.approx(b, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [(-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_product_kernel_matches_component_sum(self, alpha):
+        # the exact-s kernel is one product over coordinates; it must equal
+        # the sum of the 2^d parity components, relative to sum |R_eps|
+        # (the components cancel near the reflected diagonals)
+        al = AlphaParams(alpha)
+        rng = np.random.default_rng(17)
+        xs, ys = [], []
+        while len(xs) < 40:
+            x = rng.uniform(-2.5, 2.5, size=al.dim)
+            y = rng.uniform(-2.5, 2.5, size=al.dim)
+            if 0.5 <= np.linalg.norm(x - y) <= 5.0 and reflection_distance(x, y) >= 0.4:
+                xs.append(x)
+                ys.append(y)
+        X, Y = np.array(xs), np.array(ys)
+        for j in range(al.dim):
+            comps = riesz_kernel_components(al, j, X, Y, CFG_EXACT)
+            envelope = sum(np.abs(v) for v in comps.values())
+            gap = np.abs(riesz_kernel(al, j, X, Y, CFG_EXACT) - sum(comps.values())) / envelope
+            assert np.max(gap) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,j,x,y", [
+        ((-0.5, -0.5), 0, [2.5, 1.5], [-2.49, -1.52]),
+        ((-0.5, -0.5), 1, [2.5, 1.5], [-2.49, -1.52]),
+        ((-0.5, -0.5, -0.5), 2, [2.0, -1.5, 2.2], [-2.01, 1.52, 2.19]),
+    ])
+    def test_product_kernel_near_reflected_diagonal(self, alpha, j, x, y):
+        # where the parity components cancel, the product is no farther
+        # from the direct t-integral than their sum is
+        al = AlphaParams(alpha)
+        x, y = np.array(x), np.array(y)
+        direct = riesz_kernel_direct(al, j, x, y)
+        product = riesz_kernel(al, j, x, y, CFG_EXACT)
+        total = sum(riesz_kernel_components(al, j, x, y, CFG_EXACT).values())
+        assert abs(product - direct) <= abs(total - direct)
+
     def test_near_diagonal_refused(self):
         al = AlphaParams((0.0,))
         with pytest.raises(ValueError):
