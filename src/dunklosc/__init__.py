@@ -7,7 +7,7 @@ from .quadrature import (QuadratureRule, SpectralCoeffs, default_rule, gauss_rul
                          inner_product, mms_constant, project, synthesize, tensor_rule)
 from .polydunkl import (Polynomial, dunkl_T, dunkl_laplacian, exp_neg_lap_quarter,
                         fischer_product, fund_identity_check, monomial, verify_eldwa)
-from .heat import (HeatKernelEval, heat_apply_kernel, heat_apply_spectral, heat_kernel,
+from .heat import (heat_apply_kernel, heat_apply_spectral, heat_kernel,
                    heat_kernel_1d, heat_kernel_component, heat_kernel_series,
                    heat_kernel_zeta, maximal_empirical, q_plus_minus, t_of_zeta,
                    zeta_of_t)

@@ -21,7 +21,6 @@ integrand shared with the Riesz kernels live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .quadrature import QuadratureRule, SpectralCoeffs, _evaluate
 from .special import bessel_ratio_scaled
 
 __all__ = [
-    "HeatKernelEval",
     "t_of_zeta",
     "zeta_of_t",
     "q_plus_minus",
@@ -40,6 +38,7 @@ __all__ = [
     "heat_kernel_component",
     "heat_kernel_series",
     "heat_kernel_zeta",
+    "psi_zeta",
     "heat_apply_kernel",
     "maximal_empirical",
     "all_parities",
@@ -178,26 +177,26 @@ def heat_kernel_series(alpha: AlphaParams, t: float, x, y, max_total_degree: int
     return float(out[0]) if scalar else out
 
 
+def psi_zeta(eps, zeta: float, x, y, s):
+    """psi_zeta^eps(x,y,s) = (xy)^eps exp(-q_+/(4 zeta) - zeta q_-/4)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    qp, qm = q_plus_minus(x, y, s)
+    xy_eps = np.prod((x * y) ** np.array(eps, dtype=float), axis=-1)
+    return xy_eps * np.exp(-qp / (4.0 * zeta) - zeta * qm / 4.0)
+
+
 def heat_kernel_zeta(alpha: AlphaParams, eps, zeta: float, x, y, s):
     """Integrand of the symmetric (zeta, s) representation of G^{alpha,eps}:
-
-        2^{-d} ((1-zeta^2)/(2 zeta))^{d+|alpha|+|eps|} (xy)^eps
-               exp(-q_+/(4 zeta) - zeta q_-/4)
-
+    2^{-d} ((1-zeta^2)/(2 zeta))^{d+|alpha|+|eps|} psi_zeta^eps(x, y, s),
     before integration against the product Schlafli measure in s.
     """
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0,1)")
     eps = tuple(int(e) for e in eps)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = np.asarray(s, dtype=float)
-    qp, qm = q_plus_minus(x, y, s)
-    d = alpha.dim
-    power = d + alpha.abs_sum + sum(eps)
-    log_pref = -d * math.log(2.0) + power * math.log((1.0 - zeta * zeta) / (2.0 * zeta))
-    xy_eps = np.prod((x * y) ** np.array(eps), axis=-1)
-    return xy_eps * np.exp(log_pref - qp / (4.0 * zeta) - zeta * qm / 4.0)
+    power = alpha.dim + alpha.abs_sum + sum(eps)
+    pref = 2.0**-alpha.dim * ((1.0 - zeta * zeta) / (2.0 * zeta)) ** power
+    return pref * psi_zeta(eps, zeta, x, y, s)
 
 
 def heat_apply_spectral(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
@@ -218,33 +217,6 @@ def heat_apply_kernel(f, t: float, x, rule: QuadratureRule) -> float:
     g = heat_kernel(rule.alpha, t, X, rule.nodes)
     fv = _evaluate(f, rule.nodes)
     return float(np.sum(rule.weights * g * fv))
-
-
-@dataclass(frozen=True)
-class HeatKernelEval:
-    """A fixed-(t, parity) kernel slice: call it on point pairs.
-
-    ``parity_mask`` is either a vector over {0,1} selecting one component
-    G^{alpha,eps}, or "all" for the full kernel.
-    """
-
-    alpha: AlphaParams
-    t: float
-    parity_mask: tuple[int, ...] | str = "all"
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.parity_mask != "all":
-            eps = tuple(int(e) for e in self.parity_mask)
-            if len(eps) != self.alpha.dim or any(e not in (0, 1) for e in eps):
-                raise ValueError("parity_mask must be over {0,1} with matching dimension")
-            object.__setattr__(self, "parity_mask", eps)
-
-    def __call__(self, x, y):
-        if self.parity_mask == "all":
-            return heat_kernel(self.alpha, self.t, x, y)
-        return heat_kernel_component(self.alpha, self.parity_mask, self.t, x, y)
 
 
 def maximal_empirical(f, x, t_grid, rule: QuadratureRule) -> float:

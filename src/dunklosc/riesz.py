@@ -7,10 +7,11 @@ Three independent realizations:
 * the (zeta, s) double integral for each parity component,
       R_j^{alpha,eps}(x,y) = int Pi_{alpha+eps}(ds) int_0^1
           beta_{d,alpha+eps}(zeta) (delta_j psi_zeta^eps)(x,y,s) dzeta,
-  evaluated by tensor Gauss-Jacobi in s (point masses when the order is
-  exactly -1/2) and a graded composite Gauss-Legendre grid in zeta; with
-  s integrated exactly, the full kernel is one product over coordinates
-  instead of a sum over parities;
+  evaluated with a graded composite Gauss-Legendre grid in zeta and, in
+  s, one-dimensional integrals per coordinate: Gauss-Jacobi (point masses
+  when the order is exactly -1/2) or exactly, by Bessel ratios.  The
+  integrand factors over coordinates, so the full kernel is one product
+  over coordinates instead of a sum over parities;
 * a direct t-integral of the differentiated heat kernel, kept as the
   slow independent oracle for the quadrature route.
 
@@ -23,6 +24,7 @@ cancellation-limited accuracy very close to those sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +36,8 @@ from scipy.special import roots_jacobi
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
 from .quadrature import QuadratureRule, SpectralCoeffs, project
 from .special import bessel_ratio_scaled, log_gamma
-from .heat import _kernel_prelude, _prepare_pairs, all_parities, q_plus_minus, t_of_zeta, zeta_of_t
+from .heat import (_kernel_prelude, _prepare_pairs, all_parities, psi_zeta, t_of_zeta,
+                   zeta_of_t)
 
 __all__ = [
     "SchlafliMeasure",
@@ -100,10 +103,10 @@ class SchlafliMeasure:
 class KernelConfig:
     """Quadrature controls for the (zeta, s) double integral.
 
-    ``s_method`` selects the s-integration: "gauss-jacobi" is the tensor
-    rule matched to the (1-s^2)^{nu-1/2} densities; "exact" integrates s
-    analytically per coordinate (the delta_j psi bracket is affine in
-    each s_i, so the s-integrals are Bessel ratios by the Schlafli
+    ``s_method`` selects the s-integration, one coordinate at a time:
+    "gauss-jacobi" is the rule matched to the (1-s^2)^{nu-1/2} density;
+    "exact" integrates s analytically (the delta_j psi bracket is affine
+    in each s_i, so the s-integrals are Bessel ratios by the Schlafli
     identity).  The exact path stays accurate arbitrarily close to the
     diagonal and the reflected diagonals, where a fixed Gauss-Jacobi grid
     cannot resolve the e^{-q_+/(4 zeta)} boundary layer; the scans use it
@@ -152,18 +155,6 @@ def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray]:
 def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
     """The graded zeta rule on (0,1) of a KernelConfig: (nodes, weights)."""
     return _graded_rule(cfg.zeta_points, cfg.zeta_grading)
-
-
-def _s_tensor(alpha: AlphaParams, eps, npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product Schlafli measure Pi_{alpha+eps}: nodes (K, d), weights (K,)."""
-    measures = [SchlafliMeasure.from_nu(alpha[i] + eps[i], npoints) for i in range(alpha.dim)]
-    grids = np.meshgrid(*[m.nodes for m in measures], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(nodes.shape[0])
-    wgrids = np.meshgrid(*[m.weights for m in measures], indexing="ij")
-    for wg in wgrids:
-        w = w * wg.ravel()
-    return nodes, w
 
 
 def riesz_multiplier(n, alpha: AlphaParams, j: int) -> float:
@@ -216,16 +207,6 @@ def beta_weight(d: int, alpha_eff: float, zeta) -> np.ndarray | float:
     return val if val.shape else float(val)
 
 
-def psi_zeta(eps, zeta: float, x, y, s):
-    """psi_zeta^eps(x,y,s) = (xy)^eps exp(-q_+/(4 zeta) - zeta q_-/4)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = np.asarray(s, dtype=float)
-    qp, qm = q_plus_minus(x, y, s)
-    xy_eps = np.prod((x * y) ** np.array(eps, dtype=float), axis=-1)
-    return xy_eps * np.exp(-qp / (4.0 * zeta) - zeta * qm / 4.0)
-
-
 def delta_psi(alpha: AlphaParams, eps, j: int, zeta: float, x, y, s):
     """(delta_j psi_zeta^eps)(x,y,s): the bracket
 
@@ -256,30 +237,56 @@ def _check_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool
     return X, Y, scalar
 
 
-def _exact_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
-                 cfg: KernelConfig, eps=None, chunk: int = 512) -> np.ndarray:
-    """The s-integrals done analytically: one parity component ``eps``, or
-    with ``eps=None`` the sum of all 2^d of them, as one product over
+# Pairs x zeta nodes x s-nodes per chunk of _zeta_batch, with s-nodes
+# counted as 1 on the exact route: 512 pairs at 256 zeta nodes.
+ZETA_BATCH_ELEMENTS = 2**17
+
+
+def _s_integrals(measures: dict | None, w: np.ndarray):
+    """m(nu, k) = e^{-|w|} int s^k e^{-w s} dPi_nu(s) for k = 0, 1 on an
+    array w.  With ``measures`` None (the exact route) it uses
+    int e^{-w s} dPi_nu = I_nu(w)/w^nu and its w-derivative,
+    m(nu, 0) = rho_nu(w) and m(nu, 1) = -w rho_{nu+1}(w) with
+    rho_nu = e^{-|w|} I_nu(|w|)/|w|^nu; otherwise it sums the Gauss-Jacobi
+    rule ``measures[nu]``.  Either way each order is evaluated once."""
+    if measures is None:
+        rho = functools.cache(lambda nu: bessel_ratio_scaled(nu, w))
+        return lambda nu, k: rho(nu) if k == 0 else -w * rho(nu + 1.0)
+    # |s| <= 1 on the support, so the exponent is <= 0.
+    kernel = functools.cache(
+        lambda nu: np.exp(-np.abs(w)[..., None] - w[..., None] * measures[nu].nodes))
+    return lambda nu, k: kernel(nu) @ (measures[nu].weights * measures[nu].nodes**k)
+
+
+def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
+                cfg: KernelConfig, eps=None) -> np.ndarray:
+    """The (zeta, s) quadrature of one parity component ``eps``, or with
+    ``eps=None`` of the sum of all 2^d of them, as one product over
     coordinates.
 
-    For each coordinate, int e^{-w s} dPi_nu(s) = I_nu(w)/w^nu and
-    int s e^{-w s} dPi_nu(s) = -w I_{nu+1}(w)/w^{nu+1}; only the graded
-    zeta quadrature remains, uniformly accurate in the pair geometry.
-    With w_i = x_i y_i h, h = 1/sinh 2t(zeta) and
-    rho_nu = e^{-|w|} I_nu(|w|)/|w|^nu, coordinate i != j contributes
-    rho_{a_i}(w_i) at eps_i = 0 and w_i rho_{a_i+1}(w_i) at eps_i = 1, and
+    The integrand factors coordinate by coordinate, so the s-integral
+    against the product measure Pi_{alpha+eps} is a product of the
+    one-dimensional integrals m(nu, k) of ``_s_integrals``.  With
+    w_i = x_i y_i h and h = 1/sinh 2t(zeta), coordinate i != j contributes
+    m(a_i, 0) at eps_i = 0 and w_i m(a_i+1, 0) at eps_i = 1, and
     coordinate j contributes
 
-        F_j^0 = A_0 rho_{a_j} - B_0 w_j rho_{a_j+1},
-        F_j^1 = w_j (A_0 rho_{a_j+1} - B_0 w_j rho_{a_j+2}) + (2a_j+2) y_j h rho_{a_j+1},
+        F_j^0 = A_0 m(a_j, 0) + B_0 m(a_j, 1),
+        F_j^1 = w_j (A_0 m(a_j+1, 0) + B_0 m(a_j+1, 1)) + (2a_j+2) y_j h m(a_j+1, 0),
 
-    all under one exponent.  The sum over eps is therefore
-    prod_{i != j} (rho_{a_i} + w_i rho_{a_i+1}) (F_j^0 + F_j^1): 2d+1 Bessel
-    arrays per (pair, zeta) instead of (d+1) 2^d.
+    with A_0 = x_j (1 - 1/(2 zeta) - zeta/2) and B_0 = -y_j h, all under
+    one exponent.  The sum over eps is therefore
+    prod_{i != j} (m(a_i, 0) + w_i m(a_i+1, 0)) (F_j^0 + F_j^1): on the
+    exact route 2d+1 Bessel arrays per (pair, zeta) instead of (d+1) 2^d.
     """
     d = alpha.dim
     parities = [(0, 1)] * d if eps is None else [(int(e),) for e in eps]
+    measures = None if cfg.s_method == "exact" else {
+        nu: SchlafliMeasure.from_nu(nu, cfg.s_points_per_dim)
+        for nu in {alpha[i] + e for i in range(d) for e in parities[i]}}
     zeta, zw = zeta_grid(cfg)
+    s_nodes = 1 if measures is None else cfg.s_points_per_dim
+    chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes))
     h = (1.0 - zeta * zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
     log_pow = (d + alpha.abs_sum) * np.log(h)
     beta_rest = (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi)) / (1.0 - zeta * zeta)
@@ -297,67 +304,24 @@ def _exact_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
         prod = np.exp(expo)
         for i in range(d):
             a, wi, par = alpha[i], w[:, i, :], parities[i]
+            m = _s_integrals(measures, wi)
             fac = 0.0
             if i != j:
                 if 0 in par:
-                    fac = fac + bessel_ratio_scaled(a, wi)
+                    fac = fac + m(a, 0)
                 if 1 in par:
-                    fac = fac + wi * bessel_ratio_scaled(a + 1.0, wi)
+                    fac = fac + wi * m(a + 1.0, 0)
             else:
                 A0 = Xc[:, j][:, None] * a0c
                 B0 = -Yc[:, j][:, None] * h
-                r1 = bessel_ratio_scaled(a + 1.0, wi)
                 if 0 in par:
-                    fac = fac + A0 * bessel_ratio_scaled(a, wi) - B0 * wi * r1
+                    fac = fac + A0 * m(a, 0) + B0 * m(a, 1)
                 if 1 in par:
-                    fac = fac + (wi * (A0 * r1 - B0 * wi * bessel_ratio_scaled(a + 2.0, wi))
-                                 + (2.0 * a + 2.0) * Yc[:, j][:, None] * h * r1)
+                    m0 = m(a + 1.0, 0)
+                    fac = fac + (wi * (A0 * m0 + B0 * m(a + 1.0, 1))
+                                 + (2.0 * a + 2.0) * Yc[:, j][:, None] * h * m0)
             prod *= fac
         out[lo:lo + chunk] = prod @ zfac
-    return out
-
-
-def _component_batch(alpha: AlphaParams, eps, j: int, X: np.ndarray, Y: np.ndarray,
-                     cfg: KernelConfig, chunk: int = 24) -> np.ndarray:
-    """Vectorized (zeta, s) quadrature of one parity component over pairs."""
-    if cfg.s_method == "exact":
-        return _exact_batch(alpha, j, X, Y, cfg, eps)
-    d = alpha.dim
-    eps = tuple(int(e) for e in eps)
-    s_nodes, s_w = _s_tensor(alpha, eps, cfg.s_points_per_dim)
-    zeta, zw = zeta_grid(cfg)
-    lam = alpha.abs_sum + sum(eps)
-    one_m = 1.0 - zeta * zeta
-    # The ((1-z^2)/2z)^{d+lam} power is folded into the exponent below.
-    log_pow = (d + lam) * np.log(one_m / (2.0 * zeta))
-    beta_rest = (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi)) / one_m
-                 / np.sqrt(np.log((1.0 + zeta) / (1.0 - zeta))))
-    zfac = zw * beta_rest
-    inv2z = 1.0 / (2.0 * zeta)
-    out = np.empty(X.shape[0])
-    ej = np.array(eps, dtype=float)
-    em = ej.copy()
-    em[j] = 0.0
-    for lo in range(0, X.shape[0], chunk):
-        Xc = X[lo:lo + chunk]
-        Yc = Y[lo:lo + chunk]
-        xy = Xc * Yc
-        xy_eps = np.prod(xy**ej, axis=1)[:, None, None]
-        base = (np.sum(Xc * Xc, axis=1) + np.sum(Yc * Yc, axis=1))[:, None]
-        cross = 2.0 * xy @ s_nodes.T
-        qp = base + cross
-        qm = base - cross
-        xj = Xc[:, j][:, None, None]
-        yj = Yc[:, j][:, None, None]
-        u = (Xc[:, j][:, None] + Yc[:, j][:, None] * s_nodes[:, j])[:, :, None]
-        v = (Xc[:, j][:, None] - Yc[:, j][:, None] * s_nodes[:, j])[:, :, None]
-        expo = np.exp(-qp[:, :, None] * inv2z / 2.0 - qm[:, :, None] * (zeta / 4.0) + log_pow)
-        bracket = xy_eps * (xj - u * inv2z - v * (zeta / 2.0))
-        if eps[j] == 1:
-            xy_em = np.prod(xy**em, axis=1)[:, None, None]
-            bracket = bracket + (2.0 * alpha[j] + 2.0) * yj * xy_em
-        vals = np.einsum("pkz,k,z->p", bracket * expo, s_w, zfac)
-        out[lo:lo + chunk] = vals
     return out
 
 
@@ -365,7 +329,7 @@ def riesz_kernel_component(alpha: AlphaParams, eps, j: int, x, y,
                            cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
     """R_j^{alpha,eps}(x, y) by the (zeta, s) quadrature."""
     X, Y, scalar = _check_pairs(alpha, x, y)
-    vals = _component_batch(alpha, eps, j, X, Y, cfg)
+    vals = _zeta_batch(alpha, j, X, Y, cfg, eps)
     return float(vals[0]) if scalar else vals
 
 
@@ -375,21 +339,18 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y,
     X, Y, scalar = _check_pairs(alpha, x, y)
     out = {}
     for eps in all_parities(alpha.dim):
-        vals = _component_batch(alpha, eps, j, X, Y, cfg)
+        vals = _zeta_batch(alpha, j, X, Y, cfg, eps)
         out[eps] = float(vals[0]) if scalar else vals
     return out
 
 
 def riesz_kernel(alpha: AlphaParams, j: int, x, y,
                  cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
-    """Full kernel R_j^alpha(x, y) = sum over the 2^d parity components;
-    on the exact-s route evaluated as one product over coordinates."""
-    if cfg.s_method == "exact":
-        X, Y, scalar = _check_pairs(alpha, x, y)
-        vals = _exact_batch(alpha, j, X, Y, cfg)
-        return float(vals[0]) if scalar else vals
-    comps = riesz_kernel_components(alpha, j, x, y, cfg)
-    return sum(comps.values())
+    """Full kernel R_j^alpha(x, y) = sum over the 2^d parity components,
+    evaluated as one product over coordinates."""
+    X, Y, scalar = _check_pairs(alpha, x, y)
+    vals = _zeta_batch(alpha, j, X, Y, cfg)
+    return float(vals[0]) if scalar else vals
 
 
 def _delta_heat(alpha: AlphaParams, j: int, t: float, x: np.ndarray, y: np.ndarray) -> float:

@@ -156,6 +156,9 @@ class TestComponents:
                 xf[j] = -xf[j]
                 flipped = heat_kernel_component(al, eps, 0.6, xf, y)
                 assert flipped == pytest.approx((-1.0) ** eps[j] * base, rel=1e-13)
+        # a parity is a vector over {0, 1} of matching dimension
+        with pytest.raises(ValueError):
+            heat_kernel_component(AlphaParams((0.0,)), (2,), 1.0, np.ones(1), np.ones(1))
 
     def test_eps0_dominates(self):
         # 0 < G <~ G^{eps_0}: Soni's inequality transfers to the components
@@ -282,26 +285,6 @@ class TestApplyKernel:
         spec = heat_apply_spectral(SpectralCoeffs(coeff, al), t)
         spectral_route = synthesize(spec, x[None, :])[0]
         assert kernel_route == pytest.approx(spectral_route, rel=1e-6)
-
-
-class TestHeatKernelEval:
-    def test_dispatch(self):
-        al = AlphaParams((0.0, 0.7))
-        x = np.array([0.5, 1.0])
-        y = np.array([0.2, -0.3])
-        from dunklosc.heat import HeatKernelEval
-        full = HeatKernelEval(al, 0.4)
-        assert full(x, y) == heat_kernel(al, 0.4, x, y)
-        comp = HeatKernelEval(al, 0.4, (1, 0))
-        assert comp(x, y) == heat_kernel_component(al, (1, 0), 0.4, x, y)
-
-    def test_validation(self):
-        from dunklosc.heat import HeatKernelEval
-        al = AlphaParams((0.0,))
-        with pytest.raises(ValueError):
-            HeatKernelEval(al, 0.0)
-        with pytest.raises(ValueError):
-            HeatKernelEval(al, 1.0, (2,))
 
 
 class TestMaximal:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -273,22 +274,61 @@ class TestKernelComponents:
         np.testing.assert_allclose(sum(comps.values()), total, rtol=1e-14)
 
     def test_exact_and_jacobi_methods_agree(self):
-        al = AlphaParams((0.0, 0.7))
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            x = rng.uniform(0.3, 2.5, size=2)
-            y = rng.uniform(0.3, 2.5, size=2)
-            if np.linalg.norm(x - y) < 0.4:
-                continue
-            a = riesz_kernel(al, 1, x, y, CFG)
-            b = riesz_kernel(al, 1, x, y, CFG_EXACT)
-            assert a == pytest.approx(b, rel=1e-8)
+        for alpha in [(0.0, 0.7), (0.0, -0.5, 1.3)]:
+            al = AlphaParams(alpha)
+            rng = np.random.default_rng(3)
+            for _ in range(5):
+                x = rng.uniform(0.3, 2.5, size=al.dim)
+                y = rng.uniform(0.3, 2.5, size=al.dim)
+                if np.linalg.norm(x - y) < 0.4:
+                    continue
+                a = riesz_kernel(al, 1, x, y, CFG)
+                b = riesz_kernel(al, 1, x, y, CFG_EXACT)
+                assert a == pytest.approx(b, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [(-0.5, 0.7), (0.0, -0.5, 1.3)])
-    def test_product_kernel_matches_component_sum(self, alpha):
-        # the exact-s kernel is one product over coordinates; it must equal
-        # the sum of the 2^d parity components, relative to sum |R_eps|
-        # (the components cancel near the reflected diagonals)
+    def test_gauss_jacobi_matches_tensor_sum(self, alpha):
+        # reference for the Gauss-Jacobi route: delta_psi on the tensor grid
+        # of the product Schlafli rule (with the alpha_i = -1/2 atoms) times
+        # beta_weight, summed over the zeta rule, for every parity and j
+        al = AlphaParams(alpha)
+        cfg = KernelConfig(zeta_points=32, s_points_per_dim=10)
+        zeta, zw = zeta_grid(cfg)
+        rng = np.random.default_rng(29)
+        xs, ys = [], []
+        while len(xs) < 3:
+            x = rng.uniform(-2.5, 2.5, size=al.dim)
+            y = rng.uniform(-2.5, 2.5, size=al.dim)
+            if 0.5 <= np.linalg.norm(x - y) and reflection_distance(x, y) >= 0.4:
+                xs.append(x)
+                ys.append(y)
+        X, Y = np.array(xs), np.array(ys)
+        for j in range(al.dim):
+            comps = riesz_kernel_components(al, j, X, Y, cfg)
+            envelope = sum(np.abs(v) for v in comps.values())
+            total = 0.0
+            for eps, got in comps.items():
+                ms = [SchlafliMeasure.from_nu(al[i] + eps[i], 10) for i in range(al.dim)]
+                s = np.array(list(itertools.product(*[m.nodes for m in ms])))
+                sw = np.prod(list(itertools.product(*[m.weights for m in ms])), axis=1)
+                zb = zw * beta_weight(al.dim, al.abs_sum + sum(eps), zeta)
+                ref = np.array([sum(b * (sw @ delta_psi(al, eps, j, float(z), x, y, s))
+                                    for z, b in zip(zeta, zb)) for x, y in zip(X, Y)])
+                assert np.max(np.abs(got - ref) / envelope) <= 1e-13
+                total = total + ref
+            full = riesz_kernel(al, j, X, Y, cfg)
+            assert np.max(np.abs(full - total) / envelope) <= 1e-13
+
+    @pytest.mark.parametrize("alpha,cfg", [
+        pytest.param((-0.5, 0.7), CFG_EXACT, id="alpha0"),
+        pytest.param((0.0, -0.5, 1.3), CFG_EXACT, id="alpha1"),
+        pytest.param((-0.5, 0.7), CFG, id="alpha0-gauss-jacobi"),
+        pytest.param((0.0, -0.5, 1.3), CFG, id="alpha1-gauss-jacobi"),
+    ])
+    def test_product_kernel_matches_component_sum(self, alpha, cfg):
+        # on either s-route the kernel is one product over coordinates; it
+        # must equal the sum of the 2^d parity components, relative to
+        # sum |R_eps| (the components cancel near the reflected diagonals)
         al = AlphaParams(alpha)
         rng = np.random.default_rng(17)
         xs, ys = [], []
@@ -300,9 +340,9 @@ class TestKernelComponents:
                 ys.append(y)
         X, Y = np.array(xs), np.array(ys)
         for j in range(al.dim):
-            comps = riesz_kernel_components(al, j, X, Y, CFG_EXACT)
+            comps = riesz_kernel_components(al, j, X, Y, cfg)
             envelope = sum(np.abs(v) for v in comps.values())
-            gap = np.abs(riesz_kernel(al, j, X, Y, CFG_EXACT) - sum(comps.values())) / envelope
+            gap = np.abs(riesz_kernel(al, j, X, Y, cfg) - sum(comps.values())) / envelope
             assert np.max(gap) <= 1e-12
 
     @pytest.mark.parametrize("alpha,j,x,y", [
