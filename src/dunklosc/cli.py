@@ -28,27 +28,20 @@ import numpy as np
 from .estimates import growth_scan, smoothness_scan
 from .heat import all_parities, heat_apply_spectral, heat_kernel, heat_kernel_component
 from .hermite import AlphaParams, MultiIndex, hermite_fn
-from .quadrature import SpectralCoeffs
+from .quadrature import SpectralCoeffs, default_rule
 from .riesz import (IntervalBump, KernelConfig, dual_pairing_check,
                     riesz_apply_spectral, riesz_kernel_components)
-from .quadrature import default_rule
 from .suite import parse_config, run_suite
 
 CSV_VERSION = "v1"
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_tuple(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        return tuple(kind(tok) for tok in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
 
 def _alpha(ns) -> AlphaParams:
@@ -268,21 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, alpha=True):
         if alpha:
-            p.add_argument("--alpha", type=_parse_floats, required=True,
+            p.add_argument("--alpha", type=_parse_tuple, required=True,
                            help="comma-separated alpha vector, each >= -0.5")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("hermite-eval", help="evaluate a generalized Hermite function")
     common(p)
-    p.add_argument("--n", type=_parse_ints, required=True)
+    p.add_argument("--n", type=lambda text: _parse_tuple(text, int), required=True)
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--grid", type=_parse_floats, metavar="LO,HI,COUNT")
+    grp.add_argument("--grid", type=_parse_tuple, metavar="LO,HI,COUNT")
     grp.add_argument("--points", help="CSV file of evaluation points")
     p.set_defaults(fn=_cmd_hermite_eval)
 
     p = sub.add_parser("heat-kernel", help="heat kernel slices as CSV")
     common(p)
-    p.add_argument("--t", type=_parse_floats, required=True)
+    p.add_argument("--t", type=_parse_tuple, required=True)
     p.add_argument("--pairs", required=True, help="CSV with columns x1..xd,y1..yd")
     p.set_defaults(fn=_cmd_heat_kernel)
 
@@ -308,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairing-check", help="dual pairing: spectral vs kernel integral")
     common(p)
     p.add_argument("--j", type=int, default=1)
-    p.add_argument("--f-support", type=_parse_floats, default=(0.4, 2.0),
+    p.add_argument("--f-support", type=_parse_tuple, default=(0.4, 2.0),
                    metavar="RLO,RHI")
-    p.add_argument("--g-support", type=_parse_floats, default=(3.0, 5.0),
+    p.add_argument("--g-support", type=_parse_tuple, default=(3.0, 5.0),
                    metavar="RLO,RHI")
     p.add_argument("--max-degree", type=int, default=900)
     p.add_argument("--quad-points", type=int, default=512)

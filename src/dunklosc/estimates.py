@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .hermite import AlphaParams
 from .riesz import KernelConfig, _graded_rule, riesz_kernel
@@ -180,6 +179,7 @@ def ball_measure(alpha: AlphaParams, x, r, npoints: int = 1 << 17,
 
 def _ball_qmc(alpha: AlphaParams, x: np.ndarray, r: float, npoints: int, seed: int,
               positive_orthant: bool) -> tuple[float, float]:
+    from scipy.stats import qmc  # deferred: a heavy import only this oracle needs
     d = alpha.dim
     reps = 8
     n_rep = max(npoints // reps, 1)

@@ -127,6 +127,13 @@ def heat_kernel(alpha: AlphaParams, t: float, x, y):
     return float(out[0]) if scalar else out
 
 
+def _check_parity(alpha: AlphaParams, eps) -> tuple[int, ...]:
+    eps = tuple(int(e) for e in eps)
+    if len(eps) != alpha.dim or any(e not in (0, 1) for e in eps):
+        raise ValueError("eps must be a vector over {0,1} of matching dimension")
+    return eps
+
+
 def heat_kernel_1d(a: float, t: float, x: float, y: float) -> float:
     """One-dimensional closed-form kernel (the d = 1 case of heat_kernel)."""
     return heat_kernel(AlphaParams((a,)), t, np.array([x]), np.array([y]))
@@ -134,9 +141,7 @@ def heat_kernel_1d(a: float, t: float, x: float, y: float) -> float:
 
 def heat_kernel_component(alpha: AlphaParams, eps, t: float, x, y):
     """Parity component G_t^{alpha,eps}(x, y)."""
-    eps = tuple(int(e) for e in eps)
-    if len(eps) != alpha.dim or any(e not in (0, 1) for e in eps):
-        raise ValueError("eps must be a vector over {0,1} of matching dimension")
+    eps = _check_parity(alpha, eps)
     X, Y, scalar = _prepare_pairs(alpha, x, y)
     _, _, z, expo = _kernel_prelude(alpha, t, X, Y)
     factor = np.ones(X.shape[0])
@@ -157,20 +162,13 @@ def heat_kernel_series(alpha: AlphaParams, t: float, x, y, max_total_degree: int
     X, Y, scalar = _prepare_pairs(alpha, x, y)
     d = alpha.dim
     M = max_total_degree
-    # Per-coordinate products h_n(x_i) h_n(y_i), folded by total degree.
+    # Per-coordinate products h_n(x_i) h_n(y_i), (M+1, P), folded by total
+    # degree (a truncated Cauchy product over the degree axis).
     conv = None
     for i, a in enumerate(alpha):
-        tx = hermite_fn_all_1d(M, a, X[:, i])
-        ty = hermite_fn_all_1d(M, a, Y[:, i])
-        e = tx * ty  # (M+1, P)
-        if conv is None:
-            conv = e
-        else:
-            new = np.zeros_like(conv)
-            for m in range(M + 1):
-                for k in range(m + 1):
-                    new[m] += conv[k] * e[m - k]
-            conv = new
+        e = hermite_fn_all_1d(M, a, X[:, i]) * hermite_fn_all_1d(M, a, Y[:, i])
+        conv = e if conv is None else np.array(
+            [sum(conv[k] * e[m - k] for k in range(m + 1)) for m in range(M + 1)])
     degrees = np.arange(M + 1)
     lam = 2.0 * degrees + 2.0 * alpha.abs_sum + 2.0 * d
     out = np.exp(-t * lam) @ conv

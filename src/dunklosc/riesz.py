@@ -30,14 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
 from .quadrature import QuadratureRule, SpectralCoeffs, project
 from .special import bessel_ratio_scaled, log_gamma
-from .heat import (_kernel_prelude, _prepare_pairs, all_parities, psi_zeta, t_of_zeta,
-                   zeta_of_t)
+from .heat import (_check_parity, _kernel_prelude, _prepare_pairs, all_parities, psi_zeta,
+                   t_of_zeta, zeta_of_t)
 
 __all__ = [
     "SchlafliMeasure",
@@ -289,9 +288,7 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
     chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes))
     h = (1.0 - zeta * zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
     log_pow = (d + alpha.abs_sum) * np.log(h)
-    beta_rest = (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi)) / (1.0 - zeta * zeta)
-                 / np.sqrt(np.log((1.0 + zeta) / (1.0 - zeta))))
-    zfac = zw * beta_rest
+    zfac = zw * beta_weight(d, -d, zeta)  # its h^{d+|alpha|} is in log_pow
     coef = 1.0 / (4.0 * zeta) + zeta / 4.0
     a0c = 1.0 - 1.0 / (2.0 * zeta) - zeta / 2.0
     out = np.empty(X.shape[0])
@@ -328,6 +325,7 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
 def riesz_kernel_component(alpha: AlphaParams, eps, j: int, x, y,
                            cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
     """R_j^{alpha,eps}(x, y) by the (zeta, s) quadrature."""
+    eps = _check_parity(alpha, eps)
     X, Y, scalar = _check_pairs(alpha, x, y)
     vals = _zeta_batch(alpha, j, X, Y, cfg, eps)
     return float(vals[0]) if scalar else vals
@@ -391,6 +389,7 @@ def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y, epsrel: float = 1e-10)
     t = atanh(zeta) with adaptive quadrature, the tail (where the
     integrand decays like e^{-t (2|alpha| + 2d + 2)}) directly in t.
     """
+    from scipy.integrate import quad  # deferred: a heavy import only this oracle needs
     X, Y, _ = _check_pairs(alpha, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xv, yv = X[0], Y[0]
 

@@ -8,6 +8,11 @@ sum_k (z/2)^{2k} / (k! Gamma(k+nu+1)) (DLMF 10.25.2) for
 z <= max(30, 4 nu^2), and above that the large-argument expansion of
 e^{-z} I_nu(z) with optimal truncation (DLMF 10.40.1).  Each public
 function only adds its prefactor to these two branches.
+
+Both branches are polynomials evaluated by Horner's rule, with a term
+count fixed once per call by a scalar loop at the element that needs the
+most terms.  The series' coefficients are its terms at the largest
+argument, scaled by a power of two, as unscaled ones underflow at large nu.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ __all__ = [
 # The series serves z <= max(SERIES_CUTOFF, 4 nu^2), below which the
 # asymptotic expansion has not started to converge.
 SERIES_CUTOFF = 30.0
-SERIES_TERMS = 120      # least series length; more as the cutoff grows
-ASYMPTOTIC_TERMS = 8    # terms before optimal truncation may stop the sum
 
 
 def log_gamma(x: float) -> float:
@@ -78,43 +81,65 @@ def laguerre_deriv(n: int, a: float, y: float) -> float:
     return -laguerre(n - 1, a + 1.0, y)
 
 
-def _cutoff(nu: float) -> float:
-    return max(SERIES_CUTOFF, 4.0 * nu * nu)
+def _horner(coefs: list[float], u: np.ndarray) -> np.ndarray:
+    # sum_k coefs[k] u^k, in place
+    out = np.full(u.shape, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        out *= u
+        out += c
+    return out
 
 
 def _series(nu: float, a: np.ndarray) -> np.ndarray:
-    # sum_k (a/2)^{2k} / (k! Gamma(k+nu+1)): all terms positive, so the
-    # sum is relative-accurate; z/2 + O(sqrt z) terms dominate.
-    term = np.full(a.shape, math.exp(-math.lgamma(nu + 1.0)))
-    total = term.copy()
+    # sum_k q^k / (k! Gamma(k+nu+1)), q = (a/2)^2, all terms positive.  The
+    # terms t_k at q_max = max q, up to the first t_k <= 1e-18 sum, fix the
+    # length; u = q / 2^e, 2^e <= q_max < 2^{e+1}, is exact and keeps coefs <= t_k.
     q = 0.25 * a * a
-    cutoff = _cutoff(nu)
-    for k in range(1, max(SERIES_TERMS, int(cutoff / 2 + 9 * math.sqrt(cutoff + 1) + 60))):
-        term = term * (q / (k * (k + nu)))
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    return total
+    q_max = float(q.max(initial=0.0))
+    scale = math.ldexp(1.0, math.frexp(q_max)[1] - 1)
+    t = total = c = math.exp(-math.lgamma(nu + 1.0))
+    coefs = [c]
+    while t > 1e-18 * total:
+        k = len(coefs)
+        t *= q_max / (k * (k + nu))
+        total += t
+        c *= scale / (k * (k + nu))
+        coefs.append(c)
+    return _horner(coefs, q * (1.0 / scale))
 
 
 def _asymptotic(nu: float, a: np.ndarray) -> np.ndarray:
     # e^{-a} I_nu(a) ~ (2 pi a)^{-1/2} sum_k (-1)^k a_k(nu) / a^k with
-    # a_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k), truncated per
-    # element before the first term that does not decrease.  Exact after
-    # one term at nu = +-1/2.
+    # a_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k), a polynomial in 1/a.
+    # Its terms t_k at a_min = min a fix the length: up to |t_k| <= 1e-18 or
+    # before the first that does not decrease (optimal truncation where it
+    # binds; every larger a is short of its optimum).  Exact at nu = +-1/2.
     mu = 4.0 * nu * nu
-    term = np.ones(a.shape)
-    total = np.ones(a.shape)
-    active = np.ones(a.shape, dtype=bool)
-    for k in range(1, 30):
-        tnew = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k)) / a
-        if k > ASYMPTOTIC_TERMS:
-            active &= np.abs(tnew) < np.abs(term)
-            if not active.any():
-                break
-        total = np.where(active, total + tnew, total)
-        term = tnew
-    return total / np.sqrt(2.0 * math.pi * a)
+    a_min = float(np.fmin.reduce(a))  # skips NaN, which must not spoil the batch
+    coefs, t = [1.0], 1.0
+    while abs(t) > 1e-18:
+        step = -(mu - (2 * len(coefs) - 1) ** 2) / (8.0 * len(coefs))
+        if abs(step) >= a_min:  # |t_k| >= |t_{k-1}|
+            break
+        t *= step / a_min
+        coefs.append(coefs[-1] * step)
+    return _horner(coefs, 1.0 / a) / np.sqrt(2.0 * math.pi * a)
+
+
+def _by_regime(nu: float, z: np.ndarray, series, asymptotic):
+    # series(a) for a <= max(SERIES_CUTOFF, 4 nu^2), asymptotic(a) above
+    if nu < -0.5:
+        raise ValueError("order nu must be >= -1/2")
+    small = z <= max(SERIES_CUTOFF, 4.0 * nu * nu)
+    if small.all():
+        out = series(z)
+    elif not small.any():
+        out = asymptotic(z)
+    else:
+        out = np.empty(z.shape)
+        out[small] = series(z[small])
+        out[~small] = asymptotic(z[~small])
+    return out if out.shape else float(out)
 
 
 def bessel_i_scaled(nu: float, z):
@@ -122,22 +147,14 @@ def bessel_i_scaled(nu: float, z):
     z >= 0, elementwise on arrays; at z = 0 it is 1, 0 or inf as nu is
     0, positive or negative.  Relative accuracy ~1e-13 for nu up to ~10.
     """
-    if nu < -0.5:
-        raise ValueError("order nu must be >= -1/2")
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("argument z must be >= 0")
-    out = np.empty(z.shape)
-    small = z <= _cutoff(nu)
-    if small.any():
-        # (z/2)^nu e^{-z} as one exponential: at nu = -1/2 and 1/2 the two
-        # values must round alike where their true gap 2e^{-2z} is below
-        # double resolution (Soni's inequality I_{nu+1} <= I_nu).
-        a = z[small]
-        out[small] = np.exp(xlogy(nu, 0.5 * a) - a) * _series(nu, a)
-    if not small.all():
-        out[~small] = _asymptotic(nu, z[~small])
-    return out if out.shape else float(out)
+    # (z/2)^nu e^{-z} as one exponential: at nu = -1/2 and 1/2 the two
+    # values must round alike where their true gap 2e^{-2z} is below
+    # double resolution (Soni's inequality I_{nu+1} <= I_nu).
+    return _by_regime(nu, z, lambda a: np.exp(xlogy(nu, 0.5 * a) - a) * _series(nu, a),
+                      lambda a: _asymptotic(nu, a))
 
 
 def bessel_ratio_scaled(nu: float, z):
@@ -146,18 +163,9 @@ def bessel_ratio_scaled(nu: float, z):
     This is the bounded building block of every kernel evaluation: the
     e^{|z|} growth is re-absorbed into the kernel's global exponent.
     """
-    if nu < -0.5:
-        raise ValueError("order nu must be >= -1/2")
-    az = np.abs(np.asarray(z, dtype=float))
-    out = np.empty(az.shape)
-    small = az <= _cutoff(nu)
-    if small.any():
-        a = az[small]
-        out[small] = np.exp(-nu * math.log(2.0) - a) * _series(nu, a)
-    if not small.all():
-        a = az[~small]
-        out[~small] = _asymptotic(nu, a) * np.exp(-nu * np.log(a))
-    return out if out.shape else float(out)
+    return _by_regime(nu, np.abs(np.asarray(z, dtype=float)),
+                      lambda a: np.exp(-nu * math.log(2.0) - a) * _series(nu, a),
+                      lambda a: _asymptotic(nu, a) * np.exp(-nu * np.log(a)))
 
 
 def bessel_ratio(nu: float, z):

@@ -13,15 +13,29 @@ from dunklosc.suite import RunConfig, parse_config, run_suite, serialize_config,
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
+def child_env() -> dict:
     # The child may run in another directory, so every PYTHONPATH entry is
     # made absolute and the repo's own src comes first.
     inherited = [os.path.abspath(p)
                  for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *inherited]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *inherited]))
+
+
+def run_cli(*args, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "dunklosc.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_import_defers_oracle_modules():
+    # Only the QMC ball-measure oracle and the direct Riesz oracle need
+    # these heavy modules; the CLI must start without them.
+    code = ("import sys, dunklosc.cli; "
+            "print([m for m in ('scipy.stats.qmc', 'scipy.integrate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParseConfig:

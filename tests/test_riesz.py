@@ -253,6 +253,13 @@ class TestKernelComponents:
             acc += float(np.sum(zw * beta_weight(1, -0.5, zeta) * vals)) / math.sqrt(2 * math.pi)
         assert got == pytest.approx(acc, rel=1e-12)
 
+    @pytest.mark.parametrize("cfg", [CFG, CFG_EXACT], ids=["gauss-jacobi", "exact"])
+    @pytest.mark.parametrize("dim, eps", [(1, (2,)), (2, (1, 0, 1)), (2, (1,))])
+    def test_rejects_bad_parity(self, cfg, dim, eps):
+        al = AlphaParams((0.0,) * dim)
+        with pytest.raises(ValueError, match="eps"):
+            riesz_kernel_component(al, eps, 0, np.ones(dim), 2.0 * np.ones(dim), cfg)
+
     def test_sign_symmetry(self):
         # |R_j^{alpha,eps}(eta x, xi y)| = |R_j^{alpha,eps}(x, y)|
         al = AlphaParams((0.0, 1.3))

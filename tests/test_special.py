@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln, ive
@@ -184,3 +185,37 @@ class TestBesselRatio:
             ref = ive(nu, z) / z**nu
             got = bessel_ratio_scaled(nu, z)
             np.testing.assert_allclose(got, ref, rtol=1e-11)
+
+
+class TestBesselMpmathOracle:
+    """Both public Bessel functions against 30-digit mpmath, at each regime
+    edge; and a batch spanning both regimes against per-element calls,
+    which catches a term count taken from the wrong extreme of a batch."""
+
+    NUS = (-0.5, 0.0, 0.7, 2.5, 9.5)
+
+    @staticmethod
+    def _grid(nu):
+        cut = max(30.0, 4.0 * nu * nu)
+        return (1e-6, 1.0, float(np.nextafter(cut, 0.0)), cut, float(np.nextafter(cut, np.inf)),
+                361.0, 1e4)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_against_mpmath(self, nu):
+        with mp.workdps(30):
+            for z in self._grid(nu):
+                ref_i = mp.besseli(nu, z) * mp.exp(-z)
+                ref_r = ref_i / mp.mpf(z) ** nu
+                assert bessel_i_scaled(nu, z) == pytest.approx(float(ref_i), rel=1e-13, abs=0)
+                assert bessel_ratio_scaled(nu, z) == pytest.approx(float(ref_r), rel=1e-13, abs=0)
+            ref0 = float(1 / (mp.mpf(2) ** nu * mp.gamma(nu + 1)))
+        assert bessel_ratio_scaled(nu, 0.0) == pytest.approx(ref0, rel=1e-13, abs=0)
+        assert bessel_i_scaled(nu, 0.0) == (math.inf if nu < 0 else float(nu == 0.0))
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_mixed_batch_equals_single_calls(self, nu):
+        z = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 301), self._grid(nu)])
+        single = np.array([bessel_ratio_scaled(nu, v) for v in z])
+        np.testing.assert_allclose(bessel_ratio_scaled(nu, z), single, rtol=1e-14, atol=0)
+        single = np.array([bessel_i_scaled(nu, v) for v in z[1:]])
+        np.testing.assert_allclose(bessel_i_scaled(nu, z[1:]), single, rtol=1e-14, atol=0)
