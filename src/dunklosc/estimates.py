@@ -195,7 +195,7 @@ def _ball_qmc(alpha: AlphaParams, x: np.ndarray, r: float, npoints: int, seed: i
         vals = np.prod(np.abs(pts) ** (2.0 * ex + 1.0), axis=1) * inside
         means.append(np.mean(vals) * (2.0 * r) ** d)
     means = np.array(means)
-    return float(np.mean(means)), float(np.std(means) / math.sqrt(reps))
+    return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(reps))
 
 
 def pair_sample(d: int, n_pairs: int, seed: int,

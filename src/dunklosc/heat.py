@@ -111,18 +111,20 @@ def _kernel_prelude(alpha: AlphaParams, t: float, X: np.ndarray, Y: np.ndarray):
     return b, c, z, expo
 
 
+def _parity_sum(a: float, z: np.ndarray) -> np.ndarray:
+    """rho_a(z) + z rho_{a+1}(z) (scaled), one coordinate's factor summed
+    over both parities.  For z < 0 it cancels down to e^{-2|z|}, below the
+    rounding noise; it is positive by Soni's inequality, so clamp at zero."""
+    return np.maximum(bessel_ratio_scaled(a, z) + z * bessel_ratio_scaled(a + 1.0, z), 0.0)
+
+
 def heat_kernel(alpha: AlphaParams, t: float, x, y):
     """G_t^alpha(x, y); accepts single points or (P, d) stacks."""
     X, Y, scalar = _prepare_pairs(alpha, x, y)
     _, _, z, expo = _kernel_prelude(alpha, t, X, Y)
     factor = np.ones(X.shape[0])
     for i, a in enumerate(alpha):
-        zi = z[:, i]
-        comb = bessel_ratio_scaled(a, zi) + zi * bessel_ratio_scaled(a + 1.0, zi)
-        # For z < 0 the two terms cancel down to e^{-2|z|}; once that is below
-        # the rounding noise of the cancellation the sign is garbage, but the
-        # combination is positive by Soni's inequality, so clamp at zero.
-        factor *= np.maximum(comb, 0.0)
+        factor *= _parity_sum(a, z[:, i])
     out = np.exp(expo) * factor
     return float(out[0]) if scalar else out
 
@@ -206,15 +208,17 @@ def heat_apply_spectral(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
     return SpectralCoeffs(out, c.alpha)
 
 
-def heat_apply_kernel(f, t: float, x, rule: QuadratureRule) -> float:
-    """(T_t f)(x) = sum_i w_i G_t(x, y_i) f(y_i) through the quadrature rule."""
+def heat_apply_kernel(f, t: float, x, rule: QuadratureRule):
+    """(T_t f)(x) = sum_i w_i G_t(x, y_i) f(y_i) through the quadrature rule;
+    for a sequence of functions ``f``, their array from one kernel column."""
     if t <= 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
     X = np.broadcast_to(x, rule.nodes.shape)
-    g = heat_kernel(rule.alpha, t, X, rule.nodes)
-    fv = _evaluate(f, rule.nodes)
-    return float(np.sum(rule.weights * g * fv))
+    wg = rule.weights * heat_kernel(rule.alpha, t, X, rule.nodes)
+    if callable(f):
+        return float(np.sum(wg * _evaluate(f, rule.nodes)))
+    return np.array([np.sum(wg * _evaluate(fk, rule.nodes)) for fk in f])
 
 
 def maximal_empirical(f, x, t_grid, rule: QuadratureRule) -> float:

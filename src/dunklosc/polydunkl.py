@@ -208,8 +208,7 @@ def verify_eldwa(alpha: AlphaParams, max_degree: int) -> EldwaReport:
                        max_cross_product=max_cross, pairs_checked=pairs)
 
 
-def fund_identity_check(p: Polynomial, q: Polynomial, alpha: AlphaParams,
-                        rule: QuadratureRule) -> float:
+def fund_identity_check(p, q, alpha: AlphaParams, rule: QuadratureRule):
     """Residual of the Fischer-vs-integral identity
 
         [p, q]_alpha = c_alpha^{-1} 2^{(m1+m2)/2}
@@ -217,17 +216,25 @@ def fund_identity_check(p: Polynomial, q: Polynomial, alpha: AlphaParams,
 
     for homogeneous p, q of degrees m1, m2.  The integral side runs
     through the quadrature rule (exactness >= m1 + m2 + 2 required).
+
+    ``p`` and ``q`` may also be sequences of polynomials; the result is
+    then the (len(p), len(q)) array of residuals of every pair, and each
+    exp(-Delta/4) polynomial is evaluated at the nodes once.
     """
-    if not (p.is_homogeneous() and q.is_homogeneous()):
+    ps = [p] if isinstance(p, Polynomial) else list(p)
+    qs = [q] if isinstance(q, Polynomial) else list(q)
+    if not all(r.is_homogeneous() for r in ps + qs):
         raise ValueError("fund_identity_check requires homogeneous polynomials")
-    m1, m2 = max(p.degree, 0), max(q.degree, 0)
-    if rule.exactness_degree < m1 + m2 + 2:
+    degree = lambda r: max(r.degree, 0)
+    if rule.exactness_degree < max(map(degree, ps)) + max(map(degree, qs)) + 2:
         raise ValueError("rule exactness insufficient")
-    lhs = fischer_product(p, q, alpha)
     c_alpha = math.exp(sum(log_gamma(a + 1.0) for a in alpha))
-    ep = exp_neg_lap_quarter(alpha, p)
-    eq = exp_neg_lap_quarter(alpha, q)
     gauss = np.exp(-np.sum(rule.nodes**2, axis=1))
-    integral = float(np.sum(rule.weights * ep(rule.nodes) * eq(rule.nodes) * gauss))
-    rhs = 2.0 ** ((m1 + m2) / 2.0) * integral / c_alpha
-    return abs(lhs - rhs)
+    vals = {id(r): exp_neg_lap_quarter(alpha, r)(rule.nodes) for r in ps + qs}
+    out = np.empty((len(ps), len(qs)))
+    for k, pk in enumerate(ps):
+        for m, qm in enumerate(qs):
+            integral = float(np.sum(rule.weights * vals[id(pk)] * vals[id(qm)] * gauss))
+            rhs = 2.0 ** ((degree(pk) + degree(qm)) / 2.0) * integral / c_alpha
+            out[k, m] = abs(fischer_product(pk, qm, alpha) - rhs)
+    return float(out[0, 0]) if isinstance(p, Polynomial) and isinstance(q, Polynomial) else out

@@ -33,7 +33,9 @@ class TestBallMeasure:
         exact, _ = ball_measure(al, [0.4], 1.1)
         mc, se = ball_measure(al, [0.4], 1.1, method="mc", seed=3)
         assert se > 0
-        assert abs(mc - exact) <= 3.0 * se
+        # se has ddof 1 over 8 replicates, so the error over se is Student t_7;
+        # |t_7| > 2.806 on 2.6 % of seeds
+        assert abs(mc - exact) <= 2.806 * se
 
     def test_d2_against_grid(self):
         al = AlphaParams((0.0, 0.0))
@@ -109,7 +111,9 @@ class TestBallMeasure:
         mc, se = ball_measure(al, x, 0.9, npoints=1 << 17, seed=5, method="mc",
                               positive_orthant=positive_orthant)
         assert se > 0
-        assert abs(v - mc) <= 3.0 * se
+        # se has ddof 1 over 8 replicates, so the error over se is Student t_7;
+        # |t_7| > 2.806 on 2.6 % of seeds
+        assert abs(v - mc) <= 2.806 * se
 
     @pytest.mark.parametrize("alpha", [(0.0, 0.7), (0.0, -0.5, 1.3)])
     def test_batch_equals_single_calls_bitwise(self, alpha):

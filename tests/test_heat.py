@@ -272,6 +272,17 @@ class TestApplyKernel:
             for x in np.linspace(-2, 2, 9):
                 assert abs(heat_apply_kernel(f, t, np.array([x]), rule)) <= 1.0 + 1e-10
 
+    def test_function_family_equals_single_calls_bitwise(self):
+        al = AlphaParams((-0.5, 0.7))
+        rule = default_rule(al, 20)
+        rng = np.random.default_rng(3)
+        fs = [lambda pts, w=w: np.cos(pts @ w) for w in rng.uniform(0.3, 2.0, size=(4, 2))]
+        x = np.array([0.4, -1.1])
+        for t in (0.1, 1.0):
+            vals = heat_apply_kernel(fs, t, x, rule)
+            assert vals.shape == (4,)
+            assert vals.tolist() == [heat_apply_kernel(f, t, x, rule) for f in fs]
+
     def test_matches_spectral_synthesis(self, rules):
         from dunklosc.quadrature import project, synthesize
         al = AlphaParams((0.0,))

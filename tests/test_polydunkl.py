@@ -162,6 +162,16 @@ class TestFundIdentity:
                 scale = 1.0 + abs(fischer_product(monomial(n), monomial(m), al))
                 assert resid <= 1e-8 * scale
 
+    @pytest.mark.parametrize("alpha", [(1.3,), (0.7, 1.2)])
+    def test_sequences_equal_single_calls_bitwise(self, alpha):
+        al = AlphaParams(alpha)
+        rule = default_rule(al, 30)
+        mons = [monomial(n) for n in multi_indices_upto(al.dim, 3)]
+        resid = fund_identity_check(mons, mons[:4], al, rule)
+        assert resid.shape == (len(mons), 4)
+        single = [[fund_identity_check(p, q, al, rule) for q in mons[:4]] for p in mons]
+        assert resid.tolist() == single
+
     def test_degree_one_value(self):
         # [x, x]_alpha = a_{1,alpha} = 2 alpha + 2; integral route must agree
         rule = default_rule(AL1, 20)

@@ -440,12 +440,73 @@ class TestKernelRoutes:
         from dunklosc.riesz import _delta_heat
         from dunklosc.heat import t_of_zeta
         al = AlphaParams((0.7,))
-        x = np.array([0.9]); y = np.array([1.8])
-        f = lambda z: abs(_delta_heat(al, 0, t_of_zeta(z), x, y)) / math.sqrt(t_of_zeta(z)) / (1 - z * z)
+        x = np.array([[0.9]]); y = np.array([[1.8]])
+        f = lambda z: abs(_delta_heat(al, 0, t_of_zeta(z), x, y)[0]) / math.sqrt(t_of_zeta(z)) / (1 - z * z)
         v1, _ = quad(f, 0, zeta_of_t(1.0), limit=200)
-        f2 = lambda t: abs(_delta_heat(al, 0, t, x, y)) / math.sqrt(t)
+        f2 = lambda t: abs(_delta_heat(al, 0, t, x, y)[0]) / math.sqrt(t)
         v2, _ = quad(f2, 1.0, 30.0, limit=200)
         assert math.isfinite(v1 + v2) and v1 + v2 > 0
+
+
+def _mixed_magnitude_batch(al: AlphaParams, seed: int = 5):
+    """Six pairs at |x - y| from 0.7 to 7.5, clear of the reflected
+    diagonals: kernel values from about 1 down to 1e-14 .. 1e-20."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for dist in (0.7, 1.5, 3.0, 4.5, 6.0, 7.5):
+        while True:
+            x = rng.uniform(-1.5, 1.5, size=al.dim)
+            u = rng.normal(size=al.dim)
+            y = x + dist * u / np.linalg.norm(u)
+            if al.dim > 1 and reflection_distance(x, y) >= 0.4:
+                break
+            if al.dim == 1 and abs(abs(x[0]) - abs(y[0])) >= 0.4:
+                break
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
+class TestDirectOracle:
+    @pytest.mark.parametrize("alpha", [(1.3,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_batch_matches_batches_of_one(self, alpha):
+        # the per-pair scale keeps every pair of a mixed batch at its own
+        # relative accuracy under quad_vec's max-norm error control
+        al = AlphaParams(alpha)
+        X, Y = _mixed_magnitude_batch(al)
+        for j in range(al.dim):
+            batch = riesz_kernel_direct(al, j, X, Y)
+            single = np.array([riesz_kernel_direct(al, j, X[p], Y[p]) for p in range(len(X))])
+            assert np.max(np.abs(single)) >= 1e12 * np.min(np.abs(single))
+            assert np.all(np.abs(batch - single) <= 1e-10 * np.abs(single))
+
+    def test_point_gives_float_stack_gives_array(self):
+        al = AlphaParams((-0.5, 0.7))
+        X, Y = _mixed_magnitude_batch(al)
+        point = riesz_kernel_direct(al, 1, X[0], Y[0])
+        assert type(point) is float
+        stack = riesz_kernel_direct(al, 1, X[:3], Y[:3])
+        assert isinstance(stack, np.ndarray) and stack.shape == (3,)
+
+    def test_bad_batches_rejected(self):
+        al = AlphaParams((-0.5, 0.7))
+        X, Y = _mixed_magnitude_batch(al)
+        with pytest.raises(ValueError):
+            riesz_kernel_direct(al, 0, X[:3], Y[:2])
+        with pytest.raises(ValueError):
+            riesz_kernel_direct(al, 0, X[:, :1], Y[:, :1])
+        Y[2] = X[2] + 1e-4
+        with pytest.raises(ValueError):
+            riesz_kernel_direct(al, 0, X, Y)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_unconverged_integral_raises(self, j):
+        # 0.024 from a reflected diagonal the parity factors cancel, and the
+        # integrand is rounding noise that adaptive quadrature cannot settle
+        al = AlphaParams((0.0, -0.5, 1.3))
+        x, y = np.array([1.0, 2.5, 0.5]), np.array([1.02, -2.49, 0.49])
+        with pytest.raises(RuntimeError, match="did not converge"):
+            riesz_kernel_direct(al, j, x, y)
 
 
 class TestMLemma:
