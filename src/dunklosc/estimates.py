@@ -5,8 +5,10 @@ criterion, and Soni-inequality scans.
 The growth/smoothness constants are existential, so the scans report the
 fitted constant (the max of |R| w(B) resp. |grad R| |x-y| w(B) over a
 seeded sample) together with a refinement drift: the relative change of
-that constant when the kernel quadrature resolution is doubled.  Every
-report is reproducible bit-for-bit from its seed.
+that constant when the kernel quadrature resolution is doubled, and where
+the maximum sits (|x-y| and ``reflection_distance`` of the argmax pair).
+The gradient is analytic (``riesz_kernel_gradient``); central differences
+are its test oracle.  Every report is reproducible bit-for-bit from its seed.
 
 Ball measures w_alpha(B(x, r)) are deterministic: a closed form in d = 1
 and, since w_alpha is a product over coordinates, a nested
@@ -23,13 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import AlphaParams
-from .riesz import KernelConfig, _graded_rule, riesz_kernel
+from .riesz import KernelConfig, _graded_rule, riesz_kernel, riesz_kernel_gradient
 from .special import bessel_i_scaled
 
 __all__ = [
     "ScanReport",
     "ball_measure",
     "pair_sample",
+    "reflection_distance",
     "growth_scan",
     "smoothness_scan",
     "ap_power_weight",
@@ -212,24 +215,31 @@ def pair_sample(d: int, n_pairs: int, seed: int,
     return X, Y
 
 
-def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234,
-                cfg: KernelConfig = SCAN_KERNEL_CONFIG, drift_tol: float = 0.05,
-                positive_orthant: bool = False) -> ScanReport:
-    """max over sampled pairs of |R_j(x,y)| w_alpha(B(x, |x-y|)).
+def reflection_distance(x, y):
+    """min over the nontrivial sign flips sigma of |sigma x - y|: the
+    distance to the nearest reflected diagonal, for a point pair (a float)
+    or for each row of (P, d) stacks (an array)."""
+    X = np.asarray(x, dtype=float)
+    Y = np.asarray(y, dtype=float)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=X.shape[-1]))[1:])
+    dist = np.min(np.linalg.norm(X[..., None, :] * signs - Y[..., None, :], axis=-1), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
+
+
+def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: int,
+          cfg: KernelConfig, drift_tol: float, positive_orthant: bool) -> ScanReport:
+    """max over sampled pairs of per_pair(X, Y, |x-y|, cfg) w_alpha(B(x, |x-y|)).
 
     PASS requires every value finite and the max stable (<= drift_tol)
     under a doubled-resolution rerun of the kernel quadrature.
     """
     X, Y = pair_sample(alpha.dim, n_pairs, seed)
-    vals = riesz_kernel(alpha, j, X, Y, cfg)
-    balls, _ = ball_measure(alpha, X, np.linalg.norm(X - Y, axis=1),
-                            positive_orthant=positive_orthant)
-    ratios = np.abs(vals) * balls
+    dist = np.linalg.norm(X - Y, axis=1)
+    balls, _ = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
+    ratios = per_pair(X, Y, dist, cfg) * balls
     finite = bool(np.all(np.isfinite(ratios)))
     imax = int(np.argmax(ratios))
-    vals2 = riesz_kernel(alpha, j, X, Y, cfg.doubled())
-    ratios2 = np.abs(vals2) * balls
-    m1, m2 = float(ratios[imax]), float(np.max(ratios2))
+    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, cfg.doubled()) * balls))
     drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
     return ScanReport(
         max_ratio=m1,
@@ -238,61 +248,28 @@ def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 123
         refinement_drift=drift,
         seed=seed,
         passed=finite and drift <= drift_tol,
-        extra={"check": "growth", "alpha": list(alpha.alpha), "j": j},
+        extra={"check": check, "alpha": list(alpha.alpha), "j": j,
+               "argmax_distance": float(dist[imax]),
+               "argmax_reflection_distance": reflection_distance(X[imax], Y[imax])},
     )
 
 
-def _grad_norm(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
-               cfg: KernelConfig) -> np.ndarray:
-    """|grad_{x,y} R_j| by central differences, step 1e-4 |x-y| per pair."""
-    d = alpha.dim
-    dist = np.linalg.norm(X - Y, axis=1)
-    h = 1e-4 * dist
-    h = np.maximum(h, 1e-12)  # FD step underflow guard
-    Xs, Ys = [], []
-    for i in range(d):
-        for sgn in (+1.0, -1.0):
-            Xp = X.copy()
-            Xp[:, i] += sgn * h
-            Xs.append(Xp)
-            Ys.append(Y)
-    for i in range(d):
-        for sgn in (+1.0, -1.0):
-            Yp = Y.copy()
-            Yp[:, i] += sgn * h
-            Xs.append(X)
-            Ys.append(Yp)
-    allX = np.concatenate(Xs, axis=0)
-    allY = np.concatenate(Ys, axis=0)
-    vals = riesz_kernel(alpha, j, allX, allY, cfg).reshape(2 * d, 2, X.shape[0])
-    derivs = (vals[:, 0, :] - vals[:, 1, :]) / (2.0 * h)
-    return np.sqrt(np.sum(derivs**2, axis=0))
+def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234,
+                cfg: KernelConfig = SCAN_KERNEL_CONFIG, drift_tol: float = 0.05,
+                positive_orthant: bool = False) -> ScanReport:
+    """max over sampled pairs of |R_j(x,y)| w_alpha(B(x, |x-y|)); see ``_scan``."""
+    return _scan("growth", lambda X, Y, dist, c: np.abs(riesz_kernel(alpha, j, X, Y, c)),
+                 alpha, j, n_pairs, seed, cfg, drift_tol, positive_orthant)
 
 
 def smoothness_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234,
                     cfg: KernelConfig = SCAN_KERNEL_CONFIG, drift_tol: float = 0.05,
                     positive_orthant: bool = False) -> ScanReport:
-    """max over sampled pairs of |grad R_j| |x-y| w_alpha(B(x, |x-y|))."""
-    X, Y = pair_sample(alpha.dim, n_pairs, seed)
-    dist = np.linalg.norm(X - Y, axis=1)
-    grads = _grad_norm(alpha, j, X, Y, cfg)
-    balls, _ = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
-    ratios = grads * dist * balls
-    finite = bool(np.all(np.isfinite(ratios)))
-    imax = int(np.argmax(ratios))
-    grads2 = _grad_norm(alpha, j, X, Y, cfg.doubled())
-    ratios2 = grads2 * dist * balls
-    m1, m2 = float(ratios[imax]), float(np.max(ratios2))
-    drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
-    return ScanReport(
-        max_ratio=m1,
-        argmax_pair=(tuple(X[imax]), tuple(Y[imax])),
-        sample_count=n_pairs,
-        refinement_drift=drift,
-        seed=seed,
-        passed=finite and drift <= drift_tol,
-        extra={"check": "smoothness", "alpha": list(alpha.alpha), "j": j},
-    )
+    """max over sampled pairs of |grad R_j| |x-y| w_alpha(B(x, |x-y|)), with
+    the analytic gradient over (x, y) of ``riesz_kernel_gradient``."""
+    grad = lambda X, Y, dist, c: np.linalg.norm(riesz_kernel_gradient(alpha, j, X, Y, c),
+                                                axis=1) * dist
+    return _scan("smoothness", grad, alpha, j, n_pairs, seed, cfg, drift_tol, positive_orthant)
 
 
 def ap_power_weight(alpha_j: float, p: float, r: float) -> bool:

@@ -11,7 +11,9 @@ Three independent realizations:
   s, one-dimensional integrals per coordinate: Gauss-Jacobi (point masses
   when the order is exactly -1/2) or exactly, by Bessel ratios.  The
   integrand factors over coordinates, so the full kernel is one product
-  over coordinates instead of a sum over parities;
+  over coordinates instead of a sum over parities, and its gradient in
+  (x, y) is the same quadrature differentiated analytically in one pass
+  (central differences of the kernel are the test oracle);
 * a direct t-integral of the differentiated heat kernel, the independent
   oracle for the quadrature route: one adaptive integral over a batch of
   pairs, each scaled to its own size, that raises if it does not converge.
@@ -54,6 +56,7 @@ __all__ = [
     "riesz_kernel_component",
     "riesz_kernel_components",
     "riesz_kernel",
+    "riesz_kernel_gradient",
     "riesz_kernel_direct",
     "dual_pairing_check",
     "apriori_identity_check",
@@ -238,31 +241,36 @@ def _check_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool
 
 
 # Pairs x zeta nodes x s-nodes per chunk of _zeta_batch, with s-nodes
-# counted as 1 on the exact route: 512 pairs at 256 zeta nodes.
+# counted as 1 on the exact route: 512 pairs at 256 zeta nodes (half as
+# many for the gradient, which keeps per-coordinate partials).
 ZETA_BATCH_ELEMENTS = 2**17
 
 
 def _s_integrals(measures: dict | None, w: np.ndarray):
-    """m(nu, k) = e^{-|w|} int s^k e^{-w s} dPi_nu(s) for k = 0, 1 on an
+    """m(nu, k) = e^{-|w|} int s^k e^{-w s} dPi_nu(s) for k = 0, 1, 2 on an
     array w.  With ``measures`` None (the exact route) it uses
-    int e^{-w s} dPi_nu = I_nu(w)/w^nu and its w-derivative,
-    m(nu, 0) = rho_nu(w) and m(nu, 1) = -w rho_{nu+1}(w) with
-    rho_nu = e^{-|w|} I_nu(|w|)/|w|^nu; otherwise it sums the Gauss-Jacobi
-    rule ``measures[nu]``.  Either way each order is evaluated once."""
+    int e^{-w s} dPi_nu = I_nu(w)/w^nu and its w-derivatives: m(nu, 0) =
+    rho_nu(w), m(nu, 1) = -w rho_{nu+1}(w), m(nu, 2) = rho_{nu+1}(w) +
+    w^2 rho_{nu+2}(w) with rho_nu = e^{-|w|} I_nu(|w|)/|w|^nu; otherwise it
+    sums the Gauss-Jacobi rule ``measures[nu]``.  Each is evaluated once."""
     if measures is None:
         rho = functools.cache(lambda nu: bessel_ratio_scaled(nu, w))
-        return lambda nu, k: rho(nu) if k == 0 else -w * rho(nu + 1.0)
+        moments = (rho, lambda nu: -w * rho(nu + 1.0),
+                   lambda nu: rho(nu + 1.0) + w * w * rho(nu + 2.0))
+        return functools.cache(lambda nu, k: moments[k](nu))
     # |s| <= 1 on the support, so the exponent is <= 0.
     kernel = functools.cache(
         lambda nu: np.exp(-np.abs(w)[..., None] - w[..., None] * measures[nu].nodes))
-    return lambda nu, k: kernel(nu) @ (measures[nu].weights * measures[nu].nodes**k)
+    return functools.cache(
+        lambda nu, k: kernel(nu) @ (measures[nu].weights * measures[nu].nodes**k))
 
 
 def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
-                cfg: KernelConfig, eps=None) -> np.ndarray:
+                cfg: KernelConfig, eps=None, grad: bool = False) -> np.ndarray:
     """The (zeta, s) quadrature of one parity component ``eps``, or with
     ``eps=None`` of the sum of all 2^d of them, as one product over
-    coordinates.
+    coordinates; with ``grad`` (and ``eps=None``) the 2d partials
+    [d/dx_1..d, d/dy_1..d] of the sum instead, shape (P, 2d).
 
     The integrand factors coordinate by coordinate, so the s-integral
     against the product measure Pi_{alpha+eps} is a product of the
@@ -278,6 +286,11 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
     one exponent.  The sum over eps is therefore
     prod_{i != j} (m(a_i, 0) + w_i m(a_i+1, 0)) (F_j^0 + F_j^1): on the
     exact route 2d+1 Bessel arrays per (pair, zeta) instead of (d+1) 2^d.
+
+    The gradient differentiates under the integral sign: with the
+    exponent's e^{|w_i|}, d/dw_i turns m(nu, k) into -m(nu, k+1), so 3d+1
+    Bessel arrays on the exact route.  The other coordinates' factors come
+    from prefix and suffix products, never from dividing by a factor (it can be 0).
     """
     d = alpha.dim
     parities = [(0, 1)] * d if eps is None else [(int(e),) for e in eps]
@@ -286,13 +299,13 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
         for nu in {alpha[i] + e for i in range(d) for e in parities[i]}}
     zeta, zw = zeta_grid(cfg)
     s_nodes = 1 if measures is None else cfg.s_points_per_dim
-    chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes))
+    chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes * (2 if grad else 1)))
     h = (1.0 - zeta * zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
     log_pow = (d + alpha.abs_sum) * np.log(h)
     zfac = zw * beta_weight(d, -d, zeta)  # its h^{d+|alpha|} is in log_pow
     coef = 1.0 / (4.0 * zeta) + zeta / 4.0
     a0c = 1.0 - 1.0 / (2.0 * zeta) - zeta / 2.0
-    out = np.empty(X.shape[0])
+    out = np.empty((X.shape[0], 2 * d) if grad else X.shape[0])
     for lo in range(0, X.shape[0], chunk):
         Xc = X[lo:lo + chunk]
         Yc = Y[lo:lo + chunk]
@@ -300,6 +313,7 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
         expo = (-(np.sum(Xc * Xc, axis=1) + np.sum(Yc * Yc, axis=1))[:, None] * coef
                 + np.sum(np.abs(w), axis=1) + log_pow)
         prod = np.exp(expo)
+        parts = []  # with grad, per coordinate: (prefix product, factor, partials)
         for i in range(d):
             a, wi, par = alpha[i], w[:, i, :], parities[i]
             m = _s_integrals(measures, wi)
@@ -318,8 +332,27 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
                     m0 = m(a + 1.0, 0)
                     fac = fac + (wi * (A0 * m0 + B0 * m(a + 1.0, 1))
                                  + (2.0 * a + 2.0) * Yc[:, j][:, None] * h * m0)
-            prod *= fac
-        out[lo:lo + chunk] = prod @ zfac
+            if grad:  # dw = e^{-|w_i|} d/dw_i (e^{|w_i|} fac); dx, dy: explicit terms
+                m0, m1 = m(a + 1.0, 0), m(a + 1.0, 1)
+                dw, dx, dy = m0 - m(a, 1) - wi * m1, 0.0, 0.0
+                if i == j:
+                    dw = (A0 * dw - B0 * (m(a, 2) - m1 + wi * m(a + 1.0, 2))
+                          - (2.0 * a + 2.0) * Yc[:, j][:, None] * h * m1)
+                    dx = a0c * (m(a, 0) + wi * m0)
+                    dy = h * ((2.0 * a + 2.0) * m0 - m(a, 1) - wi * m1)
+                parts.append((prod, fac, dw * Yc[:, i][:, None] * h + dx,
+                              dw * Xc[:, i][:, None] * h + dy))
+            prod = prod * fac
+        if not grad:
+            out[lo:lo + chunk] = prod @ zfac
+            continue
+        base = -2.0 * (prod @ (coef * zfac))  # d/dx_i of the exponent: -2 x_i coef
+        rest = 1.0  # the product of the factors after coordinate i
+        for i in reversed(range(d)):
+            pre, fac, gx, gy = parts[i]
+            out[lo:lo + chunk, i] = Xc[:, i] * base + (pre * rest * gx) @ zfac
+            out[lo:lo + chunk, d + i] = Yc[:, i] * base + (pre * rest * gy) @ zfac
+            rest = fac * rest
     return out
 
 
@@ -381,6 +414,16 @@ def _delta_heat(alpha: AlphaParams, j: int, t: float, X: np.ndarray, Y: np.ndarr
           + b * ((1.0 - c) * xj * xj + 2.0 * a + 2.0) * yj * r1
           + b**3 * xj * xj * yj**3 * r2)
     return np.exp(expo) * prod_rest * dj
+
+
+def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y,
+                          cfg: KernelConfig = KernelConfig(s_method="exact")) -> np.ndarray:
+    """[dR_j/dx_1..d, dR_j/dy_1..d] of the full kernel, shape (P, 2d) or (2d,)
+    for a point pair: ``riesz_kernel``'s quadrature differentiated under the
+    integral sign.  Exact s by default: 48 Gauss-Jacobi nodes can be 1e-2 off."""
+    X, Y, scalar = _check_pairs(alpha, x, y)
+    grads = _zeta_batch(alpha, j, X, Y, cfg, grad=True)
+    return grads[0] if scalar else grads
 
 
 def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y, epsrel: float = 1e-10):

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from dunklosc.estimates import ap_power_weight, growth_scan, smoothness_scan, soni_scan
+from dunklosc.estimates import (ap_power_weight, growth_scan, reflection_distance,
+                                smoothness_scan, soni_scan)
 from dunklosc.heat import (heat_apply_kernel, heat_kernel, heat_kernel_series,
                            maximal_empirical)
 from dunklosc.hermite import (AlphaParams, MultiIndex, delta_hermite,
@@ -25,7 +26,7 @@ from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMea
 from dunklosc.special import bessel_ratio
 from dunklosc.suite import worst_of
 
-from conftest import ALPHA_MATRIX, reflection_distance
+from conftest import ALPHA_MATRIX
 
 KERNEL_CFG = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=64)
 SCAN_CFG = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=48,

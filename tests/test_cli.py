@@ -167,10 +167,11 @@ class TestSubcommands:
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert out1 == out2
-        args = ("scan-growth", "--alpha=0.0", "--j=1", "--pairs", "40", "--seed", "3")
-        _, s1, _ = run_cli(*args)
-        _, s2, _ = run_cli(*args)
-        assert s1 == s2
+        for which in ("growth", "smoothness"):
+            args = (f"scan-{which}", "--alpha=0.0", "--j=1", "--pairs", "40", "--seed", "3")
+            _, s1, _ = run_cli(*args)
+            _, s2, _ = run_cli(*args)
+            assert s1 == s2
 
     def test_scan_requires_seed(self):
         rc, out, err = run_cli("scan-growth", "--alpha=0.0", "--j=1", "--pairs", "10")

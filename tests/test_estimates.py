@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dunklosc.estimates import (ScanReport, ap_power_weight, ball_measure,
-                                growth_scan, pair_sample, smoothness_scan,
-                                soni_scan)
+                                growth_scan, pair_sample, reflection_distance,
+                                smoothness_scan, soni_scan)
 from dunklosc.hermite import AlphaParams
 from dunklosc.riesz import KernelConfig
 
@@ -156,10 +156,21 @@ class TestScans:
         assert math.isfinite(rep.max_ratio)
 
     def test_reproducible_bitwise(self):
-        a = growth_scan(AlphaParams((0.0,)), 0, n_pairs=80, seed=77, cfg=FAST_CFG)
-        b = growth_scan(AlphaParams((0.0,)), 0, n_pairs=80, seed=77, cfg=FAST_CFG)
-        assert a == b
-        assert a.to_dict() == b.to_dict()
+        for scan in (growth_scan, smoothness_scan):
+            a = scan(AlphaParams((0.0,)), 0, n_pairs=80, seed=77, cfg=FAST_CFG)
+            b = scan(AlphaParams((0.0,)), 0, n_pairs=80, seed=77, cfg=FAST_CFG)
+            assert a == b
+            assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("scan", [growth_scan, smoothness_scan])
+    def test_reports_where_the_maximum_sits(self, scan):
+        al = AlphaParams((-0.5, 0.7))
+        rep = scan(al, 1, n_pairs=60, seed=8, cfg=FAST_CFG)
+        x, y = (np.array(p) for p in rep.argmax_pair)
+        assert rep.extra["argmax_distance"] == pytest.approx(np.linalg.norm(x - y), rel=1e-15)
+        assert rep.extra["argmax_reflection_distance"] == reflection_distance(x, y)
+        X, Y = pair_sample(2, 60, seed=8)
+        assert np.any(np.all(X == x, axis=1) & np.all(Y == y, axis=1))
 
     def test_scaling_sanity(self):
         # doubling all coordinates keeps the growth ratio bounded
@@ -182,31 +193,20 @@ class TestScans:
         assert vals[1] > vals[0]          # the kernel itself grows
         assert max(ratios) < 10.0         # the CZ ratio does not
 
-    def test_gradient_fd_self_consistency(self):
-        # halving the FD step changes the gradient norm by <= 1%
-        from dunklosc.estimates import _grad_norm
-        al = AlphaParams((0.7,))
-        X, Y = pair_sample(1, 20, seed=13, dist_range=(0.3, 5.0))
-        g1 = _grad_norm(al, 0, X, Y, FAST_CFG)
-        # same computation with halved step, via a locally scaled distance
-        import dunklosc.estimates as est
-        dist = np.linalg.norm(X - Y, axis=1)
-        h = 0.5e-4 * dist
-        from dunklosc.riesz import riesz_kernel
-        derivs = []
-        for i in range(1):
-            for arr, which in ((X, "x"), (Y, "y")):
-                Xp, Yp = X.copy(), Y.copy()
-                Xm, Ym = X.copy(), Y.copy()
-                if which == "x":
-                    Xp[:, i] += h; Xm[:, i] -= h
-                else:
-                    Yp[:, i] += h; Ym[:, i] -= h
-                vp = riesz_kernel(al, 0, Xp, Yp, FAST_CFG)
-                vm = riesz_kernel(al, 0, Xm, Ym, FAST_CFG)
-                derivs.append((vp - vm) / (2 * h))
-        g2 = np.sqrt(sum(d**2 for d in derivs))
-        np.testing.assert_allclose(g2, g1, rtol=1e-2)
+
+
+class TestReflectionDistance:
+    def test_hand_computed_pairs(self):
+        # flips of x = (1, 2): (-1, 2), (1, -2), (-1, -2); against
+        # y = (-1.5, 2) these lie at 0.5, sqrt(6.25 + 16) and sqrt(0.25 + 16)
+        assert reflection_distance([1.0, 2.0], [-1.5, 2.0]) == 0.5
+        # d = 1: the one flip; d = 3: only the flip of the last coordinate is near
+        assert reflection_distance([0.3], [-0.7]) == pytest.approx(0.4, abs=1e-15)
+        assert reflection_distance([1.0, 2.0, 3.0], [1.0, 2.0, -2.5]) == pytest.approx(0.5)
+        X = np.array([[1.0, 2.0], [3.0, -4.0]])
+        Y = np.array([[-1.5, 2.0], [3.0, -4.0]])
+        # a pair on the diagonal is 2 * min |x_i| = 6 from its nearest flip
+        np.testing.assert_allclose(reflection_distance(X, Y), [0.5, 6.0], rtol=1e-15)
 
 
 class TestApPowerWeight:

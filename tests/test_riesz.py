@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dunklosc.estimates import SCAN_KERNEL_CONFIG, pair_sample, reflection_distance
 from dunklosc.heat import all_parities, q_plus_minus, zeta_of_t
 from dunklosc.hermite import AlphaParams, ladder_coeff
 from dunklosc.quadrature import SpectralCoeffs, default_rule, multi_indices_upto
@@ -13,11 +14,11 @@ from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMea
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel,
                             riesz_kernel_component, riesz_kernel_components,
-                            riesz_kernel_direct, riesz_multiplier,
+                            riesz_kernel_direct, riesz_kernel_gradient, riesz_multiplier,
                             star_identity_check, zeta_grid)
 from dunklosc.special import bessel_ratio
 
-from conftest import reflection_distance
+from conftest import fd_gradient, richardson_gradient
 
 CFG = KernelConfig(zeta_points=192, zeta_grading=3.0, s_points_per_dim=48)
 CFG_EXACT = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=48,
@@ -386,6 +387,72 @@ def riesz_classical(x, y):
     v1, _ = quad(integrand, 0, 1, epsrel=1e-12, epsabs=1e-300, limit=200)
     v2, _ = quad(integrand, 1, 30, epsrel=1e-12, epsabs=1e-300, limit=200)
     return (v1 + v2) / math.sqrt(math.pi)
+
+
+class TestKernelGradient:
+    @pytest.mark.parametrize("alpha", [(-0.5,), (0.0,), (1.3,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_matches_richardson_fd(self, alpha):
+        # every partial, relative to the gradient norm, against Richardson-
+        # extrapolated central differences (steps 1e-3 and 5e-4 |x-y|) of
+        # the same quadrature, on sampled pairs clear of the reflected diagonals
+        al = AlphaParams(alpha)
+        X, Y = pair_sample(al.dim, 40, seed=5)
+        keep = reflection_distance(X, Y) >= 0.1
+        X, Y = X[keep], Y[keep]
+        for j in range(al.dim):
+            got = riesz_kernel_gradient(al, j, X, Y, SCAN_KERNEL_CONFIG)
+            ref = richardson_gradient(al, j, X, Y, SCAN_KERNEL_CONFIG)
+            gap = np.max(np.abs(got - ref), axis=1) / np.linalg.norm(ref, axis=1)
+            assert np.max(gap) <= 1e-6
+
+    def test_pinned_pair_where_coarse_fd_is_off(self):
+        # pair_sample(1, 1000, seed=111)[297], 0.012 from the reflected
+        # diagonal: the argmax of acceptance 11 at alpha = 0.  Central
+        # differences converge to the analytic gradient at step 1e-6 |x-y|;
+        # at 1e-4 |x-y| they are 1e-4 off.
+        al = AlphaParams((0.0,))
+        X, Y = pair_sample(1, 1000, seed=111)
+        X, Y = X[297:298], Y[297:298]
+        np.testing.assert_allclose([X[0, 0], Y[0, 0]], [1.33649855, -1.34842482], atol=5e-9)
+        got = riesz_kernel_gradient(al, 0, X, Y, SCAN_KERNEL_CONFIG)
+        np.testing.assert_allclose(got[0], [-7.0893061, -7.6920708], atol=1e-7)
+        norm = np.linalg.norm(got)
+        fine = fd_gradient(al, 0, X, Y, SCAN_KERNEL_CONFIG, 1e-6)
+        coarse = fd_gradient(al, 0, X, Y, SCAN_KERNEL_CONFIG, 1e-4)
+        assert np.max(np.abs(fine - got)) / norm <= 1e-7
+        assert np.max(np.abs(coarse - got)) / norm >= 1e-5
+
+    @pytest.mark.parametrize("alpha", [(-0.5,), (1.3,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_gauss_jacobi_matches_exact(self, alpha):
+        # the two s-routes on pairs clear of the diagonal and the reflected
+        # diagonals (as in the kernel-table rules), 96 Gauss-Jacobi nodes
+        al = AlphaParams(alpha)
+        rng = np.random.default_rng(17)
+        xs, ys = [], []
+        while len(xs) < 20:
+            x = rng.uniform(-2.5, 2.5, size=al.dim)
+            y = rng.uniform(-2.5, 2.5, size=al.dim)
+            if 0.5 <= np.linalg.norm(x - y) <= 5.0 and reflection_distance(x, y) >= 0.4:
+                xs.append(x)
+                ys.append(y)
+        X, Y = np.array(xs), np.array(ys)
+        for j in range(al.dim):
+            exact = riesz_kernel_gradient(al, j, X, Y, KernelConfig(s_method="exact"))
+            jacobi = riesz_kernel_gradient(al, j, X, Y, KernelConfig(s_points_per_dim=96))
+            gap = np.max(np.abs(jacobi - exact), axis=1) / np.linalg.norm(exact, axis=1)
+            assert np.max(gap) <= 1e-6
+
+    def test_shapes_and_refusal(self):
+        al = AlphaParams((0.0, 1.3))
+        g = riesz_kernel_gradient(al, 1, [1.0, 0.5], [-0.3, 1.2], CFG_EXACT)
+        assert g.shape == (4,)
+        X = np.array([[1.0, 0.5], [0.2, -1.0]])
+        Y = np.array([[-0.3, 1.2], [1.1, 0.4]])
+        G = riesz_kernel_gradient(al, 1, X, Y, CFG_EXACT)
+        assert G.shape == (2, 4)
+        np.testing.assert_allclose(G[0], g, rtol=1e-12)
+        with pytest.raises(ValueError):
+            riesz_kernel_gradient(al, 0, [1.0, 0.5], [1.0, 0.5 + 1e-4], CFG_EXACT)
 
 
 class TestKernelRoutes:
