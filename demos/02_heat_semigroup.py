@@ -8,8 +8,8 @@ smoothing operator to a rough function.
 import numpy as np
 
 from dunklosc import (AlphaParams, SpectralCoeffs, default_rule, heat_apply_kernel,
-                      heat_apply_spectral, heat_kernel, heat_kernel_component,
-                      heat_kernel_series, project, synthesize)
+                      heat_apply_spectral, heat_kernel, heat_kernel_column,
+                      heat_kernel_component, heat_kernel_series, project, synthesize)
 from dunklosc.heat import all_parities
 
 al = AlphaParams((-0.5, 0.7))
@@ -34,11 +34,10 @@ print("sum of components - kernel =", total - heat_kernel(al, t, X, Y))
 # Semigroup property G_{t+s} = int G_t G_s dw under an 80-point rule.
 al1 = AlphaParams((0.7,))
 rule = default_rule(al1, 80)
-M = rule.nodes.shape[0]
 x, y = np.array([0.5]), np.array([-1.0])
 lhs = heat_kernel(al1, 1.0, x, y)
-gz = heat_kernel(al1, 0.3, np.broadcast_to(x, (M, 1)), rule.nodes)
-hz = heat_kernel(al1, 0.7, rule.nodes, np.broadcast_to(y, (M, 1)))
+gz = heat_kernel_column(0.3, x, rule)
+hz = heat_kernel_column(0.7, y, rule)  # G_s(w, y) = G_s(y, w)
 rhs = np.sum(rule.weights * gz * hz)
 print("\nsemigroup: G_1.0 = %.12g, int G_0.3 G_0.7 dw = %.12g" % (lhs, rhs))
 

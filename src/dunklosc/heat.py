@@ -13,13 +13,15 @@ global exponent assembled once:
 
     exp( -coth(2t) (|x|^2+|y|^2)/2 + sum_i |z_i| ) <= 1,
 
-so the evaluation cannot overflow for small t or large arguments.  The
-parity components G^{alpha,eps} (eps in {0,1}^d) and the (zeta, s)
-integrand shared with the Riesz kernels live here as well.
+so the evaluation cannot overflow for small t or large arguments.  On a
+tensor rule a kernel column is an outer product of 1-d columns, d n pairs
+instead of n^d.  The parity components G^{alpha,eps} (eps in {0,1}^d) and
+the (zeta, s) integrand shared with the Riesz kernels live here as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,8 +35,8 @@ __all__ = [
     "zeta_of_t",
     "q_plus_minus",
     "heat_apply_spectral",
-    "heat_kernel_1d",
     "heat_kernel",
+    "heat_kernel_column",
     "heat_kernel_component",
     "heat_kernel_series",
     "heat_kernel_zeta",
@@ -129,16 +131,22 @@ def heat_kernel(alpha: AlphaParams, t: float, x, y):
     return float(out[0]) if scalar else out
 
 
+def heat_kernel_column(t: float, x, rule: QuadratureRule) -> np.ndarray:
+    """G_t(x, y_k) at the M nodes y_k of the tensor rule ``rule``: the outer
+    product of one 1-d column per axis, first axis slowest (``tensor_rule``)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != rule.dim:
+        raise ValueError(f"x must be a point in R^{rule.dim}, got {x.size} coordinates")
+    cols = [heat_kernel(AlphaParams((ax.alpha_j,)), t, np.full((ax.nodes.size, 1), xi),
+                        ax.nodes[:, None]) for xi, ax in zip(x, rule.axes)]
+    return functools.reduce(np.multiply.outer, cols).ravel()
+
+
 def _check_parity(alpha: AlphaParams, eps) -> tuple[int, ...]:
     eps = tuple(int(e) for e in eps)
     if len(eps) != alpha.dim or any(e not in (0, 1) for e in eps):
         raise ValueError("eps must be a vector over {0,1} of matching dimension")
     return eps
-
-
-def heat_kernel_1d(a: float, t: float, x: float, y: float) -> float:
-    """One-dimensional closed-form kernel (the d = 1 case of heat_kernel)."""
-    return heat_kernel(AlphaParams((a,)), t, np.array([x]), np.array([y]))
 
 
 def heat_kernel_component(alpha: AlphaParams, eps, t: float, x, y):
@@ -210,12 +218,10 @@ def heat_apply_spectral(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
 
 def heat_apply_kernel(f, t: float, x, rule: QuadratureRule):
     """(T_t f)(x) = sum_i w_i G_t(x, y_i) f(y_i) through the quadrature rule;
-    for a sequence of functions ``f``, their array from one kernel column."""
+    for a sequence of functions ``f``, their array from one ``heat_kernel_column``."""
     if t <= 0:
         raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    X = np.broadcast_to(x, rule.nodes.shape)
-    wg = rule.weights * heat_kernel(rule.alpha, t, X, rule.nodes)
+    wg = rule.weights * heat_kernel_column(t, x, rule)
     if callable(f):
         return float(np.sum(wg * _evaluate(f, rule.nodes)))
     return np.array([np.sum(wg * _evaluate(fk, rule.nodes)) for fk in f])

@@ -8,23 +8,18 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from dunklosc.estimates import (ap_power_weight, growth_scan, reflection_distance,
-                                smoothness_scan, soni_scan)
-from dunklosc.heat import (heat_apply_kernel, heat_kernel, heat_kernel_series,
-                           maximal_empirical)
+from dunklosc.estimates import ap_power_weight, growth_scan, smoothness_scan, soni_scan
+from dunklosc.heat import heat_apply_kernel, maximal_empirical
 from dunklosc.hermite import (AlphaParams, MultiIndex, delta_hermite,
-                              delta_star_hermite, hermite_fn, hermite_fn_all_1d,
-                              ladder_coeff)
+                              delta_star_hermite, hermite_fn, ladder_coeff)
 from dunklosc.polydunkl import fund_identity_check, monomial, verify_eldwa
-from dunklosc.quadrature import (SpectralCoeffs, default_rule, gauss_rule_1d,
-                                 multi_indices_upto, tensor_rule)
+from dunklosc.quadrature import default_rule, gauss_rule_1d, multi_indices_upto, tensor_rule
 from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure,
-                            apriori_identity_check, dual_pairing_check, riesz_kernel,
-                            riesz_kernel_direct, star_identity_check)
-from dunklosc.special import bessel_ratio
-from dunklosc.suite import worst_of
+                            apriori_identity_check, dual_pairing_check)
+from dunklosc.suite import (RunConfig, _check_orthonormality, _check_route_agreement,
+                            _check_schlafli, _check_semigroup, _check_series_vs_kernel,
+                            _check_star, worst_of)
 
 from conftest import ALPHA_MATRIX
 
@@ -38,22 +33,11 @@ def report(num, name, passed, detail):
     assert passed, f"criterion {num} ({name}): {detail}"
 
 
-def test_01_orthonormality(rules):
+def test_01_orthonormality():
     t0 = time.time()
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        rule = rules[alpha]
-        idx = multi_indices_upto(al.dim, 8)
-        tables = [hermite_fn_all_1d(8, ax.alpha_j, ax.nodes) for ax in rule.axes]
-        B = np.empty((len(idx), rule.nodes.shape[0]))
-        for k, n in enumerate(idx):
-            v = tables[0][n[0]]
-            for i in range(1, al.dim):
-                v = np.multiply.outer(v, tables[i][n[i]])
-            B[k] = v.reshape(-1)
-        gram = (B * rule.weights) @ B.T
-        worst = worst_of(worst, np.abs(gram - np.eye(len(idx))))
+        worst = worst_of(worst, _check_orthonormality(RunConfig(alpha))["residual"])
     elapsed = time.time() - t0
     report(1, "orthonormality", worst <= 1e-8 and elapsed <= 30.0,
            f"max |<h_n,h_m> - delta| = {worst:.3g} <= 1e-8, {elapsed:.1f} s <= 30 s")
@@ -83,49 +67,21 @@ def test_02_ladder_identities():
 def test_03_heat_kernel_equivalence():
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        npts = 9 if al.dim == 1 else 4
-        axis = np.linspace(0.0, 2.0, npts)
-        grids = np.meshgrid(*([axis] * al.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        ii, jj = np.meshgrid(np.arange(pts.shape[0]), np.arange(pts.shape[0]), indexing="ij")
-        X, Y = pts[ii.ravel()], pts[jj.ravel()]
-        for t in (0.3, 0.7, 1.5):
-            closed = heat_kernel(al, t, X, Y)
-            series = heat_kernel_series(al, t, X, Y, 60)
-            worst = worst_of(worst, np.abs(series - closed) / np.abs(closed))
+        worst = worst_of(worst, _check_series_vs_kernel(RunConfig(alpha))["residual"])
     report(3, "heat_kernel_equivalence", worst <= 1e-6,
            f"max relative gap (series deg 60 vs closed form) = {worst:.3g} <= 1e-6")
 
 
-def test_04_semigroup_property(rules):
+def test_04_semigroup_property():
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        rule = rules[alpha]
-        M = rule.nodes.shape[0]
-        rng = np.random.default_rng(40)
-        X = rng.uniform(-2, 2, size=(25, al.dim))
-        Y = rng.uniform(-2, 2, size=(25, al.dim))
-        for t in (0.3, 0.7):
-            for s in (0.3, 0.7):
-                lhs = heat_kernel(al, t + s, X, Y)
-                for p in range(25):
-                    gz = heat_kernel(al, t, np.broadcast_to(X[p], (M, al.dim)), rule.nodes)
-                    hz = heat_kernel(al, s, rule.nodes, np.broadcast_to(Y[p], (M, al.dim)))
-                    rhs = float(np.sum(rule.weights * gz * hz))
-                    worst = worst_of(worst, abs(lhs[p] - rhs) / abs(lhs[p]))
+        worst = worst_of(worst, _check_semigroup(RunConfig(alpha, seed=40))["residual"])
     report(4, "semigroup_property", worst <= 1e-6,
            f"max relative defect of G_(t+s) = int G_t G_s dw = {worst:.3g} <= 1e-6")
 
 
 def test_05_schlafli_layer():
-    worst = 0.0
-    for nu in (-0.5, 0.0, 0.7, 2.0):
-        m = SchlafliMeasure.from_nu(nu, 32)
-        for z in (0.1, 1.0, 10.0):
-            ref = bessel_ratio(nu, z)
-            worst = worst_of(worst, abs(m.laplace(z) - ref) / abs(ref))
+    worst = _check_schlafli(RunConfig((0.0,)))["residual"]
     atom = SchlafliMeasure.from_nu(-0.5, 2)
     assert atom.kind == "atomic" and atom.nodes.size == 2
     for z in (0.1, 1.0, 10.0):
@@ -139,26 +95,9 @@ def test_06_riesz_route_agreement():
     t0 = time.time()
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        rng = np.random.default_rng(60)
-        xs, ys, js = [], [], []
-        while len(xs) < 50:
-            x = rng.uniform(-2.5, 2.5, size=al.dim)
-            y = rng.uniform(-2.5, 2.5, size=al.dim)
-            if not 0.5 <= np.linalg.norm(x - y) <= 5.0:
-                continue
-            # keep clear of the reflected diagonals, where the parity
-            # components are near-singular and only their sum is moderate
-            if reflection_distance(x, y) < 0.4:
-                continue
-            xs.append(x)
-            ys.append(y)
-            js.append(int(rng.integers(al.dim)))
-        X, Y, J = np.array(xs), np.array(ys), np.array(js)
-        for j in np.unique(J):
-            direct = riesz_kernel_direct(al, int(j), X[J == j], Y[J == j])
-            quadr = riesz_kernel(al, int(j), X[J == j], Y[J == j], KERNEL_CFG)
-            worst = worst_of(worst, np.abs(quadr - direct) / np.maximum(np.abs(direct), 1e-290))
+        # the check draws its pairs from default_rng(seed + 3), here 60
+        rec = _check_route_agreement(RunConfig(alpha, seed=57), n_pairs=50)
+        worst = worst_of(worst, rec["residual"])
     elapsed = time.time() - t0
     report(6, "riesz_route_agreement", worst <= 1e-4 and elapsed <= 300.0,
            f"max relative gap over 50 pairs x {len(ALPHA_MATRIX)} configs = "
@@ -188,14 +127,7 @@ def test_07_dual_pairing():
 def test_08_star_identity():
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        rng = np.random.default_rng(80)
-        idx = multi_indices_upto(al.dim, 10)
-        for _ in range(100):
-            fc = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
-            n = idx[rng.integers(len(idx))]
-            for j in range(al.dim):
-                worst = worst_of(worst, star_identity_check(fc, n, j, al))
+        worst = worst_of(worst, _check_star(RunConfig(alpha, seed=80))["residual"])
     report(8, "star_identity", worst <= 1e-9,
            f"max residual over 100 random spectral f per config = {worst:.3g} <= 1e-9")
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dunklosc.suite import RunConfig, parse_config, run_suite, serialize_config, worst_of
+from dunklosc.cli import main
+from dunklosc.suite import parse_config, run_suite, serialize_config, worst_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -220,6 +221,20 @@ class TestSubcommands:
         assert rc == 2
         rc, out, err = run_cli("verify", "--config", str(workdir / "missing.json"))
         assert rc == 2
+
+    def test_verify_reports_an_oracle_refusal(self, workdir, monkeypatch):
+        # A direct-oracle batch that does not converge fails its check only:
+        # the report is written and the exit status is 1.
+        def refuse(*args):
+            raise RuntimeError("direct t-integral did not converge")
+        monkeypatch.setattr("dunklosc.suite.riesz_kernel_direct", refuse)
+        cfgfile, outfile = workdir / "cfg.json", workdir / "report.json"
+        cfgfile.write_text('{"alpha": [0.0], "max_degree": 4}')
+        argv = ["verify", "--config", str(cfgfile), "--suite", "riesz", "-o", str(outfile)]
+        assert main(argv) == 1
+        rec = {c["name"]: c for c in json.loads(outfile.read_text())["checks"]}
+        rec = rec["riesz_route_agreement"]
+        assert not rec["passed"] and math.isnan(rec["residual"]) and rec["refused_j"] == [0]
 
     def test_pairing_check_small(self, workdir):
         rc, out, err = run_cli("pairing-check", "--alpha=0.0", "--j=1",

@@ -5,11 +5,11 @@ import pytest
 from scipy.special import roots_jacobi
 
 from dunklosc.heat import (all_parities, heat_apply_kernel, heat_apply_spectral,
-                           heat_kernel, heat_kernel_1d, heat_kernel_component,
+                           heat_kernel, heat_kernel_column, heat_kernel_component,
                            heat_kernel_series, heat_kernel_zeta, maximal_empirical,
                            q_plus_minus, t_of_zeta, zeta_of_t)
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn
-from dunklosc.quadrature import SpectralCoeffs, default_rule
+from dunklosc.quadrature import SpectralCoeffs, default_rule, gauss_rule_1d, tensor_rule
 from dunklosc.riesz import SchlafliMeasure
 
 from conftest import ALPHA_MATRIX
@@ -96,13 +96,14 @@ class TestHeatSpectral:
 class TestHeatKernel1d:
     def test_symmetric(self):
         for a in (-0.5, 0.0, 1.3):
-            v1 = heat_kernel_1d(a, 0.4, 0.3, -1.7)
-            v2 = heat_kernel_1d(a, 0.4, -1.7, 0.3)
+            v1 = heat_kernel(AlphaParams((a,)), 0.4, [0.3], [-1.7])
+            v2 = heat_kernel(AlphaParams((a,)), 0.4, [-1.7], [0.3])
             assert v1 == v2  # the formula is symmetric; same arithmetic both ways
 
     def test_mehler_oracle(self):
         for (x, y, t) in [(0.3, 0.7, 0.5), (1.0, 2.0, 0.1), (0.0, 1.0, 2.0)]:
-            assert heat_kernel_1d(-0.5, t, x, y) == pytest.approx(mehler(t, x, y), rel=1e-11)
+            got = heat_kernel(AlphaParams((-0.5,)), t, [x], [y])
+            assert got == pytest.approx(mehler(t, x, y), rel=1e-11)
 
     def test_positivity_grid(self):
         # strict positivity where the value is representable: for xy < 0
@@ -114,7 +115,7 @@ class TestHeatKernel1d:
                 for x in np.linspace(-3, 3, 9):
                     for y in np.linspace(-3, 3, 9):
                         if abs(x * y) <= bound:
-                            assert heat_kernel_1d(a, t, float(x), float(y)) > 0.0
+                            assert heat_kernel(AlphaParams((a,)), t, [x], [y]) > 0.0
 
     def test_no_negative_noise(self):
         # outside the representable region values may underflow, but never
@@ -122,11 +123,11 @@ class TestHeatKernel1d:
         for a in (-0.5, 0.0, 1.3):
             for x in np.linspace(-3, 3, 7):
                 for y in np.linspace(-3, 3, 7):
-                    assert heat_kernel_1d(a, 0.01, float(x), float(y)) >= 0.0
+                    assert heat_kernel(AlphaParams((a,)), 0.01, [x], [y]) >= 0.0
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
-            heat_kernel_1d(0.0, 0.0, 1.0, 1.0)
+            heat_kernel(AlphaParams((0.0,)), 0.0, [1.0], [1.0])
 
 
 class TestComponents:
@@ -244,6 +245,29 @@ class TestSemigroup:
                     hz = heat_kernel(al, s, rule.nodes, np.broadcast_to(yv, (M, 1)))
                     rhs = float(np.sum(rule.weights * gz * hz))
                     assert rhs == pytest.approx(lhs, rel=1e-6)
+
+
+class TestKernelColumn:
+    @pytest.mark.parametrize("rule", [
+        default_rule(AlphaParams((-0.5,)), 80), default_rule(AlphaParams((1.3,)), 80),
+        default_rule(AlphaParams((-0.5, 0.7)), 80), default_rule(AlphaParams((0.0, -0.5, 1.3)), 20),
+        # unequal axis sizes: a transposed outer product puts values on the wrong nodes
+        tensor_rule([gauss_rule_1d(-0.5, 5), gauss_rule_1d(1.3, 9), gauss_rule_1d(0.0, 3)]),
+    ], ids=["d1-atomic", "d1", "d2", "d3", "d3-unequal-axes"])
+    def test_matches_broadcast_kernel(self, rule):
+        # Bitwise at d = 1; else relative where the kernel is a normal float
+        # (at t = 0.05 far nodes underflow, where neither route is relative).
+        rtol, atol = (0.0, 0.0) if rule.dim == 1 else (1e-12, np.finfo(float).tiny)
+        for t in (0.05, 3.0):
+            for x in [(0.0, 0.0, 0.0), (1.3, 0.0, 2.0), (-1.7, 0.4, -0.9)]:
+                x = x[:rule.dim]
+                ref = heat_kernel(rule.alpha, t, np.broadcast_to(x, rule.nodes.shape), rule.nodes)
+                np.testing.assert_allclose(heat_kernel_column(t, x, rule), ref, rtol, atol)
+
+    @pytest.mark.parametrize("x", [[0.3], [0.3, 0.1, 0.2]])
+    def test_wrong_length_point_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be a point in R\\^2"):
+            heat_kernel_column(0.3, x, default_rule(AlphaParams((-0.5, 0.7)), 4))
 
 
 class TestApplyKernel:
