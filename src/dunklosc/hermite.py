@@ -18,7 +18,7 @@ signs included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .special import laguerre, laguerre_deriv, laguerre_scaled, log_gamma
 __all__ = [
     "MultiIndex",
     "AlphaParams",
-    "HermiteFn",
     "a_coeff",
     "hermite_fn_1d",
     "hermite_fn_all_1d",
@@ -83,8 +82,8 @@ class AlphaParams:
 
     def __post_init__(self):
         al = tuple(float(a) for a in self.alpha)
-        if any(a < -0.5 for a in al):
-            raise ValueError(f"every alpha_j must be >= -1/2, got {al}")
+        if not all(-0.5 <= a < math.inf for a in al):
+            raise ValueError(f"every alpha_j must be finite and >= -1/2, got {al}")
         object.__setattr__(self, "alpha", al)
 
     @property
@@ -250,7 +249,8 @@ def delta_star_hermite_1d(n: int, a: float, x) -> np.ndarray:
     return -delta_hermite_1d(n, a, x) + 2.0 * x * base
 
 
-def _apply_in_slot(op_1d, n: MultiIndex, alpha: AlphaParams, j: int, pts: np.ndarray) -> np.ndarray:
+def _apply_in_slot(op_1d, n: MultiIndex, alpha: AlphaParams, j: int, x) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     val = op_1d(n[j], alpha[j], pts[:, j])
     for i in range(alpha.dim):
         if i != j:
@@ -260,33 +260,10 @@ def _apply_in_slot(op_1d, n: MultiIndex, alpha: AlphaParams, j: int, pts: np.nda
 
 def delta_hermite(n: MultiIndex, alpha: AlphaParams, j: int, x) -> np.ndarray:
     """(delta_j h_n^alpha)(x) on an (npoints, d) array of points."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return _apply_in_slot(delta_hermite_1d, n, alpha, j, pts)
+    return _apply_in_slot(delta_hermite_1d, n, alpha, j, x)
 
 
 def delta_star_hermite(n: MultiIndex, alpha: AlphaParams, j: int, x) -> np.ndarray:
     """(delta_j^* h_n^alpha)(x) on an (npoints, d) array of points."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return _apply_in_slot(delta_star_hermite_1d, n, alpha, j, pts)
+    return _apply_in_slot(delta_star_hermite_1d, n, alpha, j, x)
 
-
-@dataclass(frozen=True)
-class HermiteFn:
-    """A single basis function with its normalization constants cached."""
-
-    n: MultiIndex
-    alpha: AlphaParams
-    normalization: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        if self.n.dim != self.alpha.dim:
-            raise ValueError("dimension mismatch between n and alpha")
-        norms = tuple(_norm_const(self.n[i], self.alpha[i]) for i in range(self.n.dim))
-        object.__setattr__(self, "normalization", norms)
-
-    @property
-    def eigenvalue(self) -> float:
-        return eigenvalue(self.n, self.alpha)
-
-    def __call__(self, x):
-        return hermite_fn(self.n, self.alpha, x)

@@ -18,7 +18,6 @@ Gamma((k + 2a + 2)/2).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "inner_product",
     "project",
     "synthesize",
-    "mms_constant",
     "multi_indices_upto",
 ]
 
@@ -67,17 +65,6 @@ class QuadratureRule:
     @property
     def dim(self) -> int:
         return len(self.axes)
-
-    def to_csv(self) -> str:
-        """Documented CSV: one row per node, coordinates then weight."""
-        buf = io.StringIO()
-        d = self.dim
-        buf.write("# dunklosc quadrature rule v1\n")
-        buf.write(f"# alpha={list(self.alpha.alpha)} exactness_degree={self.exactness_degree}\n")
-        buf.write(",".join(f"x{i+1}" for i in range(d)) + ",weight\n")
-        for row, w in zip(self.nodes, self.weights):
-            buf.write(",".join(f"{c:.17g}" for c in row) + f",{w:.17g}\n")
-        return buf.getvalue()
 
 
 def _laguerre_nodes_logweights(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,15 +188,8 @@ class SpectralCoeffs:
     def dim(self) -> int:
         return self.alpha.dim
 
-    @property
-    def max_degree(self) -> int:
-        return max((sum(n) for n in self.coeffs), default=0)
-
     def norm(self) -> float:
         return math.sqrt(sum(c * c for c in self.coeffs.values()))
-
-    def copy(self) -> "SpectralCoeffs":
-        return SpectralCoeffs(dict(self.coeffs), self.alpha)
 
 
 def multi_indices_upto(dim: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -270,15 +250,3 @@ def synthesize(c: SpectralCoeffs, points) -> np.ndarray:
         out += v * prod
     return out
 
-
-def mms_constant(alpha: AlphaParams, rule: QuadratureRule | None = None) -> tuple[float, float, float]:
-    """Macdonald-Mehta-Selberg integral c_alpha = int e^{-|x|^2} w_alpha dx.
-
-    Returns (analytic, quadrature, discrepancy): prod Gamma(a_j + 1)
-    against the rule applied to the Gaussian.
-    """
-    analytic = math.exp(sum(log_gamma(a + 1.0) for a in alpha))
-    if rule is None:
-        rule = default_rule(alpha, 40)
-    quad = float(np.sum(rule.weights * np.exp(-np.sum(rule.nodes**2, axis=1))))
-    return analytic, quad, abs(analytic - quad)

@@ -38,8 +38,8 @@ from scipy.special import roots_jacobi
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
 from .quadrature import QuadratureRule, SpectralCoeffs, project
 from .special import bessel_ratio_scaled, log_gamma
-from .heat import (_check_parity, _kernel_prelude, _parity_sum, _prepare_pairs, all_parities,
-                   psi_zeta, t_of_zeta, zeta_of_t)
+from .heat import (_kernel_prelude, _parity_sum, _prepare_pairs, all_parities, psi_zeta,
+                   t_of_zeta, zeta_of_t)
 
 __all__ = [
     "SchlafliMeasure",
@@ -53,7 +53,6 @@ __all__ = [
     "beta_weight",
     "psi_zeta",
     "delta_psi",
-    "riesz_kernel_component",
     "riesz_kernel_components",
     "riesz_kernel",
     "riesz_kernel_gradient",
@@ -97,10 +96,6 @@ class SchlafliMeasure:
         """int e^{-z s} Pi_nu(ds); equals I_nu(z)/z^nu for every z."""
         return float(np.sum(self.weights * np.exp(-z * self.nodes)))
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -123,12 +118,12 @@ class KernelConfig:
     s_method: str = "gauss-jacobi"
 
     def __post_init__(self):
-        if self.zeta_points < 16:
-            raise ValueError("zeta_points must be >= 16")
-        if self.s_points_per_dim < 8:
-            raise ValueError("s_points_per_dim must be >= 8")
-        if self.zeta_grading < 1.0:
-            raise ValueError("zeta_grading must be >= 1")
+        for name, least in (("zeta_points", 16), ("s_points_per_dim", 8)):
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or n < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if not 1.0 <= self.zeta_grading < math.inf:
+            raise ValueError("zeta_grading must be finite and >= 1")
         if self.s_method not in ("gauss-jacobi", "exact"):
             raise ValueError("s_method must be 'gauss-jacobi' or 'exact'")
 
@@ -356,18 +351,10 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
     return out
 
 
-def riesz_kernel_component(alpha: AlphaParams, eps, j: int, x, y,
-                           cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
-    """R_j^{alpha,eps}(x, y) by the (zeta, s) quadrature."""
-    eps = _check_parity(alpha, eps)
-    X, Y, scalar = _check_pairs(alpha, x, y)
-    vals = _zeta_batch(alpha, j, X, Y, cfg, eps)
-    return float(vals[0]) if scalar else vals
-
-
 def riesz_kernel_components(alpha: AlphaParams, j: int, x, y,
                             cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> dict:
-    """All parity components at once: {eps: values}."""
+    """All parity components R_j^{alpha,eps}(x, y) by the (zeta, s)
+    quadrature: {eps: values}."""
     X, Y, scalar = _check_pairs(alpha, x, y)
     out = {}
     for eps in all_parities(alpha.dim):
@@ -426,7 +413,7 @@ def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y,
     return grads[0] if scalar else grads
 
 
-def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y, epsrel: float = 1e-10):
+def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y):
     """Oracle route: pi^{-1/2} int_0^inf delta_j G_t(x,y) t^{-1/2} dt,
     for a point pair (a float) or a (P, d) stack of pairs (an array).
 
@@ -434,9 +421,10 @@ def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y, epsrel: float = 1e-10)
     t = atanh(zeta), the tail (where the integrand decays like
     e^{-t (2|alpha| + 2d + 2)}) directly in t.  Each piece is one adaptive
     ``quad_vec`` integral over the whole batch, with max-norm error control
-    made relative per pair: each pair's integrand is divided by its size, a
-    24-point Gauss-Legendre sum of |integrand| over the zeta piece.  An
-    integral that does not converge raises RuntimeError, naming the batch.
+    at relative tolerance 1e-10 per pair: each pair's integrand is divided
+    by its size, a 24-point Gauss-Legendre sum of |integrand| over the zeta
+    piece.  An integral that does not converge raises RuntimeError, naming
+    the batch.
     """
     from scipy.integrate import quad_vec  # deferred: a heavy import only this oracle needs
     X, Y, scalar = _check_pairs(alpha, x, y)
@@ -449,7 +437,7 @@ def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y, epsrel: float = 1e-10)
     scale = np.where(scale > 0.0, scale, 1.0)
     total = np.zeros(X.shape[0])
     for f, lo, hi in ((f_zeta, 0.0, z1), (f_t, 1.0, 30.0)):
-        v, _, info = quad_vec(lambda s: f(s) / scale, lo, hi, epsrel=epsrel, norm="max",
+        v, _, info = quad_vec(lambda s: f(s) / scale, lo, hi, epsrel=1e-10, norm="max",
                               limit=200, full_output=True)
         if info.status != 0:
             raise RuntimeError(f"direct t-integral did not converge on ({lo:.6g}, {hi:.6g}) "
@@ -470,15 +458,30 @@ def _bump_profile(r: np.ndarray, lo: float, hi: float, amplitude: float) -> np.n
     return out
 
 
+
 @dataclass(frozen=True)
-class IntervalBump:
-    """Smooth bump supported on [r_lo, r_hi] with 0 < r_lo: compactly
-    supported away from the reflection hyperplane, the one-dimensional
-    instance of the class the dual-pairing identity is stated for."""
+class _Bump:
+    """Smooth bump of height ``amplitude`` on [r_lo, r_hi] in a radial
+    variable; a subclass maps its support onto ``support_intervals``."""
 
     r_lo: float
     r_hi: float
     amplitude: float = 1.0
+
+    def separation(self, other) -> float:
+        """Smallest gap between the two supports, negative if they overlap."""
+        return min(max(c - b, a - d) for a, b in self.support_intervals
+                   for c, d in other.support_intervals)
+
+    def overlaps(self, other) -> bool:
+        return self.separation(other) < 0.0
+
+
+@dataclass(frozen=True)
+class IntervalBump(_Bump):
+    """Smooth bump supported on [r_lo, r_hi] with 0 < r_lo: compactly
+    supported away from the reflection hyperplane, the one-dimensional
+    instance of the class the dual-pairing identity is stated for."""
 
     def __post_init__(self):
         if not 0.0 < self.r_lo < self.r_hi:
@@ -492,15 +495,9 @@ class IntervalBump:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return _bump_profile(pts[:, 0], self.r_lo, self.r_hi, self.amplitude)
 
-    def overlaps(self, other) -> bool:
-        return _supports_overlap(self, other)
-
-    def separation(self, other) -> float:
-        return _support_separation(self, other)
-
 
 @dataclass(frozen=True)
-class AnnularBump:
+class AnnularBump(_Bump):
     """Smooth Z2^d-invariant bump supported on the annulus r_lo <= |x| <= r_hi.
 
     Radial (hence invariant under every coordinate sign flip) and C^inf.
@@ -508,10 +505,6 @@ class AnnularBump:
     dual pairing of two such bumps vanishes identically; the substantive
     two-route comparison uses IntervalBump instead.
     """
-
-    r_lo: float
-    r_hi: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.r_lo < self.r_hi:
@@ -525,29 +518,6 @@ class AnnularBump:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.sqrt(np.sum(pts * pts, axis=1))
         return _bump_profile(r, self.r_lo, self.r_hi, self.amplitude)
-
-    def overlaps(self, other) -> bool:
-        return _supports_overlap(self, other)
-
-    def separation(self, other) -> float:
-        return _support_separation(self, other)
-
-
-def _supports_overlap(f, g) -> bool:
-    for (a, b) in f.support_intervals:
-        for (c, d) in g.support_intervals:
-            if a < d and c < b:
-                return True
-    return False
-
-
-def _support_separation(f, g) -> float:
-    best = math.inf
-    for (a, b) in f.support_intervals:
-        for (c, d) in g.support_intervals:
-            best = min(best, max(c - b, a - d))
-    return best
-
 
 def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
                        rule: QuadratureRule, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
@@ -566,7 +536,7 @@ def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
     """
     if alpha.dim != 1:
         raise NotImplementedError("the dual-pairing harness is one-dimensional")
-    if _supports_overlap(f, g):
+    if f.overlaps(g):
         raise ValueError("bumps must have disjoint supports")
     cf = project(f, alpha, max_degree, rule)
     cg = project(g, alpha, max_degree, rule)

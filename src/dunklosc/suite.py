@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimates import (ap_power_weight, ball_measure, growth_scan, reflection_distance,
-                        smoothness_scan, soni_scan)
+from .estimates import (DRIFT_TOL, ap_power_weight, ball_measure, growth_scan,
+                        reflection_distance, smoothness_scan, soni_scan)
 from .heat import heat_apply_kernel, heat_kernel, heat_kernel_column, heat_kernel_series
 from .hermite import (AlphaParams, MultiIndex, delta_hermite, delta_star_hermite,
                       eigenvalue, hermite_fn, hermite_fn_all_1d, ladder_coeff)
@@ -58,14 +58,25 @@ def _fail(path: str, msg: str):
     raise ValueError(f"config error at {path}: {msg}")
 
 
+def _number(path: str, value, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer if asked for),
+    else a config error at ``path``; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        _fail(path, "must be an integer" if integer else "must be a number")
+    if not (integer or math.isfinite(value)):
+        _fail(path, f"must be finite, got {value}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
-    Required: "alpha" (list of reals >= -1/2).  Optional with defaults:
+    Required: "alpha" (list of finite reals >= -1/2).  Optional with defaults:
     max_degree 40, quad_points 80, kernel.zeta_points 96,
     kernel.zeta_grading 3.0, kernel.s_points_per_dim 48,
     kernel.s_method "gauss-jacobi", seed 1234, output null.  Any other
-    field raises an error that names its path (e.g. kernel.bogus).
+    field, a value of the wrong type (true is not a number), a NaN or an
+    infinity raises an error that names its path (e.g. kernel.bogus).
     """
     try:
         doc = json.loads(text)
@@ -83,22 +94,22 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(alpha, list) or not alpha:
         _fail("alpha", "must be a nonempty list")
     for i, a in enumerate(alpha):
-        if not isinstance(a, (int, float)):
-            _fail(f"alpha[{i}]", "must be a number")
-        if a < -0.5:
+        if _number(f"alpha[{i}]", a) < -0.5:
             _fail(f"alpha[{i}]", f"must be >= -0.5, got {a}")
-    max_degree = doc.get("max_degree", 40)
-    if not isinstance(max_degree, int) or max_degree < 1:
+    max_degree = _number("max_degree", doc.get("max_degree", 40), integer=True)
+    if max_degree < 1:
         _fail("max_degree", "must be a positive integer")
-    quad_points = doc.get("quad_points", 80)
-    if not isinstance(quad_points, int) or not 1 <= quad_points <= 512:
+    quad_points = _number("quad_points", doc.get("quad_points", 80), integer=True)
+    if not 1 <= quad_points <= 512:
         _fail("quad_points", "must be an integer in [1, 512]")
     kdoc = doc.get("kernel", {})
     if not isinstance(kdoc, dict):
         _fail("kernel", "must be an object")
-    for key in kdoc:
+    for key, value in kdoc.items():
         if key not in {"zeta_points", "zeta_grading", "s_points_per_dim", "s_method"}:
             _fail(f"kernel.{key}", "unknown field")
+        if key != "s_method":
+            _number(f"kernel.{key}", value, integer=key != "zeta_grading")
     try:
         kernel = KernelConfig(
             zeta_points=kdoc.get("zeta_points", 96),
@@ -108,9 +119,7 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as e:
         _fail("kernel", str(e))
-    seed = doc.get("seed", 1234)
-    if not isinstance(seed, int):
-        _fail("seed", "must be an integer")
+    seed = _number("seed", doc.get("seed", 1234), integer=True)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         _fail("output", "must be a string path")
@@ -182,10 +191,10 @@ def _grid_points(dim: int, lo=-4.0, hi=4.0, npts=21) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _check_ladder(cfg: RunConfig):
+def _check_ladder(cfg: RunConfig, npts: int | None = None):
     al = cfg.alpha_params
     N = min(cfg.max_degree, 10)
-    pts = _grid_points(al.dim, npts=21 if al.dim == 1 else 9)
+    pts = _grid_points(al.dim, npts=npts or (21 if al.dim == 1 else 9))
     worst = 0.0
     for n in multi_indices_upto(al.dim, N):
         mi = MultiIndex(n)
@@ -234,9 +243,7 @@ def _check_fischer(cfg: RunConfig):
 
 def _check_series_vs_kernel(cfg: RunConfig):
     al = cfg.alpha_params
-    axis = np.linspace(0.0, 2.0, 9 if al.dim == 1 else 4)
-    grids = np.meshgrid(*([axis] * al.dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = _grid_points(al.dim, 0.0, 2.0, 9 if al.dim == 1 else 4)
     ii, jj = np.meshgrid(np.arange(pts.shape[0]), np.arange(pts.shape[0]), indexing="ij")
     X, Y = pts[ii.ravel()], pts[jj.ravel()]
     worst = 0.0
@@ -312,12 +319,12 @@ def _check_star(cfg: RunConfig):
     return _record("star_identity", worst <= 1e-9, 1e-9, worst, seed=cfg.seed)
 
 
-def _check_apriori(cfg: RunConfig):
+def _check_apriori(cfg: RunConfig, max_index: int = 8):
     al = cfg.alpha_params
     rng = np.random.default_rng(cfg.seed + 1)
     worst = 0.0
     for _ in range(100):
-        n = tuple(int(k) for k in rng.integers(0, 9, size=al.dim))
+        n = tuple(int(k) for k in rng.integers(0, max_index + 1, size=al.dim))
         i = int(rng.integers(al.dim))
         j = int(rng.integers(al.dim))
         worst = worst_of(worst, apriori_identity_check(n, i, j, al))
@@ -419,14 +426,14 @@ def _check_ap(cfg: RunConfig):
     return _record("ap_power_weight", bad == 0, 0.0, float(bad), cases=len(cases))
 
 
-def _check_scans(cfg: RunConfig, n_pairs: int = 200):
+def _check_scans(cfg: RunConfig):
     al = cfg.alpha_params
     scan_cfg = replace(cfg.kernel, zeta_points=max(cfg.kernel.zeta_points, 192),
                        s_method="exact")
-    g = growth_scan(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=scan_cfg)
-    s = smoothness_scan(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=scan_cfg)
+    g = growth_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=scan_cfg)
+    s = smoothness_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=scan_cfg)
     passed = g.passed and s.passed
-    return _record("cz_scans", passed, 0.05, max(g.refinement_drift, s.refinement_drift),
+    return _record("cz_scans", passed, DRIFT_TOL, max(g.refinement_drift, s.refinement_drift),
                    seed=cfg.seed, growth_constant=g.max_ratio, smoothness_constant=s.max_ratio)
 
 

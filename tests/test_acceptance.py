@@ -10,14 +10,13 @@ import time
 import numpy as np
 
 from dunklosc.estimates import ap_power_weight, growth_scan, smoothness_scan, soni_scan
-from dunklosc.heat import heat_apply_kernel, maximal_empirical
-from dunklosc.hermite import (AlphaParams, MultiIndex, delta_hermite,
-                              delta_star_hermite, hermite_fn, ladder_coeff)
-from dunklosc.polydunkl import fund_identity_check, monomial, verify_eldwa
-from dunklosc.quadrature import default_rule, gauss_rule_1d, multi_indices_upto, tensor_rule
+from dunklosc.heat import maximal_empirical
+from dunklosc.hermite import AlphaParams
+from dunklosc.quadrature import gauss_rule_1d, tensor_rule
 from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure,
-                            apriori_identity_check, dual_pairing_check)
-from dunklosc.suite import (RunConfig, _check_orthonormality, _check_route_agreement,
+                            dual_pairing_check)
+from dunklosc.suite import (RunConfig, _check_apriori, _check_contraction, _check_fischer,
+                            _check_ladder, _check_orthonormality, _check_route_agreement,
                             _check_schlafli, _check_semigroup, _check_series_vs_kernel,
                             _check_star, worst_of)
 
@@ -46,20 +45,7 @@ def test_01_orthonormality():
 def test_02_ladder_identities():
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        axes = [np.linspace(-4, 4, 41)] * al.dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        for n in multi_indices_upto(al.dim, 10):
-            mi = MultiIndex(n)
-            for j in range(al.dim):
-                low = delta_hermite(mi, al, j, pts)
-                tgt = (ladder_coeff(n[j], al[j]) * hermite_fn(mi.shift(j, -1), al, pts)
-                       if n[j] >= 1 else np.zeros(pts.shape[0]))
-                worst = worst_of(worst, np.abs(low - tgt))
-                up = delta_star_hermite(mi, al, j, pts)
-                tgt = ladder_coeff(n[j] + 1, al[j]) * hermite_fn(mi.shift(j, +1), al, pts)
-                worst = worst_of(worst, np.abs(up - tgt))
+        worst = worst_of(worst, _check_ladder(RunConfig(alpha), npts=41)["residual"])
     report(2, "ladder_identities", worst <= 1e-9,
            f"max pointwise residual = {worst:.3g} <= 1e-9")
 
@@ -135,30 +121,23 @@ def test_08_star_identity():
 def test_09_apriori_identity():
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        rng = np.random.default_rng(90)
-        for _ in range(100):
-            n = tuple(int(k) for k in rng.integers(0, 11, size=al.dim))
-            i = int(rng.integers(al.dim))
-            j = int(rng.integers(al.dim))
-            worst = worst_of(worst, apriori_identity_check(n, i, j, al))
+        # the check draws from default_rng(seed + 1), here 90, with n_i <= 10
+        rec = _check_apriori(RunConfig(alpha, seed=89), max_index=10)
+        worst = worst_of(worst, rec["residual"])
     report(9, "apriori_identity", worst <= 1e-12,
            f"max coefficient residual over 100 cases per config = {worst:.3g} <= 1e-12")
 
 
 def test_10_fischer_layer():
-    eldwa_ok = True
+    passed = True
     worst = 0.0
     for alpha in ALPHA_MATRIX:
-        al = AlphaParams(alpha)
-        rep = verify_eldwa(al, 6)
-        eldwa_ok = eldwa_ok and rep.passed
-        rule = default_rule(al, 40)
-        idx = multi_indices_upto(al.dim, 4)
-        for n in idx:
-            for m in idx:
-                worst = worst_of(worst, fund_identity_check(monomial(n), monomial(m), al, rule))
-    report(10, "fischer_layer", eldwa_ok and worst <= 1e-8,
+        # verify_eldwa to degree 6, and every pair of monomials of degree <= 4
+        # on the 40-point rule
+        rec = _check_fischer(RunConfig(alpha, quad_points=40))
+        passed = passed and rec["passed"]
+        worst = worst_of(worst, rec["residual"])
+    report(10, "fischer_layer", passed and worst <= 1e-8,
            f"eldwa degrees <= 6 pass; max fund-identity residual = {worst:.3g} <= 1e-8")
 
 
@@ -188,22 +167,17 @@ def test_12_soni_scan():
 
 
 def test_13_contraction_and_maximal(rules):
-    worst = -math.inf
-    rng = np.random.default_rng(130)
-    al = AlphaParams((0.0,))
+    worst = 0.0
+    for alpha in ALPHA_MATRIX:
+        worst = worst_of(worst, _check_contraction(RunConfig(alpha, seed=130))["residual"])
     rule = rules[(0.0,)]
-    for w in rng.uniform(0.2, 3.0, size=10):
-        f = lambda pts: np.cos(w * pts[:, 0])
-        for t in (0.1, 1.0):
-            for x in np.linspace(-2, 2, 7):
-                worst = worst_of(worst, abs(heat_apply_kernel(f, t, np.array([x]), rule)) - 1.0)
     bump = lambda pts: np.exp(-3.0 * (pts[:, 0] - 0.4) ** 2)
     coarse = maximal_empirical(bump, np.array([0.1]), np.geomspace(0.01, 5.0, 12), rule)
     fine = maximal_empirical(bump, np.array([0.1]), np.geomspace(0.01, 5.0, 24), rule)
     drift = abs(fine - coarse) / fine
     passed = worst <= 1e-10 and math.isfinite(fine) and drift <= 0.02
     report(13, "contraction_and_maximal", passed,
-           f"sup-norm excess = {worst_of(worst, 0.0):.3g} <= 1e-10; "
+           f"sup-norm excess = {worst:.3g} <= 1e-10; "
            f"maximal finite, grid-refinement drift = {drift:.3g} <= 2%")
 
 

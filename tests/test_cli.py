@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dunklosc.cli import main
+from dunklosc.riesz import KernelConfig
 from dunklosc.suite import parse_config, run_suite, serialize_config, worst_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -51,6 +52,24 @@ class TestParseConfig:
     def test_alpha_bound_named_in_error(self):
         with pytest.raises(ValueError, match=r"alpha\[0\].*-0.5"):
             parse_config('{"alpha": [-0.6]}')
+        for bad in ("NaN", "Infinity", "-Infinity", "1e400", "true", '"1"'):
+            with pytest.raises(ValueError, match=r"alpha\[1\]"):
+                parse_config(f'{{"alpha": [0.0, {bad}]}}')
+
+    def test_bad_value_named_in_error(self):
+        # a JSON true is a Python int, NaN and Infinity parse as floats
+        for field, path in [('"max_degree": true', "max_degree"), ('"seed": false', "seed"),
+                            ('"quad_points": 40.0', "quad_points"),
+                            ('"kernel": {"zeta_grading": NaN}', "kernel.zeta_grading"),
+                            ('"kernel": {"zeta_grading": true}', "kernel.zeta_grading"),
+                            ('"kernel": {"zeta_points": 100.5}', "kernel.zeta_points"),
+                            ('"kernel": {"s_points_per_dim": false}', "kernel.s_points_per_dim")]:
+            with pytest.raises(ValueError, match=path):
+                parse_config(f'{{"alpha": [0.0], {field}}}')
+        # the CLI's kernel flags reach KernelConfig without parse_config
+        for bad in (dict(zeta_grading=math.nan), dict(zeta_points=100.5)):
+            with pytest.raises(ValueError, match=list(bad)[0]):
+                KernelConfig(**bad)
 
     def test_unknown_field_path(self):
         with pytest.raises(ValueError, match="bogus"):

@@ -7,9 +7,8 @@ import pytest
 from dunklosc.heat import heat_apply_kernel
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn, hermite_fn_all_1d
 from dunklosc.quadrature import (MAX_POINTS, QuadratureRule, SpectralCoeffs, default_rule,
-                                 gauss_rule_1d, inner_product, mms_constant,
-                                 multi_indices_upto, project, synthesize,
-                                 tensor_rule)
+                                 gauss_rule_1d, inner_product, multi_indices_upto,
+                                 project, synthesize, tensor_rule)
 
 from conftest import ALPHA_MATRIX
 
@@ -184,27 +183,3 @@ class TestProject:
         with pytest.raises(ValueError):
             project(lambda p: np.ones(p.shape[0]), al, 40, rule)
 
-
-class TestMms:
-    def test_values(self):
-        analytic, quad, disc = mms_constant(AlphaParams((-0.5,)))
-        assert analytic == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert disc < 1e-12
-        analytic, _, _ = mms_constant(AlphaParams((0.0,)))
-        assert analytic == pytest.approx(1.0)
-        analytic, quad, disc = mms_constant(AlphaParams((-0.5, -0.5)))
-        assert analytic == pytest.approx(math.pi, rel=1e-14)
-        assert disc < 1e-12
-
-
-class TestSerialization:
-    def test_csv_round_trip(self):
-        al = AlphaParams((0.0, 1.3))
-        rule = default_rule(al, 6)
-        text = rule.to_csv()
-        lines = [l for l in text.splitlines() if not l.startswith("#")]
-        header, *rows = lines
-        assert header == "x1,x2,weight"
-        data = np.array([[float(t) for t in row.split(",")] for row in rows])
-        np.testing.assert_allclose(data[:, :2], rule.nodes)
-        np.testing.assert_allclose(data[:, 2], rule.weights)
