@@ -7,9 +7,9 @@ smoothing operator to a rough function.
 
 import numpy as np
 
-from dunklosc import (AlphaParams, SpectralCoeffs, default_rule, heat_apply_kernel,
-                      heat_apply_spectral, heat_kernel, heat_kernel_column,
-                      heat_kernel_component, heat_kernel_series, project, synthesize)
+from dunklosc import (AlphaParams, default_rule, heat_apply_kernel, heat_apply_spectral,
+                      heat_kernel, heat_kernel_column, heat_kernel_component,
+                      heat_kernel_series, project, synthesize)
 from dunklosc.heat import all_parities
 
 al = AlphaParams((-0.5, 0.7))

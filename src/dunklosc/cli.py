@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .riesz import (IntervalBump, KernelConfig, dual_pairing_check,
 from .suite import parse_config, run_suite
 
 CSV_VERSION = "v1"
+# The kernel flags' defaults: a verify config's, at the subcommands' own zeta count.
+CLI_KERNEL = KernelConfig(zeta_points=192)
 
 
 def _parse_tuple(text: str, kind=float) -> tuple:
@@ -52,21 +55,19 @@ def _alpha(ns) -> AlphaParams:
 
 
 def _kernel_config(ns) -> KernelConfig:
-    return KernelConfig(zeta_points=ns.zeta_points, zeta_grading=ns.zeta_grading,
-                        s_points_per_dim=ns.s_points, s_method=ns.s_method)
+    return KernelConfig(**{f.name: getattr(ns, f.name) for f in fields(KernelConfig)})
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser, s_method: bool = True):
-    """The kernel quadrature flags; without ``--s-method`` the exact route
-    is fixed, as the scans need it near the diagonal."""
-    p.add_argument("--zeta-points", type=int, default=192, dest="zeta_points")
-    p.add_argument("--zeta-grading", type=float, default=3.0, dest="zeta_grading")
-    p.add_argument("--s-points", type=int, default=48, dest="s_points")
+    """The kernel quadrature flags, each stored under its KernelConfig field,
+    with CLI_KERNEL's defaults; without ``--s-method`` the exact route is
+    fixed, as the scans need it near the diagonal."""
+    p.add_argument("--zeta-points", type=int, dest="zeta_points")
+    p.add_argument("--zeta-grading", type=float, dest="zeta_grading")
+    p.add_argument("--s-points", type=int, dest="s_points_per_dim")
     if s_method:
-        p.add_argument("--s-method", choices=["gauss-jacobi", "exact"],
-                       default="gauss-jacobi", dest="s_method")
-    else:
-        p.set_defaults(s_method="exact")
+        p.add_argument("--s-method", choices=["gauss-jacobi", "exact"], dest="s_method")
+    p.set_defaults(**asdict(CLI_KERNEL if s_method else replace(CLI_KERNEL, s_method="exact")))
 
 
 def _read_pairs(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:

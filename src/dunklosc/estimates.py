@@ -40,8 +40,6 @@ __all__ = [
     "soni_scan",
 ]
 
-SCAN_KERNEL_CONFIG = KernelConfig(zeta_points=256, zeta_grading=3.0,
-                                  s_points_per_dim=48, s_method="exact")
 DRIFT_TOL = 0.05  # a scan's largest relative change under the doubled quadrature
 
 # Nested ball quadrature (d >= 2): graded Gauss-Legendre nodes per theta
@@ -233,13 +231,14 @@ def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: 
     PASS requires every value finite and the max stable (<= DRIFT_TOL)
     under a doubled-resolution rerun of the kernel quadrature.
     """
+    fine = cfg.doubled()  # a resolution it cannot double is refused before any work
     X, Y = pair_sample(alpha.dim, n_pairs, seed)
     dist = np.linalg.norm(X - Y, axis=1)
     balls, _ = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
     ratios = per_pair(X, Y, dist, cfg) * balls
     finite = bool(np.all(np.isfinite(ratios)))
     imax = int(np.argmax(ratios))
-    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, cfg.doubled()) * balls))
+    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, fine) * balls))
     drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
     return ScanReport(
         max_ratio=m1,
@@ -254,17 +253,15 @@ def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: 
     )
 
 
-def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234,
-                cfg: KernelConfig = SCAN_KERNEL_CONFIG,
-                positive_orthant: bool = False) -> ScanReport:
+def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
+                cfg: KernelConfig, positive_orthant: bool = False) -> ScanReport:
     """max over sampled pairs of |R_j(x,y)| w_alpha(B(x, |x-y|)); see ``_scan``."""
     return _scan("growth", lambda X, Y, dist, c: np.abs(riesz_kernel(alpha, j, X, Y, c)),
                  alpha, j, n_pairs, seed, cfg, positive_orthant)
 
 
-def smoothness_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234,
-                    cfg: KernelConfig = SCAN_KERNEL_CONFIG,
-                    positive_orthant: bool = False) -> ScanReport:
+def smoothness_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
+                    cfg: KernelConfig, positive_orthant: bool = False) -> ScanReport:
     """max over sampled pairs of |grad R_j| |x-y| w_alpha(B(x, |x-y|)), with
     the analytic gradient over (x, y) of ``riesz_kernel_gradient``."""
     grad = lambda X, Y, dist, c: np.linalg.norm(riesz_kernel_gradient(alpha, j, X, Y, c),

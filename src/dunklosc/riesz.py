@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 NEAR_DIAGONAL = 1e-3
+MAX_ZETA_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,12 @@ class SchlafliMeasure:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature controls for the (zeta, s) double integral.
+    """Quadrature controls for the (zeta, s) double integral; the defaults
+    are those of a ``verify`` config.
+
+    ``zeta_points`` is even, as the zeta rule has zeta_points // 2 nodes on
+    each half of (0, 1), and at most MAX_ZETA_POINTS: at twice that (grading
+    3), the node next to 1 rounds to 1.0.
 
     ``s_method`` selects the s-integration, one coordinate at a time:
     "gauss-jacobi" is the rule matched to the (1-s^2)^{nu-1/2} density;
@@ -112,7 +118,7 @@ class KernelConfig:
     detected by exact comparison on the user-supplied alpha.
     """
 
-    zeta_points: int = 128
+    zeta_points: int = 96
     zeta_grading: float = 3.0
     s_points_per_dim: int = 48
     s_method: str = "gauss-jacobi"
@@ -122,17 +128,21 @@ class KernelConfig:
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
+        if self.zeta_points % 2 or self.zeta_points > MAX_ZETA_POINTS:
+            raise ValueError(f"zeta_points must be even and <= {MAX_ZETA_POINTS}, "
+                             f"got {self.zeta_points}")
         if not 1.0 <= self.zeta_grading < math.inf:
             raise ValueError("zeta_grading must be finite and >= 1")
         if self.s_method not in ("gauss-jacobi", "exact"):
             raise ValueError("s_method must be 'gauss-jacobi' or 'exact'")
 
     def doubled(self) -> "KernelConfig":
+        """Twice the zeta and s points: a scan's refinement rerun."""
+        if 2 * self.zeta_points > MAX_ZETA_POINTS:
+            raise ValueError(f"zeta_points must be <= {MAX_ZETA_POINTS // 2} to be doubled, "
+                             f"got {self.zeta_points}")
         return replace(self, zeta_points=2 * self.zeta_points,
                        s_points_per_dim=2 * self.s_points_per_dim)
-
-
-DEFAULT_KERNEL_CONFIG = KernelConfig()
 
 
 def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +361,7 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
     return out
 
 
-def riesz_kernel_components(alpha: AlphaParams, j: int, x, y,
-                            cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> dict:
+def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -> dict:
     """All parity components R_j^{alpha,eps}(x, y) by the (zeta, s)
     quadrature: {eps: values}."""
     X, Y, scalar = _check_pairs(alpha, x, y)
@@ -363,8 +372,7 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y,
     return out
 
 
-def riesz_kernel(alpha: AlphaParams, j: int, x, y,
-                 cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
+def riesz_kernel(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
     """Full kernel R_j^alpha(x, y) = sum over the 2^d parity components,
     evaluated as one product over coordinates."""
     X, Y, scalar = _check_pairs(alpha, x, y)
@@ -403,11 +411,10 @@ def _delta_heat(alpha: AlphaParams, j: int, t: float, X: np.ndarray, Y: np.ndarr
     return np.exp(expo) * prod_rest * dj
 
 
-def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y,
-                          cfg: KernelConfig = KernelConfig(s_method="exact")) -> np.ndarray:
+def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -> np.ndarray:
     """[dR_j/dx_1..d, dR_j/dy_1..d] of the full kernel, shape (P, 2d) or (2d,)
     for a point pair: ``riesz_kernel``'s quadrature differentiated under the
-    integral sign.  Exact s by default: 48 Gauss-Jacobi nodes can be 1e-2 off."""
+    integral sign.  Call it with exact s: 48 Gauss-Jacobi nodes can be 1e-2 off."""
     X, Y, scalar = _check_pairs(alpha, x, y)
     grads = _zeta_batch(alpha, j, X, Y, cfg, grad=True)
     return grads[0] if scalar else grads
@@ -520,7 +527,7 @@ class AnnularBump(_Bump):
         return _bump_profile(r, self.r_lo, self.r_hi, self.amplitude)
 
 def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
-                       rule: QuadratureRule, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
+                       rule: QuadratureRule, cfg: KernelConfig,
                        max_degree: int = 900, leg_points: int = 48) -> tuple[float, float, float]:
     """Compare <R_j f, g>_alpha computed spectrally against the double
     integral of the kernel over the (disjoint) supports.

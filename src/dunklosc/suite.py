@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class RunConfig:
     alpha: tuple[float, ...]
     max_degree: int = 40
     quad_points: int = 80
-    kernel: KernelConfig = field(default_factory=lambda: KernelConfig(zeta_points=96))
+    kernel: KernelConfig = field(default_factory=KernelConfig)
     seed: int = 1234
     output: str | None = None
 
@@ -72,11 +72,11 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
     Required: "alpha" (list of finite reals >= -1/2).  Optional with defaults:
-    max_degree 40, quad_points 80, kernel.zeta_points 96,
-    kernel.zeta_grading 3.0, kernel.s_points_per_dim 48,
-    kernel.s_method "gauss-jacobi", seed 1234, output null.  Any other
-    field, a value of the wrong type (true is not a number), a NaN or an
-    infinity raises an error that names its path (e.g. kernel.bogus).
+    max_degree 40, quad_points 80, seed 1234, output null, and "kernel", an
+    object with the fields of KernelConfig, each defaulting to its value in
+    KernelConfig().  Any other field, a value of the wrong type (true is
+    not a number), a NaN or an infinity raises an error that names its path
+    (e.g. kernel.bogus).
     """
     try:
         doc = json.loads(text)
@@ -105,18 +105,15 @@ def parse_config(text: str) -> RunConfig:
     kdoc = doc.get("kernel", {})
     if not isinstance(kdoc, dict):
         _fail("kernel", "must be an object")
+    kinds = {f.name: type(f.default) for f in fields(KernelConfig)}
     for key, value in kdoc.items():
-        if key not in {"zeta_points", "zeta_grading", "s_points_per_dim", "s_method"}:
+        if key not in kinds:
             _fail(f"kernel.{key}", "unknown field")
-        if key != "s_method":
-            _number(f"kernel.{key}", value, integer=key != "zeta_grading")
+        if kinds[key] is not str:
+            _number(f"kernel.{key}", value, integer=kinds[key] is int)
     try:
-        kernel = KernelConfig(
-            zeta_points=kdoc.get("zeta_points", 96),
-            zeta_grading=float(kdoc.get("zeta_grading", 3.0)),
-            s_points_per_dim=kdoc.get("s_points_per_dim", 48),
-            s_method=kdoc.get("s_method", "gauss-jacobi"),
-        )
+        kernel = KernelConfig(**{key: float(value) if kinds[key] is float else value
+                                 for key, value in kdoc.items()})
     except ValueError as e:
         _fail("kernel", str(e))
     seed = _number("seed", doc.get("seed", 1234), integer=True)
@@ -128,20 +125,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    doc = {
-        "alpha": list(cfg.alpha),
-        "max_degree": cfg.max_degree,
-        "quad_points": cfg.quad_points,
-        "kernel": {
-            "zeta_points": cfg.kernel.zeta_points,
-            "zeta_grading": cfg.kernel.zeta_grading,
-            "s_points_per_dim": cfg.kernel.s_points_per_dim,
-            "s_method": cfg.kernel.s_method,
-        },
-        "seed": cfg.seed,
-        "output": cfg.output,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2)
 
 
 def worst_of(worst: float, value) -> float:
@@ -412,16 +396,16 @@ def _check_soni(cfg: RunConfig):
 
 
 def _check_ap(cfg: RunConfig):
+    # |x|^r is in A_p^alpha iff -(2a+2) < r < (2a+2)(p-1), or -(2a+2) < r <= 0
+    # at p = 1: cases at each end, 1e-9 to either side of it, and at r = 0.
     cases = []
-    for a in (-0.5, 0.0, 1.3):
+    for a in (-0.5, 0.0, 0.4, 1.3, 2.0):
         lo = -(2 * a + 2)
-        for p in (1.0, 1.5, 2.0, 4.0):
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0):
             hi = 0.0 if p == 1.0 else (2 * a + 2) * (p - 1)
-            for r, expect in [(lo - 0.1, False), (lo + 0.1, True), (0.0, True),
-                              (hi - 0.05, True), (hi + 0.05, False)]:
-                if p == 1.0 and r == hi - 0.05:
-                    expect = True  # r slightly below 0 is inside for p = 1
-                cases.append((a, p, r, expect))
+            cases += [(a, p, lo, False), (a, p, lo + 1e-9, True), (a, p, lo - 1e-9, False),
+                      (a, p, hi, p == 1.0), (a, p, hi - 1e-9, True), (a, p, hi + 1e-9, False),
+                      (a, p, 0.0, True)]
     bad = sum(1 for a, p, r, e in cases if ap_power_weight(a, p, r) != e)
     return _record("ap_power_weight", bad == 0, 0.0, float(bad), cases=len(cases))
 

@@ -9,16 +9,16 @@ import time
 
 import numpy as np
 
-from dunklosc.estimates import ap_power_weight, growth_scan, smoothness_scan, soni_scan
+from dunklosc.estimates import growth_scan, smoothness_scan, soni_scan
 from dunklosc.heat import maximal_empirical
 from dunklosc.hermite import AlphaParams
 from dunklosc.quadrature import gauss_rule_1d, tensor_rule
 from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure,
                             dual_pairing_check)
-from dunklosc.suite import (RunConfig, _check_apriori, _check_contraction, _check_fischer,
-                            _check_ladder, _check_orthonormality, _check_route_agreement,
-                            _check_schlafli, _check_semigroup, _check_series_vs_kernel,
-                            _check_star, worst_of)
+from dunklosc.suite import (RunConfig, _check_ap, _check_apriori, _check_contraction,
+                            _check_fischer, _check_ladder, _check_orthonormality,
+                            _check_route_agreement, _check_schlafli, _check_semigroup,
+                            _check_series_vs_kernel, _check_star, worst_of)
 
 from conftest import ALPHA_MATRIX
 
@@ -182,20 +182,7 @@ def test_13_contraction_and_maximal(rules):
 
 
 def test_14_ap_predicate():
-    cases = []
-    for a in (-0.5, 0.0, 0.4, 1.3, 2.0):
-        lo = -(2 * a + 2)
-        for p in (1.0, 2.0, 3.0):
-            hi = 0.0 if p == 1.0 else (2 * a + 2) * (p - 1)
-            cases += [
-                (a, p, lo, False),            # left boundary excluded
-                (a, p, lo + 1e-9, True),
-                (a, p, lo - 1e-9, False),
-                (a, p, hi, p == 1.0),         # right boundary: closed iff p = 1
-                (a, p, hi - 1e-9, True),
-                (a, p, hi + 1e-9, False),
-                (a, p, 0.0, True),
-            ]
-    bad = [(a, p, r) for a, p, r, expect in cases if ap_power_weight(a, p, r) != expect]
-    report(14, "ap_predicate", len(bad) == 0 and len(cases) >= 50,
-           f"{len(cases)} cases including both boundary sides, mismatches: {bad}")
+    rec = _check_ap(RunConfig((0.0,)))
+    report(14, "ap_predicate", rec["passed"] and rec["cases"] >= 50,
+           f"{rec['cases']} cases including both boundary sides, "
+           f"mismatches: {rec['residual']:.0f}")

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dunklosc.cli import main
+from dunklosc.cli import _kernel_config, build_parser, main
 from dunklosc.riesz import KernelConfig
 from dunklosc.suite import parse_config, run_suite, serialize_config, worst_of
 
@@ -70,6 +71,20 @@ class TestParseConfig:
         for bad in (dict(zeta_grading=math.nan), dict(zeta_points=100.5)):
             with pytest.raises(ValueError, match=list(bad)[0]):
                 KernelConfig(**bad)
+
+    def test_kernel_section_is_a_kernel_config(self):
+        assert parse_config('{"alpha": [0.0]}').kernel == KernelConfig()
+        # every KernelConfig field is a kernel.* key
+        kcfg = KernelConfig(zeta_points=128, zeta_grading=2.0, s_points_per_dim=16,
+                            s_method="exact")
+        doc = {"alpha": [0.0], "kernel": asdict(kcfg)}
+        assert parse_config(json.dumps(doc)).kernel == kcfg
+
+    def test_zeta_points_the_rule_cannot_build_refused(self):
+        # 97 would integrate 96 nodes; at 2048 and more a node rounds to 1.0
+        for n in (97, 4096):
+            with pytest.raises(ValueError, match=f"kernel: zeta_points .*got {n}"):
+                parse_config(f'{{"alpha": [0.0], "kernel": {{"zeta_points": {n}}}}}')
 
     def test_unknown_field_path(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -205,6 +220,22 @@ class TestSubcommands:
                                "--seed", "3", "--s-method", "gauss-jacobi")
         assert rc == 2
         assert "--s-method" in err
+
+    def test_kernel_flag_defaults(self):
+        parser = build_parser()
+        cli_kernel = KernelConfig(zeta_points=192)
+        for argv, expect in [
+                (["riesz-kernel", "--alpha=0", "--j=1", "--pairs=p.csv"], cli_kernel),
+                (["pairing-check", "--alpha=0"], cli_kernel),
+                (["scan-growth", "--alpha=0", "--seed=1"], replace(cli_kernel, s_method="exact")),
+                (["scan-smoothness", "--alpha=0", "--seed=1"],
+                 replace(cli_kernel, s_method="exact"))]:
+            assert _kernel_config(parser.parse_args(argv)) == expect
+
+    def test_scan_refuses_a_resolution_it_cannot_double(self, capsys):
+        # the refinement rerun would need 2048 zeta points
+        assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=1024"]) == 2
+        assert "zeta_points must be <= 512 to be doubled, got 1024" in capsys.readouterr().err
 
     def test_scan_growth_json(self):
         rc, out, err = run_cli("scan-growth", "--alpha=0.0", "--j=1",

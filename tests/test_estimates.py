@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dunklosc.estimates import (ScanReport, ap_power_weight, ball_measure,
-                                growth_scan, pair_sample, reflection_distance,
-                                smoothness_scan, soni_scan)
+from dunklosc.estimates import (ap_power_weight, ball_measure, growth_scan, pair_sample,
+                                reflection_distance, smoothness_scan, soni_scan)
 from dunklosc.hermite import AlphaParams
 from dunklosc.riesz import KernelConfig
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
 
 from dunklosc.heat import (all_parities, heat_apply_kernel, heat_apply_spectral,
                            heat_kernel, heat_kernel_column, heat_kernel_component,
@@ -308,7 +307,7 @@ class TestApplyKernel:
             assert vals.tolist() == [heat_apply_kernel(f, t, x, rule) for f in fs]
 
     def test_matches_spectral_synthesis(self, rules):
-        from dunklosc.quadrature import project, synthesize
+        from dunklosc.quadrature import synthesize
         al = AlphaParams((0.0,))
         rule = rules[(0.0,)]
         rng = np.random.default_rng(5)

@@ -6,9 +6,9 @@ import pytest
 
 from dunklosc.heat import heat_apply_kernel
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn, hermite_fn_all_1d
-from dunklosc.quadrature import (MAX_POINTS, QuadratureRule, SpectralCoeffs, default_rule,
-                                 gauss_rule_1d, inner_product, multi_indices_upto,
-                                 project, synthesize, tensor_rule)
+from dunklosc.quadrature import (MAX_POINTS, SpectralCoeffs, default_rule, gauss_rule_1d,
+                                 inner_product, multi_indices_upto, project, synthesize,
+                                 tensor_rule)
 
 from conftest import ALPHA_MATRIX
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dunklosc.estimates import SCAN_KERNEL_CONFIG, pair_sample, reflection_distance
+from dunklosc.estimates import pair_sample, reflection_distance
 from dunklosc.heat import q_plus_minus, zeta_of_t
 from dunklosc.hermite import AlphaParams, ladder_coeff
 from dunklosc.quadrature import SpectralCoeffs, default_rule, multi_indices_upto
-from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure,
-                            apriori_identity_check, beta_weight, delta_psi,
+from dunklosc.riesz import (MAX_ZETA_POINTS, AnnularBump, IntervalBump, KernelConfig,
+                            SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
                             riesz_kernel_direct, riesz_kernel_gradient, riesz_multiplier,
@@ -238,6 +238,16 @@ class TestDeltaPsi:
             delta_psi(al, (0,), 0, 0.0, np.ones(1), np.ones(1), np.zeros(1))
 
 
+def test_zeta_points_limited_to_what_the_rule_builds():
+    # every node of the largest accepted rule lies strictly inside (0, 1);
+    # an odd count (one node would be lost) and twice the cap are refused
+    zeta, _ = zeta_grid(KernelConfig(zeta_points=MAX_ZETA_POINTS))
+    assert zeta.size == MAX_ZETA_POINTS and 0.0 < zeta.min() and zeta.max() < 1.0
+    for n in (97, 2 * MAX_ZETA_POINTS):
+        with pytest.raises(ValueError, match=f"zeta_points must be even and <= 1024, got {n}"):
+            KernelConfig(zeta_points=n)
+
+
 class TestKernelComponents:
     def test_atomic_case_two_point_sum(self):
         # alpha = -1/2, eps = 0: Pi is two atoms, so the s-"integral" is a
@@ -392,8 +402,8 @@ class TestKernelGradient:
         keep = reflection_distance(X, Y) >= 0.1
         X, Y = X[keep], Y[keep]
         for j in range(al.dim):
-            got = riesz_kernel_gradient(al, j, X, Y, SCAN_KERNEL_CONFIG)
-            ref = richardson_gradient(al, j, X, Y, SCAN_KERNEL_CONFIG)
+            got = riesz_kernel_gradient(al, j, X, Y, CFG_EXACT)
+            ref = richardson_gradient(al, j, X, Y, CFG_EXACT)
             gap = np.max(np.abs(got - ref), axis=1) / np.linalg.norm(ref, axis=1)
             assert np.max(gap) <= 1e-6
 
@@ -406,11 +416,11 @@ class TestKernelGradient:
         X, Y = pair_sample(1, 1000, seed=111)
         X, Y = X[297:298], Y[297:298]
         np.testing.assert_allclose([X[0, 0], Y[0, 0]], [1.33649855, -1.34842482], atol=5e-9)
-        got = riesz_kernel_gradient(al, 0, X, Y, SCAN_KERNEL_CONFIG)
+        got = riesz_kernel_gradient(al, 0, X, Y, CFG_EXACT)
         np.testing.assert_allclose(got[0], [-7.0893061, -7.6920708], atol=1e-7)
         norm = np.linalg.norm(got)
-        fine = fd_gradient(al, 0, X, Y, SCAN_KERNEL_CONFIG, 1e-6)
-        coarse = fd_gradient(al, 0, X, Y, SCAN_KERNEL_CONFIG, 1e-4)
+        fine = fd_gradient(al, 0, X, Y, CFG_EXACT, 1e-6)
+        coarse = fd_gradient(al, 0, X, Y, CFG_EXACT, 1e-4)
         assert np.max(np.abs(fine - got)) / norm <= 1e-7
         assert np.max(np.abs(coarse - got)) / norm >= 1e-5
 
@@ -429,8 +439,10 @@ class TestKernelGradient:
                 ys.append(y)
         X, Y = np.array(xs), np.array(ys)
         for j in range(al.dim):
-            exact = riesz_kernel_gradient(al, j, X, Y, KernelConfig(s_method="exact"))
-            jacobi = riesz_kernel_gradient(al, j, X, Y, KernelConfig(s_points_per_dim=96))
+            exact = riesz_kernel_gradient(al, j, X, Y,
+                                          KernelConfig(zeta_points=128, s_method="exact"))
+            jacobi = riesz_kernel_gradient(al, j, X, Y,
+                                           KernelConfig(zeta_points=128, s_points_per_dim=96))
             gap = np.max(np.abs(jacobi - exact), axis=1) / np.linalg.norm(exact, axis=1)
             assert np.max(gap) <= 1e-6
 
