@@ -6,7 +6,8 @@ seeded sample of pairs, reports the fitted constant, and checks it is
 stable when the kernel quadrature resolution is doubled.
 """
 
-from dunklosc import AlphaParams, KernelConfig, ap_power_weight, ball_measure, soni_scan
+from dunklosc import (AlphaParams, KernelConfig, ap_power_weight, ball_measure, ball_measure_qmc,
+                      soni_scan)
 from dunklosc.estimates import growth_scan, smoothness_scan
 
 al = AlphaParams((0.7,))
@@ -17,11 +18,11 @@ scan_cfg = KernelConfig(zeta_points=256, s_method="exact")
 # Ball measures of the weight w_alpha: closed form in d = 1, nested
 # one-dimensional quadrature in higher dimension, checked against the
 # scrambled-Sobol oracle.
-v, se = ball_measure(al, [0.5], 1.2)
+v = ball_measure(al, [0.5], 1.2)
 print("w_alpha(B(0.5, 1.2)) =", v, "(closed form)")
 al2 = AlphaParams((0.7, 0.0))
-v2, _ = ball_measure(al2, [0.5, -0.3], 1.2)
-mc, se2 = ball_measure(al2, [0.5, -0.3], 1.2, method="mc")
+v2 = ball_measure(al2, [0.5, -0.3], 1.2)
+mc, se2 = ball_measure_qmc(al2, [0.5, -0.3], 1.2, npoints=1 << 17, seed=7)
 print("w_alpha(B((0.5,-0.3), 1.2)) =", v2, "(nested quadrature)")
 print("                             ", mc, "+-", se2, "(scrambled Sobol)")
 

@@ -8,13 +8,16 @@ Subcommands (coordinates are 1-based on the command line):
   riesz-apply       apply R_j to expansion coefficients -> JSON
   riesz-kernel      Riesz kernel on a pair file (per-parity breakdown) -> CSV
   pairing-check     spectral vs double-integral dual pairing -> JSON
-  verify            run a named check suite from a config -> JSON, exit 1 on FAIL
+  verify            run a named check suite from a config -> JSON
   scan-growth       Calderon-Zygmund growth-estimate scan -> JSON (seeded)
   scan-smoothness   gradient-estimate scan -> JSON (seeded)
 
 Outputs are deterministic for fixed inputs and seeds (the verify report
 keeps wall times in a separate "timings" map).  CSV files start with a
 versioned header comment naming the columns.
+
+Every subcommand exits 0 on success, 1 when a check, scan or pairing
+fails, and 2 on bad input or config, after an "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -47,13 +50,6 @@ def _parse_tuple(text: str, kind=float) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
 
-def _alpha(ns) -> AlphaParams:
-    try:
-        return AlphaParams(ns.alpha)
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
-
-
 def _kernel_config(ns) -> KernelConfig:
     return KernelConfig(**{f.name: getattr(ns, f.name) for f in fields(KernelConfig)})
 
@@ -73,7 +69,7 @@ def _add_kernel_flags(p: argparse.ArgumentParser, s_method: bool = True):
 def _read_pairs(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if data.shape[1] != 2 * d:
-        raise SystemExit(f"error: pair file must have {2*d} columns (x1..x{d},y1..y{d})")
+        raise ValueError(f"pair file must have {2*d} columns (x1..x{d},y1..y{d})")
     return data[:, :d], data[:, d:]
 
 
@@ -93,7 +89,7 @@ def _load_coeffs(path: str) -> SpectralCoeffs:
     for key, val in doc["coeffs"].items():
         n = tuple(int(tok) for tok in key.split(","))
         if len(n) != alpha.dim:
-            raise SystemExit(f"error: coefficient index {key!r} does not match alpha dimension")
+            raise ValueError(f"coefficient index {key!r} does not match alpha dimension")
         coeffs[n] = float(val)
     return SpectralCoeffs(coeffs, alpha)
 
@@ -113,14 +109,14 @@ def _eps_label(eps) -> str:
 # --- subcommand implementations ---------------------------------------------
 
 def _cmd_hermite_eval(ns) -> int:
-    al = _alpha(ns)
+    al = AlphaParams(ns.alpha)
     n = MultiIndex(ns.n)
     if n.dim != al.dim:
-        raise SystemExit("error: --n and --alpha dimensions differ")
+        raise ValueError("--n and --alpha dimensions differ")
     if ns.points:
         pts = np.loadtxt(ns.points, delimiter=",", comments="#", ndmin=2)
         if pts.shape[1] != al.dim:
-            raise SystemExit(f"error: point file must have {al.dim} columns")
+            raise ValueError(f"point file must have {al.dim} columns")
     else:
         lo, hi, cnt = ns.grid
         axis = np.linspace(lo, hi, int(cnt))
@@ -138,7 +134,7 @@ def _cmd_hermite_eval(ns) -> int:
 
 
 def _cmd_heat_kernel(ns) -> int:
-    al = _alpha(ns)
+    al = AlphaParams(ns.alpha)
     d = al.dim
     X, Y = _read_pairs(ns.pairs, d)
     eps_list = all_parities(d)
@@ -148,7 +144,7 @@ def _cmd_heat_kernel(ns) -> int:
              ",".join(cols)]
     for t in ns.t:
         if t <= 0:
-            raise SystemExit("error: --t values must be positive")
+            raise ValueError("--t values must be positive")
         total = heat_kernel(al, t, X, Y)
         comps = [heat_kernel_component(al, e, t, X, Y) for e in eps_list]
         for p in range(X.shape[0]):
@@ -161,7 +157,7 @@ def _cmd_heat_kernel(ns) -> int:
 def _cmd_heat_apply(ns) -> int:
     c = _load_coeffs(ns.coeffs)
     if ns.t < 0:
-        raise SystemExit("error: --t must be >= 0")
+        raise ValueError("--t must be >= 0")
     _write(_dump_coeffs(heat_apply_spectral(c, ns.t)), ns.output)
     return 0
 
@@ -170,17 +166,17 @@ def _cmd_riesz_apply(ns) -> int:
     c = _load_coeffs(ns.coeffs)
     j = ns.j - 1
     if not 0 <= j < c.dim:
-        raise SystemExit(f"error: --j must be in 1..{c.dim}")
+        raise ValueError(f"--j must be in 1..{c.dim}")
     _write(_dump_coeffs(riesz_apply_spectral(c, j)), ns.output)
     return 0
 
 
 def _cmd_riesz_kernel(ns) -> int:
-    al = _alpha(ns)
+    al = AlphaParams(ns.alpha)
     d = al.dim
     j = ns.j - 1
     if not 0 <= j < d:
-        raise SystemExit(f"error: --j must be in 1..{d}")
+        raise ValueError(f"--j must be in 1..{d}")
     X, Y = _read_pairs(ns.pairs, d)
     cfg = _kernel_config(ns)
     comps = riesz_kernel_components(al, j, X, Y, cfg)
@@ -200,13 +196,13 @@ def _cmd_riesz_kernel(ns) -> int:
 
 
 def _cmd_pairing_check(ns) -> int:
-    al = _alpha(ns)
+    al = AlphaParams(ns.alpha)
     if al.dim != 1:
-        raise SystemExit("error: pairing-check is one-dimensional")
+        raise ValueError("pairing-check is one-dimensional")
     f = IntervalBump(*ns.f_support)
     g = IntervalBump(*ns.g_support)
     if f.overlaps(g):
-        raise SystemExit("error: bump supports overlap")
+        raise ValueError("bump supports overlap")
     rule = default_rule(al, ns.quad_points)
     cfg = _kernel_config(ns)
     resid, spectral, integral = dual_pairing_check(
@@ -225,12 +221,8 @@ def _cmd_pairing_check(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    try:
-        with open(ns.config) as fh:
-            cfg = parse_config(fh.read())
-    except (OSError, ValueError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    with open(ns.config) as fh:
+        cfg = parse_config(fh.read())
     status, report = run_suite(cfg, ns.suite)
     out = ns.output or cfg.output
     _write(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
@@ -241,15 +233,15 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_scan(ns, which: str) -> int:
-    al = _alpha(ns)
+    al = AlphaParams(ns.alpha)
     j = ns.j - 1
     if not 0 <= j < al.dim:
-        raise SystemExit(f"error: --j must be in 1..{al.dim}")
+        raise ValueError(f"--j must be in 1..{al.dim}")
     cfg = _kernel_config(ns)
     fn = growth_scan if which == "growth" else smoothness_scan
     rep = fn(al, j, n_pairs=ns.pairs, seed=ns.seed, cfg=cfg,
              positive_orthant=ns.positive_orthant)
-    doc = rep.to_dict()
+    doc = asdict(rep)
     doc["scan"] = which
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", ns.output)
     return 0 if rep.passed else 1
@@ -336,8 +328,6 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -14,7 +14,7 @@ are its test oracle.  Every report is reproducible bit-for-bit from its seed.
 Ball measures w_alpha(B(x, r)) are deterministic: a closed form in d = 1
 and, since w_alpha is a product over coordinates, a nested
 one-dimensional quadrature in d >= 2, batched over balls.  Scrambled-Sobol
-quasi-Monte Carlo stays as the independent ``method="mc"`` oracle.
+quasi-Monte Carlo (``ball_measure_qmc``) is their independent oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .special import bessel_i_scaled
 __all__ = [
     "ScanReport",
     "ball_measure",
+    "ball_measure_qmc",
     "pair_sample",
     "reflection_distance",
     "growth_scan",
@@ -50,7 +51,7 @@ DRIFT_TOL = 0.05  # a scan's largest relative change under the doubled quadratur
 BALL_NODES = 32
 BALL_GRADING = 3.0
 BALL_CHUNK = 1 << 18
-_BALL_T, _BALL_W = _graded_rule(BALL_NODES, BALL_GRADING)
+_BALL_T, _, _BALL_W = _graded_rule(BALL_NODES, BALL_GRADING)
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,6 @@ class ScanReport:
     seed: int
     passed: bool
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "argmax_pair": [list(self.argmax_pair[0]), list(self.argmax_pair[1])],
-            "sample_count": self.sample_count,
-            "refinement_drift": self.refinement_drift,
-            "seed": self.seed,
-            "passed": self.passed,
-            "extra": self.extra,
-        }
 
 
 def _antiderivative(a: float, v: np.ndarray, positive_orthant: bool) -> np.ndarray:
@@ -128,77 +118,74 @@ def _ball_quadrature(alpha: tuple[float, ...], X: np.ndarray, R: np.ndarray,
                        minlength=R.size)
 
 
-def ball_measure(alpha: AlphaParams, x, r, npoints: int = 1 << 17,
-                 seed: int = 7, positive_orthant: bool = False,
-                 method: str = "auto"):
-    """w_alpha(B(x, r)) and an error estimate.
+def _balls(alpha: AlphaParams, x, r) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Centres (P, d), radii (P,) and whether the call was for one ball."""
+    R = np.asarray(r, dtype=float)
+    scalar = R.ndim == 0
+    X = np.asarray(x, dtype=float)
+    X = X.reshape(1, -1) if scalar else X
+    R = R.reshape(-1)
+    if X.shape != (R.size, alpha.dim):
+        raise ValueError("center dimension mismatch")
+    if not np.all(R > 0):
+        raise ValueError("radius must be positive")
+    return X, R, scalar
+
+
+def ball_measure(alpha: AlphaParams, x, r, positive_orthant: bool = False):
+    """w_alpha(B(x, r)).
 
     d = 1 uses the closed-form antiderivative sgn(u) |u|^{2a+2}/(2a+2);
     d >= 2 nests one-dimensional integrals over the coordinates (see
     ``_ball_quadrature``), split at the integrand's kinks, with
     BALL_NODES graded Gauss-Legendre nodes per piece (relative error
-    below 1e-8 for alpha_i in [-1/2, 5/2]).  Both report error estimate 0.
-    ``method="mc"`` instead integrates the indicator by scrambled-Sobol
-    quasi-Monte Carlo over the bounding box (``npoints`` points, ``seed``)
-    with the standard error taken across 8 independently scrambled
-    replicates; it is the independent oracle for the other two.
+    below 1e-8 for alpha_i in [-1/2, 5/2]).  ``ball_measure_qmc`` is the
+    independent oracle for both.
 
     ``x`` of shape (P, d) with ``r`` of shape (P,) is a batch of balls,
-    and both results are then arrays of shape (P,); each entry equals the
+    and the result is then an array of shape (P,); each entry equals the
     single-ball call bit for bit.
 
     ``positive_orthant`` restricts to B^+ = B intersect R^d_+ with the
     restricted weight (the half-space variant used in the kernel-estimate
     reduction).
     """
-    if method not in ("auto", "mc"):
-        raise ValueError("method must be 'auto' or 'mc'")
-    d = alpha.dim
-    R = np.asarray(r, dtype=float)
-    scalar = R.ndim == 0
-    X = np.asarray(x, dtype=float)
-    X = X.reshape(1, -1) if scalar else X
-    R = R.reshape(-1)
-    if X.shape != (R.size, d):
-        raise ValueError("center dimension mismatch")
-    if not np.all(R > 0):
-        raise ValueError("radius must be positive")
-    if method == "mc":
-        vals, ses = zip(*[_ball_qmc(alpha, X[i], float(R[i]), npoints, seed, positive_orthant)
-                          for i in range(R.size)])
-        vals, ses = np.array(vals), np.array(ses)
-    else:
-        # Level k of the nesting has 2^k theta pieces.
-        per_ball = math.prod(BALL_NODES << k for k in range(2, d + 1))
-        step = max(BALL_CHUNK // per_ball, 1)
-        vals = np.concatenate([
-            _ball_quadrature(alpha.alpha, X[lo:lo + step], R[lo:lo + step], positive_orthant)
-            for lo in range(0, R.size, step)])
-        ses = np.zeros(R.size)
+    X, R, scalar = _balls(alpha, x, r)
+    # Level k of the nesting has 2^k theta pieces.
+    per_ball = math.prod(BALL_NODES << k for k in range(2, alpha.dim + 1))
+    step = max(BALL_CHUNK // per_ball, 1)
+    vals = np.concatenate([
+        _ball_quadrature(alpha.alpha, X[lo:lo + step], R[lo:lo + step], positive_orthant)
+        for lo in range(0, R.size, step)])
+    return float(vals[0]) if scalar else vals
+
+
+def ball_measure_qmc(alpha: AlphaParams, x, r, npoints: int, seed: int,
+                     positive_orthant: bool = False):
+    """w_alpha(B(x, r)) and its standard error by scrambled-Sobol
+    quasi-Monte Carlo: the weight times the indicator, averaged over
+    ``npoints`` points of the bounding box, with the standard error taken
+    across 8 independently scrambled replicates (seeds ``seed``,
+    ``seed`` + 1000, ...).  Balls and ``positive_orthant`` as in
+    ``ball_measure``, of which it is the independent oracle."""
+    from scipy.stats import qmc  # deferred: a heavy import only this oracle needs
+    X, R, scalar = _balls(alpha, x, r)
+    d, reps = alpha.dim, 8
+    ex = np.array(list(alpha))
+    means = np.empty((R.size, reps))
+    for k in range(reps):
+        u = qmc.Sobol(d=d, scramble=True, seed=seed + 1000 * k).random(max(npoints // reps, 1))
+        for i, (x, r) in enumerate(zip(X, R)):
+            pts = x + (2.0 * u - 1.0) * r
+            inside = np.sum((pts - x) ** 2, axis=1) < r * r
+            if positive_orthant:
+                inside &= np.all(pts > 0.0, axis=1)
+            vals = np.prod(np.abs(pts) ** (2.0 * ex + 1.0), axis=1) * inside
+            means[i, k] = np.mean(vals) * (2.0 * r) ** d
+    vals, ses = np.mean(means, axis=1), np.std(means, axis=1, ddof=1) / math.sqrt(reps)
     if scalar:
         return float(vals[0]), float(ses[0])
     return vals, ses
-
-
-def _ball_qmc(alpha: AlphaParams, x: np.ndarray, r: float, npoints: int, seed: int,
-              positive_orthant: bool) -> tuple[float, float]:
-    from scipy.stats import qmc  # deferred: a heavy import only this oracle needs
-    d = alpha.dim
-    reps = 8
-    n_rep = max(npoints // reps, 1)
-    means = []
-    ex = np.array(list(alpha))
-    for k in range(reps):
-        sob = qmc.Sobol(d=d, scramble=True, seed=seed + 1000 * k)
-        u = sob.random(n_rep)
-        pts = x + (2.0 * u - 1.0) * r
-        inside = np.sum((pts - x) ** 2, axis=1) < r * r
-        if positive_orthant:
-            inside &= np.all(pts > 0.0, axis=1)
-        vals = np.prod(np.abs(pts) ** (2.0 * ex + 1.0), axis=1) * inside
-        means.append(np.mean(vals) * (2.0 * r) ** d)
-    means = np.array(means)
-    return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(reps))
 
 
 def pair_sample(d: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,14 +218,13 @@ def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: 
     PASS requires every value finite and the max stable (<= DRIFT_TOL)
     under a doubled-resolution rerun of the kernel quadrature.
     """
-    fine = cfg.doubled()  # a resolution it cannot double is refused before any work
     X, Y = pair_sample(alpha.dim, n_pairs, seed)
     dist = np.linalg.norm(X - Y, axis=1)
-    balls, _ = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
+    balls = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
     ratios = per_pair(X, Y, dist, cfg) * balls
     finite = bool(np.all(np.isfinite(ratios)))
     imax = int(np.argmax(ratios))
-    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, fine) * balls))
+    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, cfg.doubled()) * balls))
     drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
     return ScanReport(
         max_ratio=m1,

@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 NEAR_DIAGONAL = 1e-3
-MAX_ZETA_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ class KernelConfig:
     are those of a ``verify`` config.
 
     ``zeta_points`` is even, as the zeta rule has zeta_points // 2 nodes on
-    each half of (0, 1), and at most MAX_ZETA_POINTS: at twice that (grading
-    3), the node next to 1 rounds to 1.0.
+    each half of (0, 1).
 
     ``s_method`` selects the s-integration, one coordinate at a time:
     "gauss-jacobi" is the rule matched to the (1-s^2)^{nu-1/2} density;
@@ -128,9 +126,8 @@ class KernelConfig:
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if self.zeta_points % 2 or self.zeta_points > MAX_ZETA_POINTS:
-            raise ValueError(f"zeta_points must be even and <= {MAX_ZETA_POINTS}, "
-                             f"got {self.zeta_points}")
+        if self.zeta_points % 2:
+            raise ValueError(f"zeta_points must be even, got {self.zeta_points}")
         if not 1.0 <= self.zeta_grading < math.inf:
             raise ValueError("zeta_grading must be finite and >= 1")
         if self.s_method not in ("gauss-jacobi", "exact"):
@@ -138,31 +135,34 @@ class KernelConfig:
 
     def doubled(self) -> "KernelConfig":
         """Twice the zeta and s points: a scan's refinement rerun."""
-        if 2 * self.zeta_points > MAX_ZETA_POINTS:
-            raise ValueError(f"zeta_points must be <= {MAX_ZETA_POINTS // 2} to be doubled, "
-                             f"got {self.zeta_points}")
         return replace(self, zeta_points=2 * self.zeta_points,
                        s_points_per_dim=2 * self.s_points_per_dim)
 
 
-def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray]:
+def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes on (0,1), npoints // 2 per half,
     clustered at both endpoints by the power map v -> v^g on each half;
-    returns (nodes, weights) including the Jacobian of the map."""
+    returns (nodes, complements 1 - node, weights), the weights including
+    the Jacobian of the map.  The right half's complements are 0.5 v^g
+    exactly, so they stay positive where the node itself rounds to 1.0."""
     v, wv = leggauss(npoints // 2)
     v = 0.5 * (v + 1.0)
     wv = 0.5 * wv
     left = 0.5 * v**g
     wl = 0.5 * g * v ** (g - 1.0) * wv
-    right = 1.0 - 0.5 * v**g
-    nodes = np.concatenate([left, right[::-1]])
+    nodes = np.concatenate([left, (1.0 - left)[::-1]])
+    complements = np.concatenate([1.0 - left, left[::-1]])
     weights = np.concatenate([wl, wl[::-1]])
-    return nodes, weights
+    return nodes, complements, weights
 
 
-def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The graded zeta rule on (0,1) of a KernelConfig: (nodes, weights)."""
-    return _graded_rule(cfg.zeta_points, cfg.zeta_grading)
+def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graded zeta rule on (0,1) of a KernelConfig: (nodes, 1 - nodes, weights)."""
+    nodes, complements, weights = _graded_rule(cfg.zeta_points, cfg.zeta_grading)
+    if nodes[0] == 0.0:  # also the last complement
+        raise ValueError(f"zeta_grading {cfg.zeta_grading} is too steep for zeta_points "
+                         f"{cfg.zeta_points}: the node next to 0 underflows to 0")
+    return nodes, complements, weights
 
 
 def riesz_multiplier(n, alpha: AlphaParams, j: int) -> float:
@@ -287,8 +287,9 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
         F_j^0 = A_0 m(a_j, 0) + B_0 m(a_j, 1),
         F_j^1 = w_j (A_0 m(a_j+1, 0) + B_0 m(a_j+1, 1)) + (2a_j+2) y_j h m(a_j+1, 0),
 
-    with A_0 = x_j (1 - 1/(2 zeta) - zeta/2) and B_0 = -y_j h, all under
-    one exponent.  The sum over eps is therefore
+    with A_0 = -x_j (1 - zeta)^2/(2 zeta) and B_0 = -y_j h, all under
+    one exponent.  Every factor that vanishes at zeta = 1 is built from the
+    rule's complement 1 - zeta, not from the rounded node.  The sum over eps is therefore
     prod_{i != j} (m(a_i, 0) + w_i m(a_i+1, 0)) (F_j^0 + F_j^1): on the
     exact route 2d+1 Bessel arrays per (pair, zeta) instead of (d+1) 2^d.
 
@@ -302,14 +303,17 @@ def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
     measures = None if cfg.s_method == "exact" else {
         nu: SchlafliMeasure.from_nu(nu, cfg.s_points_per_dim)
         for nu in {alpha[i] + e for i in range(d) for e in parities[i]}}
-    zeta, zw = zeta_grid(cfg)
+    zeta, comp, zw = zeta_grid(cfg)
     s_nodes = 1 if measures is None else cfg.s_points_per_dim
     chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes * (2 if grad else 1)))
-    h = (1.0 - zeta * zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
+    h = comp * (1.0 + zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
     log_pow = (d + alpha.abs_sum) * np.log(h)
-    zfac = zw * beta_weight(d, -d, zeta)  # its h^{d+|alpha|} is in log_pow
+    # beta_weight(d, -d, zeta) (its h^{d+|alpha|} is in log_pow), with
+    # log((1+zeta)/(1-zeta)) = 2t as log1p(2 zeta/(1-zeta))
+    zfac = zw * (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi))
+                 / (comp * (1.0 + zeta) * np.sqrt(np.log1p(2.0 * zeta / comp))))
     coef = 1.0 / (4.0 * zeta) + zeta / 4.0
-    a0c = 1.0 - 1.0 / (2.0 * zeta) - zeta / 2.0
+    a0c = -comp * comp / (2.0 * zeta)
     out = np.empty((X.shape[0], 2 * d) if grad else X.shape[0])
     for lo in range(0, X.shape[0], chunk):
         Xc = X[lo:lo + chunk]

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .estimates import (DRIFT_TOL, ap_power_weight, ball_measure, growth_scan,
-                        reflection_distance, smoothness_scan, soni_scan)
+from .estimates import (DRIFT_TOL, ap_power_weight, ball_measure, ball_measure_qmc,
+                        growth_scan, reflection_distance, smoothness_scan, soni_scan)
 from .heat import heat_apply_kernel, heat_kernel, heat_kernel_column, heat_kernel_series
 from .hermite import (AlphaParams, MultiIndex, delta_hermite, delta_star_hermite,
                       eigenvalue, hermite_fn, hermite_fn_all_1d, ladder_coeff)
@@ -424,7 +424,7 @@ def _check_scans(cfg: RunConfig):
 def _check_ball(cfg: RunConfig):
     al = cfg.alpha_params
     if al.dim == 1:
-        v, _ = ball_measure(al, [0.3], 0.9)
+        v = ball_measure(al, [0.3], 0.9)
         a = al[0]
         p = 2 * a + 2
         F = lambda u: math.copysign(abs(u) ** p, u) / p
@@ -438,8 +438,8 @@ def _check_ball(cfg: RunConfig):
     # values.
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(-1, 1, size=al.dim)
-    v, _ = ball_measure(al, x, 0.9)
-    v_mc, se_mc = ball_measure(al, x, 0.9, npoints=1 << 18, seed=cfg.seed + 9, method="mc")
+    v = ball_measure(al, x, 0.9)
+    v_mc, se_mc = ball_measure_qmc(al, x, 0.9, npoints=1 << 18, seed=cfg.seed + 9)
     resid = abs(v - v_mc)
     tol = 5.408 * se_mc
     return _record("ball_measure", resid <= tol, tol, resid, seed=cfg.seed)

@@ -81,10 +81,18 @@ class TestParseConfig:
         assert parse_config(json.dumps(doc)).kernel == kcfg
 
     def test_zeta_points_the_rule_cannot_build_refused(self):
-        # 97 would integrate 96 nodes; at 2048 and more a node rounds to 1.0
-        for n in (97, 4096):
-            with pytest.raises(ValueError, match=f"kernel: zeta_points .*got {n}"):
-                parse_config(f'{{"alpha": [0.0], "kernel": {{"zeta_points": {n}}}}}')
+        # 97 would integrate 96 nodes; 4096 builds, as each node carries 1 - zeta
+        with pytest.raises(ValueError, match="kernel: zeta_points must be even, got 97"):
+            parse_config('{"alpha": [0.0], "kernel": {"zeta_points": 97}}')
+        cfg = parse_config('{"alpha": [0.0], "kernel": {"zeta_points": 4096}}')
+        assert cfg.kernel == KernelConfig(zeta_points=4096)
+
+    def test_readme_config_is_the_defaults(self):
+        # the README shows its verify config as "the documented defaults"
+        readme = (SRC.parent / "README.md").read_text()
+        block = readme.split("A config for `verify` looks like")[1]
+        block = block.split("```json")[1].split("```")[0]
+        assert parse_config(block) == parse_config('{"alpha": [0.0]}')
 
     def test_unknown_field_path(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -233,9 +241,12 @@ class TestSubcommands:
             assert _kernel_config(parser.parse_args(argv)) == expect
 
     def test_scan_refuses_a_resolution_it_cannot_double(self, capsys):
-        # the refinement rerun would need 2048 zeta points
-        assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=1024"]) == 2
-        assert "zeta_points must be <= 512 to be doubled, got 1024" in capsys.readouterr().err
+        # an odd count is refused; 1024 runs, and its rerun at 2048 zeta points
+        assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=97"]) == 2
+        assert "zeta_points must be even, got 97" in capsys.readouterr().err
+        assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=1024",
+                     "--pairs", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_scan_growth_json(self):
         rc, out, err = run_cli("scan-growth", "--alpha=0.0", "--j=1",
@@ -285,6 +296,26 @@ class TestSubcommands:
         rec = {c["name"]: c for c in json.loads(outfile.read_text())["checks"]}
         rec = rec["riesz_route_agreement"]
         assert not rec["passed"] and math.isnan(rec["residual"]) and rec["refused_j"] == [0]
+
+    @pytest.mark.parametrize("argv", [
+        "riesz-apply --j=2 --coeffs={dir}/c.json",
+        "riesz-kernel --alpha=0 --j=2 --pairs={dir}/pairs.csv",
+        "pairing-check --alpha=0 --j=2 --max-degree=8 --quad-points=16",
+        "scan-growth --alpha=0,0 --j=5 --seed=1",
+        "scan-smoothness --alpha=0 --j=0 --seed=1",
+        "heat-kernel --alpha=0 --t=0.3,0 --pairs={dir}/pairs.csv",
+        "heat-apply --t=-1 --coeffs={dir}/c.json",
+        "heat-kernel --alpha=0,0 --t=0.3 --pairs={dir}/pairs.csv",
+        "riesz-kernel --alpha=0,0 --j=1 --pairs={dir}/pairs.csv",
+        "pairing-check --alpha=0 --f-support=0.4,2 --g-support=1,3",
+        "pairing-check --alpha=0,0",
+        "hermite-eval --alpha=0 --n=1,1 --grid=-1,1,3",
+        "scan-growth --alpha=-0.7 --seed=1",
+    ])
+    def test_bad_input_exits_2(self, argv, workdir, capsys):
+        # exit 1 is kept for a check, scan or pairing that fails
+        assert main(argv.format(dir=workdir).split()) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_pairing_check_small(self, workdir):
         rc, out, err = run_cli("pairing-check", "--alpha=0.0", "--j=1",

@@ -9,7 +9,7 @@ from dunklosc.estimates import pair_sample, reflection_distance
 from dunklosc.heat import q_plus_minus, zeta_of_t
 from dunklosc.hermite import AlphaParams, ladder_coeff
 from dunklosc.quadrature import SpectralCoeffs, default_rule, multi_indices_upto
-from dunklosc.riesz import (MAX_ZETA_POINTS, AnnularBump, IntervalBump, KernelConfig,
+from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig,
                             SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
@@ -239,13 +239,28 @@ class TestDeltaPsi:
 
 
 def test_zeta_points_limited_to_what_the_rule_builds():
-    # every node of the largest accepted rule lies strictly inside (0, 1);
-    # an odd count (one node would be lost) and twice the cap are refused
-    zeta, _ = zeta_grid(KernelConfig(zeta_points=MAX_ZETA_POINTS))
-    assert zeta.size == MAX_ZETA_POINTS and 0.0 < zeta.min() and zeta.max() < 1.0
-    for n in (97, 2 * MAX_ZETA_POINTS):
-        with pytest.raises(ValueError, match=f"zeta_points must be even and <= 1024, got {n}"):
-            KernelConfig(zeta_points=n)
+    # an odd count is refused (one node would be lost), as is a grading so
+    # steep that a node underflows to 0.  Past 1024 nodes, or at grading 4
+    # and more, the node next to 1 rounds to 1.0; its complement, which
+    # every factor vanishing at zeta = 1 is built from, stays positive, so
+    # the kernel stays finite and agrees with the 1024-node rule.
+    with pytest.raises(ValueError, match="zeta_points must be even, got 97"):
+        KernelConfig(zeta_points=97)
+    with pytest.raises(ValueError, match="node next to 0 underflows"):
+        zeta_grid(KernelConfig(zeta_points=256, zeta_grading=100.0))
+    al = AlphaParams((-0.5, 0.7))
+    X, Y = pair_sample(2, 200, 11)
+    ref = riesz_kernel(al, 1, X, Y, KernelConfig(zeta_points=1024, s_method="exact"))
+    for n, g in [(2048, 3.0), (4096, 3.0), (256, 4.0), (128, 5.0)]:
+        cfg = KernelConfig(zeta_points=n, zeta_grading=g, s_method="exact")
+        zeta, comp, _ = zeta_grid(cfg)
+        assert zeta.size == comp.size == n
+        assert 0.0 < zeta.min() and zeta.max() <= 1.0 and 0.0 < comp.min() and comp.max() <= 1.0
+        assert np.all(np.abs(zeta + comp - 1.0) <= 1.2e-16)
+        vals = riesz_kernel(al, 1, X, Y, cfg)
+        assert np.all(np.isfinite(vals))
+        if g == 3.0:
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestKernelComponents:
@@ -255,7 +270,7 @@ class TestKernelComponents:
         al = AlphaParams((-0.5,))
         x = np.array([1.2]); y = np.array([0.4])
         got = riesz_kernel_components(al, 0, x, y, CFG)[(0,)]
-        zeta, zw = zeta_grid(CFG)
+        zeta, _, zw = zeta_grid(CFG)
         acc = 0.0
         for s_atom in (-1.0, 1.0):
             s = np.array([s_atom])
@@ -303,7 +318,7 @@ class TestKernelComponents:
         # beta_weight, summed over the zeta rule, for every parity and j
         al = AlphaParams(alpha)
         cfg = KernelConfig(zeta_points=32, s_points_per_dim=10)
-        zeta, zw = zeta_grid(cfg)
+        zeta, _, zw = zeta_grid(cfg)
         rng = np.random.default_rng(29)
         xs, ys = [], []
         while len(xs) < 3:
@@ -627,7 +642,7 @@ class TestMLemma:
         # be stable across independent sample sets
         d, lam, b, c = 1, 0.7, 1.0, 0.25
         cfg = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=8)
-        zeta, zw = zeta_grid(cfg)
+        zeta, _, zw = zeta_grid(cfg)
         bw = beta_weight(d, lam, zeta) * zeta ** (-b - 0.5) * zw
 
         def fitted_constant(seed):
