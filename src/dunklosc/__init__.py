@@ -9,8 +9,7 @@ from .polydunkl import (Polynomial, dunkl_T, dunkl_laplacian, exp_neg_lap_quarte
                         fischer_product, fund_identity_check, monomial, verify_eldwa)
 from .heat import (heat_apply_kernel, heat_apply_spectral, heat_kernel,
                    heat_kernel_column, heat_kernel_component, heat_kernel_series,
-                   heat_kernel_zeta, maximal_empirical, q_plus_minus, t_of_zeta,
-                   zeta_of_t)
+                   heat_kernel_zeta, maximal_empirical, q_plus_minus)
 from .riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure, apriori_identity_check,
                     beta_weight, delta_psi, dual_pairing_check, riesz_adjoint_spectral,
                     riesz_apply_spectral, riesz_kernel, riesz_kernel_components,

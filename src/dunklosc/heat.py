@@ -13,26 +13,27 @@ global exponent assembled once:
 
     exp( -coth(2t) (|x|^2+|y|^2)/2 + sum_i |z_i| ) <= 1,
 
-so the evaluation cannot overflow for small t or large arguments.  On a
-tensor rule a kernel column is an outer product of 1-d columns, d n pairs
-instead of n^d.  The parity components G^{alpha,eps} (eps in {0,1}^d) and
-the (zeta, s) integrand shared with the Riesz kernels live here as well.
+so the evaluation cannot overflow for small t or large arguments.  Where
+z_i < 0 the bracket's two Bessel terms cancel, and it is summed instead as
+a confluent hypergeometric series of positive terms.  On a tensor rule a
+kernel column is an outer product of 1-d columns, d n pairs instead of
+n^d.  The parity components G^{alpha,eps} (eps in {0,1}^d) and the
+(zeta, s) integrand shared with the Riesz kernels live here as well.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .hermite import AlphaParams, hermite_fn_all_1d
 from .quadrature import QuadratureRule, SpectralCoeffs, _evaluate
-from .special import bessel_ratio_scaled
+from .special import _horner, bessel_ratio_scaled
 
 __all__ = [
-    "t_of_zeta",
-    "zeta_of_t",
     "q_plus_minus",
     "heat_apply_spectral",
     "heat_kernel",
@@ -45,20 +46,6 @@ __all__ = [
     "maximal_empirical",
     "all_parities",
 ]
-
-
-def t_of_zeta(zeta: float) -> float:
-    """t = (1/2) log((1+zeta)/(1-zeta)) for zeta in (0,1)."""
-    if not 0.0 < zeta < 1.0:
-        raise ValueError(f"zeta must lie in (0,1), got {zeta}")
-    return math.atanh(zeta)
-
-
-def zeta_of_t(t: float) -> float:
-    """Inverse map zeta = tanh t for t > 0."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    return math.tanh(t)
 
 
 def q_plus_minus(x, y, s):
@@ -74,11 +61,8 @@ def q_plus_minus(x, y, s):
 
 
 def all_parities(d: int) -> list[tuple[int, ...]]:
-    """The 2^d parity vectors eps in {0,1}^d."""
-    out = [()]
-    for _ in range(d):
-        out = [e + (b,) for e in out for b in (0, 1)]
-    return sorted(out)
+    """The 2^d parity vectors eps in {0,1}^d, in lexicographic order."""
+    return list(itertools.product((0, 1), repeat=d))
 
 
 def _prepare_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -92,42 +76,84 @@ def _prepare_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bo
     return X, Y, scalar
 
 
-def _kernel_prelude(alpha: AlphaParams, t: float, X: np.ndarray, Y: np.ndarray):
-    """b = 1/sinh 2t, c = coth 2t, z_i = x_i y_i b and the global exponent
-    -c (|x|^2+|y|^2)/2 + sum_i |z_i| - d log 2 - (d+|alpha|) log sinh 2t,
-    shared by every closed-form kernel on (P, d) stacks."""
-    if t <= 0:
+def _kernel_prelude(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray):
+    """b = 1/sinh 2t, z_i = x_i y_i b and the global exponent
+    -coth(2t) (|x|^2+|y|^2)/2 + sum_i |z_i| - d log 2 - (d+|alpha|) log sinh 2t
+    on (P, d) stacks; an array of t adds a leading axis.  The exponent is
+    formed as -tanh(t) (|x|^2+|y|^2)/2 - b sum_i (|x_i| - |y_i|)^2/2 and
+    b = 2e^{-2t}/(1 - e^{-4t}) with expm1, so nothing cancels or rounds away."""
+    t = np.asarray(t, dtype=float)[..., None]
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
-    # log sinh 2t and coth 2t, stable for both tiny and large t.
-    if t > 10.0:
-        e = math.exp(-4.0 * t)
-        ls = 2.0 * t - math.log(2.0) + math.log1p(-e)
-        c = 1.0 + 2.0 * e / (1.0 - e)
-    else:
-        ls = math.log(math.sinh(2.0 * t))
-        c = math.cosh(2.0 * t) / math.sinh(2.0 * t)
-    b = math.exp(-ls)
-    z = X * Y * b
-    expo = (-0.5 * c * (np.sum(X * X, axis=1) + np.sum(Y * Y, axis=1)) + np.sum(np.abs(z), axis=1)
-            - alpha.dim * math.log(2.0) - (alpha.dim + alpha.abs_sum) * ls)
-    return b, c, z, expo
+    one_m_e4 = -np.expm1(-4.0 * t)
+    b = 2.0 * np.exp(-2.0 * t) / one_m_e4
+    z = X * Y * b[..., None]
+    expo = (-0.5 * np.tanh(t) * (np.sum(X * X, axis=1) + np.sum(Y * Y, axis=1))
+            - 0.5 * b * np.sum((np.abs(X) - np.abs(Y)) ** 2, axis=1) - alpha.dim * math.log(2.0)
+            - (alpha.dim + alpha.abs_sum) * (2.0 * t - math.log(2.0) + np.log(one_m_e4)))
+    return b, z, expo
+
+
+def _kummer_scaled(k: float, x: np.ndarray) -> np.ndarray:
+    """e^{-x} M(k, 2k+1, x) for k, x >= 0: the series sum_n (k)_n/(2k+1)_n
+    x^n/n! of positive terms (DLMF 13.2.2), summed as in ``special``, up to
+    x = max(50, 2(k+2)^2) (at most 600), beyond it the large-argument
+    expansion Gamma(2k+1)/Gamma(k) x^{-k-1} sum_s (k+1)_s (1-k)_s/s! x^{-s}
+    (DLMF 13.7.2), optimally truncated, and e^{-x} at k = 0."""
+    if k == 0.0:
+        return np.exp(-x)
+    small = x <= min(max(50.0, 2.0 * (k + 2.0) ** 2), 600.0)
+    xs, xl, out = x[small], x[~small], np.empty(x.shape)
+    if xs.size:
+        x_max = float(xs.max())
+        scale = math.ldexp(1.0, math.frexp(x_max)[1] - 1)
+        t, total, coefs = 1.0, 1.0, [1.0]
+        while t > 1e-18 * total:
+            n = len(coefs)
+            r = (k + n - 1) / ((2.0 * k + n) * n)
+            t *= r * x_max
+            total += t
+            coefs.append(coefs[-1] * r * scale)
+        out[small] = np.exp(-xs) * _horner(coefs, xs * (1.0 / scale))
+    if xl.size:
+        x_min, t, coefs = float(xl.min()), 1.0, [1.0]
+        while abs(t) > 1e-18:
+            s = len(coefs)
+            step = (k + s) * (s - k) / s
+            if abs(step) >= x_min:  # the next term would not decrease
+                break
+            t *= step / x_min
+            coefs.append(coefs[-1] * step)
+        out[~small] = (math.exp(math.lgamma(2.0 * k + 1.0) - math.lgamma(k)) * xl ** (-k - 1.0)
+                       * _horner(coefs, 1.0 / xl))
+    return out
 
 
 def _parity_sum(a: float, z: np.ndarray) -> np.ndarray:
-    """rho_a(z) + z rho_{a+1}(z) (scaled), one coordinate's factor summed
-    over both parities.  For z < 0 it cancels down to e^{-2|z|}, below the
-    rounding noise; it is positive by Soni's inequality, so clamp at zero."""
-    return np.maximum(bessel_ratio_scaled(a, z) + z * bessel_ratio_scaled(a + 1.0, z), 0.0)
+    """rho_a(z) + z rho_{a+1}(z), scaled by e^{-|z|}: one coordinate's factor
+    summed over both parities.  Its two terms cancel for z < 0, where with
+    k = a + 1/2 it is e^{-2|z|} M(k, 2k+1, 2|z|)/(Gamma(a+1) 2^a), the
+    rank-one Dunkl kernel E_k(z) = e^z M(k, 2k+1, -2z) after Kummer's
+    transformation (DLMF 13.2.39)."""
+    out, neg = np.empty(z.shape), z < 0.0
+    zp = z[~neg]
+    out[~neg] = bessel_ratio_scaled(a, zp) + zp * bessel_ratio_scaled(a + 1.0, zp)
+    out[neg] = (math.exp(-math.lgamma(a + 1.0) - a * math.log(2.0))
+                * _kummer_scaled(a + 0.5, -2.0 * z[neg]))
+    return out
+
+
+def _heat_values(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray):
+    """(G_t(x, y), 1/sinh 2t) on (P, d) stacks; an array of t adds a leading axis."""
+    b, z, expo = _kernel_prelude(alpha, t, X, Y)
+    return np.exp(expo) * np.prod([_parity_sum(a, z[..., i]) for i, a in enumerate(alpha)],
+                                  axis=0), b
 
 
 def heat_kernel(alpha: AlphaParams, t: float, x, y):
     """G_t^alpha(x, y); accepts single points or (P, d) stacks."""
     X, Y, scalar = _prepare_pairs(alpha, x, y)
-    _, _, z, expo = _kernel_prelude(alpha, t, X, Y)
-    factor = np.ones(X.shape[0])
-    for i, a in enumerate(alpha):
-        factor *= _parity_sum(a, z[:, i])
-    out = np.exp(expo) * factor
+    out = _heat_values(alpha, t, X, Y)[0]
     return float(out[0]) if scalar else out
 
 
@@ -142,22 +168,15 @@ def heat_kernel_column(t: float, x, rule: QuadratureRule) -> np.ndarray:
     return functools.reduce(np.multiply.outer, cols).ravel()
 
 
-def _check_parity(alpha: AlphaParams, eps) -> tuple[int, ...]:
+def heat_kernel_component(alpha: AlphaParams, eps, t: float, x, y):
+    """Parity component G_t^{alpha,eps}(x, y)."""
     eps = tuple(int(e) for e in eps)
     if len(eps) != alpha.dim or any(e not in (0, 1) for e in eps):
         raise ValueError("eps must be a vector over {0,1} of matching dimension")
-    return eps
-
-
-def heat_kernel_component(alpha: AlphaParams, eps, t: float, x, y):
-    """Parity component G_t^{alpha,eps}(x, y)."""
-    eps = _check_parity(alpha, eps)
     X, Y, scalar = _prepare_pairs(alpha, x, y)
-    _, _, z, expo = _kernel_prelude(alpha, t, X, Y)
-    factor = np.ones(X.shape[0])
-    for i, a in enumerate(alpha):
-        factor *= z[:, i] ** eps[i] * bessel_ratio_scaled(a + eps[i], z[:, i])
-    out = np.exp(expo) * factor
+    _, z, expo = _kernel_prelude(alpha, t, X, Y)
+    out = np.exp(expo) * np.prod([z[:, i] ** e * bessel_ratio_scaled(a + e, z[:, i])
+                                  for i, (a, e) in enumerate(zip(alpha, eps))], axis=0)
     return float(out[0]) if scalar else out
 
 

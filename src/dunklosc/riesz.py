@@ -14,9 +14,9 @@ Three independent realizations:
   over coordinates instead of a sum over parities, and its gradient in
   (x, y) is the same quadrature differentiated analytically in one pass
   (central differences of the kernel are the test oracle);
-* a direct t-integral of the differentiated heat kernel, the independent
-  oracle for the quadrature route: one adaptive integral over a batch of
-  pairs, each scaled to its own size, that raises if it does not converge.
+* a direct t-integral of delta_j G_t = ((1 - coth 2t) x_j + y_j/sinh 2t) G_t,
+  the independent oracle for the quadrature route: a trapezoid rule in log t
+  over a batch of pairs, refined until each pair converges, else it raises.
 
 Both kernel routes refuse near-diagonal arguments (|x - y| < 1e-3); the
 values there would be dominated by quadrature error.  The parity
@@ -38,8 +38,7 @@ from scipy.special import roots_jacobi
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
 from .quadrature import QuadratureRule, SpectralCoeffs, project
 from .special import bessel_ratio_scaled, log_gamma
-from .heat import (_kernel_prelude, _parity_sum, _prepare_pairs, all_parities, psi_zeta,
-                   t_of_zeta, zeta_of_t)
+from .heat import _heat_values, _prepare_pairs, all_parities, psi_zeta
 
 __all__ = [
     "SchlafliMeasure",
@@ -384,35 +383,16 @@ def riesz_kernel(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
     return float(vals[0]) if scalar else vals
 
 
-def _delta_heat(alpha: AlphaParams, j: int, t: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """delta_{j,x} G_t^alpha(x,y) on (P, d) stacks, analytically from the
-    closed form.
-
-    With z_i = x_i y_i / sinh 2t, b = 1/sinh 2t, c = coth 2t and
-    rho_nu = I_nu(z)/z^nu (evaluated scaled), the j-th factor of the
-    product kernel differentiates to
-
-        (1-c) x rho_a + b^2 x y^2 rho_{a+1}
-        + b ((1-c) x^2 + 2a + 2) y rho_{a+1} + b^3 x^2 y^3 rho_{a+2},
-
-    all under the shared global exponent.
-    """
-    b, c, z, expo = _kernel_prelude(alpha, t, X, Y)
-    prod_rest = np.ones(X.shape[0])
-    for i, a in enumerate(alpha):
-        if i == j:
-            continue
-        prod_rest *= _parity_sum(a, z[:, i])
-    a = alpha[j]
-    xj, yj, zj = X[:, j], Y[:, j], z[:, j]
-    r0 = bessel_ratio_scaled(a, zj)
-    r1 = bessel_ratio_scaled(a + 1.0, zj)
-    r2 = bessel_ratio_scaled(a + 2.0, zj)
-    dj = ((1.0 - c) * xj * r0
-          + b * b * xj * yj * yj * r1
-          + b * ((1.0 - c) * xj * xj + 2.0 * a + 2.0) * yj * r1
-          + b**3 * xj * xj * yj**3 * r2)
-    return np.exp(expo) * prod_rest * dj
+def _delta_heat(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """delta_{j,x} G_t(x, y) for each t of the array ``t`` (rows) and each
+    pair of the (P, d) stacks (columns).  delta_j = T_j + x_j, and the Dunkl
+    operator takes the kernel E_k(b x y) in G_t to b y_j E_k(b x y), so
+    delta_j G_t = ((1 - coth 2t) x_j + y_j/sinh 2t) G_t = (y_j - e^{-2t} x_j) b G_t,
+    with y_j - e^{-2t} x_j from expm1 where e^{-2t} is near 1."""
+    G, b = _heat_values(alpha, t, X, Y)
+    t, xj, yj = t[:, None], X[:, j], Y[:, j]
+    return G * b * np.where(t < 0.35, (yj - xj) - np.expm1(-2.0 * t) * xj,
+                            yj - np.exp(-2.0 * t) * xj)
 
 
 def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -> np.ndarray:
@@ -428,35 +408,36 @@ def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y):
     """Oracle route: pi^{-1/2} int_0^inf delta_j G_t(x,y) t^{-1/2} dt,
     for a point pair (a float) or a (P, d) stack of pairs (an array).
 
-    Split at t = 1: the singular end runs through the zeta substitution
-    t = atanh(zeta), the tail (where the integrand decays like
-    e^{-t (2|alpha| + 2d + 2)}) directly in t.  Each piece is one adaptive
-    ``quad_vec`` integral over the whole batch, with max-norm error control
-    at relative tolerance 1e-10 per pair: each pair's integrand is divided
-    by its size, a 24-point Gauss-Legendre sum of |integrand| over the zeta
-    piece.  An integral that does not converge raises RuntimeError, naming
-    the batch.
-    """
-    from scipy.integrate import quad_vec  # deferred: a heavy import only this oracle needs
+    A trapezoid rule in u = log t on t in [s^2/400, 40], s^2 the batch's
+    smallest squared orbit distance (x_i - y_i for |x_i| - |y_i| where
+    a_i = -1/2) floored at 1e-12, converges exponentially: the integrand
+    decays double-exponentially at both ends (Trefethen and Weideman 2014).
+    The step is halved, each level evaluating every pair at every new node
+    in one call, until each pair's sum moves by at most 1e-10 of its own
+    h sum |f|.  RuntimeError, naming the batch, if it has not converged
+    after 10 halvings or its integrand does not vanish at the ends."""
     X, Y, scalar = _check_pairs(alpha, x, y)
-
-    f_t = lambda t: _delta_heat(alpha, j, t, X, Y) / math.sqrt(t)
-    f_zeta = lambda zeta: f_t(t_of_zeta(zeta)) / (1.0 - zeta * zeta)
-    z1 = zeta_of_t(1.0)
-    u, wu = leggauss(24)
-    scale = sum(0.5 * z1 * wk * np.abs(f_zeta(0.5 * z1 * (uk + 1.0))) for uk, wk in zip(u, wu))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    total = np.zeros(X.shape[0])
-    for f, lo, hi in ((f_zeta, 0.0, z1), (f_t, 1.0, 30.0)):
-        v, _, info = quad_vec(lambda s: f(s) / scale, lo, hi, epsrel=1e-10, norm="max",
-                              limit=200, full_output=True)
-        if info.status != 0:
-            raise RuntimeError(f"direct t-integral did not converge on ({lo:.6g}, {hi:.6g}) "
-                               f"({info.message}) for alpha = {alpha.alpha}, j = {j} and the "
-                               f"{X.shape[0]} pairs x = {X.tolist()}, y = {Y.tolist()}")
-        total += v
-    vals = total * scale / math.sqrt(math.pi)
-    return float(vals[0]) if scalar else vals
+    gap = np.where(np.array(alpha.alpha) > -0.5, np.abs(X) - np.abs(Y), X - Y)
+    t_lo = min(max(float(np.min(np.sum(gap * gap, axis=1))) / 400.0, 1e-12), 1.0)
+    n = math.ceil(math.log(40.0 / t_lo))  # the first step is at most 1
+    u, h = np.linspace(math.log(t_lo), math.log(40.0), n + 1, retstep=True)
+    f = lambda u: _delta_heat(alpha, j, np.exp(u), X, Y) * np.exp(0.5 * u)[:, None]
+    vals = f(u)
+    total = vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1])
+    size = np.abs(vals).sum(axis=0)
+    why = "its integrand does not vanish at the ends"
+    if np.all(np.maximum(np.abs(vals[0]), np.abs(vals[-1])) <= 1e-10 * h * size):
+        why = "10 halvings of the step"
+        for _ in range(10):
+            new = f(u[0] + h * (np.arange(n) + 0.5))
+            old, total, size = h * total, total + new.sum(axis=0), size + np.abs(new).sum(axis=0)
+            n, h = 2 * n, 0.5 * h
+            if np.all(np.abs(h * total - old) <= 1e-10 * h * size):
+                vals = h * total / math.sqrt(math.pi)
+                return float(vals[0]) if scalar else vals
+    raise RuntimeError(f"direct t-integral did not converge on t in ({t_lo:.6g}, 40) ({why}) "
+                       f"for alpha = {alpha.alpha}, j = {j} and the {X.shape[0]} pairs "
+                       f"x = {X.tolist()}, y = {Y.tolist()}")
 
 
 def _bump_profile(r: np.ndarray, lo: float, hi: float, amplitude: float) -> np.ndarray:

@@ -1,12 +1,14 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from dunklosc.heat import (all_parities, heat_apply_kernel, heat_apply_spectral,
+from dunklosc.heat import (_parity_sum, all_parities, heat_apply_kernel, heat_apply_spectral,
                            heat_kernel, heat_kernel_column, heat_kernel_component,
                            heat_kernel_series, heat_kernel_zeta, maximal_empirical,
-                           q_plus_minus, t_of_zeta, zeta_of_t)
+                           q_plus_minus)
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn
 from dunklosc.quadrature import SpectralCoeffs, default_rule, gauss_rule_1d, tensor_rule
 from dunklosc.riesz import SchlafliMeasure
@@ -21,29 +23,27 @@ def mehler(t, x, y):
         -(x * x + y * y) * math.cosh(2 * t) / (2 * s2) + x * y / s2)
 
 
-class TestChangeOfVariable:
-    def test_value(self):
-        assert t_of_zeta(0.5) == pytest.approx(0.5 * math.log(3.0), rel=1e-15)
+class TestParitySum:
+    def test_matches_mpmath(self):
+        # e^{-|z|}(rho_a(z) + z rho_{a+1}(z)) at 30 digits from the Bessel
+        # definition (tests/make_mpmath_references.py); for z < 0 its two
+        # terms cancel to e^{-2|z|}, which the old difference turned into noise
+        refs = json.loads(pathlib.Path(__file__).with_name("mpmath_references.json").read_text())
+        rows = refs["parity_sum"]
+        for a in sorted({r[0] for r in rows}):
+            z = np.array([r[1] for r in rows if r[0] == a])
+            ref = np.array([float(r[2]) for r in rows if r[0] == a])
+            got = _parity_sum(a, z)
+            normal = np.abs(ref) >= np.finfo(float).tiny
+            assert np.sum(normal) >= 45
+            assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 1e-13
+            assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
 
-    def test_round_trip(self):
-        for t in (1e-3, 0.3, 2.0):
-            assert t_of_zeta(zeta_of_t(t)) == pytest.approx(t, abs=1e-14)
-        for z in (1e-4, 0.2, 0.9):
-            assert zeta_of_t(t_of_zeta(z)) == pytest.approx(z, abs=1e-14)
-        # conditioning of tanh degrades like e^{2t} eps at large t
-        assert t_of_zeta(zeta_of_t(8.0)) == pytest.approx(8.0, abs=1e-8)
-
-    def test_monotone_to_zero(self):
-        zs = np.geomspace(1e-6, 0.9, 20)
-        ts = [t_of_zeta(float(z)) for z in zs]
-        assert all(t2 > t1 > 0 for t1, t2 in zip(ts, ts[1:]))
-
-    def test_boundaries_rejected(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                t_of_zeta(bad)
-        with pytest.raises(ValueError):
-            zeta_of_t(0.0)
+    def test_atomic_case_is_exact(self):
+        # a = -1/2: the factor is sqrt(2/pi) for z >= 0 and sqrt(2/pi) e^{-2|z|} below
+        z = np.concatenate([-np.geomspace(1e-3, 300.0, 40), np.geomspace(1e-3, 1e3, 40)])
+        want = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * np.maximum(-z, 0.0))
+        np.testing.assert_allclose(_parity_sum(-0.5, z), want, rtol=1e-14)
 
 
 class TestQPlusMinus:
@@ -183,7 +183,7 @@ class TestZetaForm:
             W = np.outer(measures[0].weights, measures[1].weights).ravel()
             svec = np.stack([S1.ravel(), S2.ravel()], axis=-1)
             t = 0.45
-            zeta = zeta_of_t(t)
+            zeta = math.tanh(t)
             x = np.array([0.8, 1.1])
             y = np.array([0.5, 2.0])
             integrand = heat_kernel_zeta(al, eps, zeta, x, y, svec)

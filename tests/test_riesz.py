@@ -1,23 +1,32 @@
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from dunklosc.estimates import pair_sample, reflection_distance
-from dunklosc.heat import q_plus_minus, zeta_of_t
-from dunklosc.hermite import AlphaParams, ladder_coeff
+from dunklosc.heat import heat_kernel, q_plus_minus
+from dunklosc.hermite import AlphaParams, MultiIndex, delta_hermite, hermite_fn, ladder_coeff
 from dunklosc.quadrature import SpectralCoeffs, default_rule, multi_indices_upto
 from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig,
                             SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
                             riesz_kernel_direct, riesz_kernel_gradient, riesz_multiplier,
-                            star_identity_check, zeta_grid)
+                            star_identity_check, zeta_grid, _delta_heat)
+from dunklosc.suite import RunConfig, _check_route_agreement
 from dunklosc.special import bessel_ratio
 
 from conftest import fd_gradient, richardson_gradient
+
+MPMATH = json.loads(pathlib.Path(__file__).with_name("mpmath_references.json").read_text())
+# delta_j G_t against its spectral series truncated at |n| <= 44, which
+# leaves e^{-90 t} times a power of the degree: 2.2e-11 of the envelope at
+# t = 0.3, rounding (7e-16) at t = 1 and 3
+SERIES_TOL = {0.3: 1e-10, 1.0: 1e-12, 3.0: 1e-12}
 
 CFG = KernelConfig(zeta_points=192, zeta_grading=3.0, s_points_per_dim=48)
 CFG_EXACT = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=48,
@@ -523,14 +532,11 @@ class TestKernelRoutes:
 
     def test_direct_integrand_absolutely_integrable(self):
         # int |delta_j G_t| t^{-1/2} dt converges at sampled (x, y)
-        from dunklosc.riesz import _delta_heat
-        from dunklosc.heat import t_of_zeta
         al = AlphaParams((0.7,))
         x = np.array([[0.9]]); y = np.array([[1.8]])
-        f = lambda z: abs(_delta_heat(al, 0, t_of_zeta(z), x, y)[0]) / math.sqrt(t_of_zeta(z)) / (1 - z * z)
-        v1, _ = quad(f, 0, zeta_of_t(1.0), limit=200)
-        f2 = lambda t: abs(_delta_heat(al, 0, t, x, y)[0]) / math.sqrt(t)
-        v2, _ = quad(f2, 1.0, 30.0, limit=200)
+        f = lambda t: abs(_delta_heat(al, 0, np.array([t]), x, y)[0, 0]) / math.sqrt(t)
+        v1, _ = quad(f, 0.0, 1.0, limit=200)
+        v2, _ = quad(f, 1.0, 30.0, limit=200)
         assert math.isfinite(v1 + v2) and v1 + v2 > 0
 
 
@@ -556,8 +562,8 @@ def _mixed_magnitude_batch(al: AlphaParams, seed: int = 5):
 class TestDirectOracle:
     @pytest.mark.parametrize("alpha", [(1.3,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
     def test_batch_matches_batches_of_one(self, alpha):
-        # the per-pair scale keeps every pair of a mixed batch at its own
-        # relative accuracy under quad_vec's max-norm error control
+        # the per-pair convergence test keeps every pair of a mixed batch at
+        # its own relative accuracy
         al = AlphaParams(alpha)
         X, Y = _mixed_magnitude_batch(al)
         for j in range(al.dim):
@@ -585,14 +591,99 @@ class TestDirectOracle:
         with pytest.raises(ValueError):
             riesz_kernel_direct(al, 0, X, Y)
 
-    @pytest.mark.parametrize("j", [0, 1])
-    def test_unconverged_integral_raises(self, j):
-        # 0.024 from a reflected diagonal the parity factors cancel, and the
-        # integrand is rounding noise that adaptive quadrature cannot settle
-        al = AlphaParams((0.0, -0.5, 1.3))
-        x, y = np.array([1.0, 2.5, 0.5]), np.array([1.02, -2.49, 0.49])
-        with pytest.raises(RuntimeError, match="did not converge"):
-            riesz_kernel_direct(al, j, x, y)
+    @pytest.mark.parametrize("case", range(len(MPMATH["riesz"])))
+    def test_matches_mpmath(self, case):
+        # the pair 0.024 from a reflected diagonal, where the parity factors
+        # used to cancel and this route refused, and pairs at |x - y| = 1e-3
+        alpha, j, x, y, ref = MPMATH["riesz"][case]
+        got = riesz_kernel_direct(AlphaParams(tuple(alpha)), j, np.array(x), np.array(y))
+        assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
+
+    def test_noise_integrand_raises(self, monkeypatch):
+        # noise that vanishes at the ends of the range, which no step size
+        # settles, is refused after the last halving, naming the batch
+        rng = np.random.default_rng(0)
+        noise = lambda alpha, j, t, X, Y: (rng.normal(size=(t.size, X.shape[0]))
+                                           * np.exp(-np.log(t) ** 4)[:, None])
+        monkeypatch.setattr("dunklosc.riesz._delta_heat", noise)
+        al = AlphaParams((-0.5, 0.7))
+        X, Y = _mixed_magnitude_batch(al)
+        with pytest.raises(RuntimeError, match=r"did not converge .*\(10 halvings of the step\) "
+                                               r"for alpha = \(-0\.5, 0\.7\), j = 1 and the 6 "
+                                               r"pairs x = \[\["):
+            riesz_kernel_direct(al, 1, X, Y)
+
+    @pytest.mark.parametrize("alpha,x,y", [((0.7,), [1.0], [-1.0]),
+                                           ((0.0, 0.7), [1.0, 0.5], [1.0, -0.5])])
+    def test_reflected_diagonal_refused(self, alpha, x, y):
+        # on a reflected diagonal of a coordinate with a_i > -1/2 the
+        # integrand does not decay as t -> 0: refused, not truncated
+        with pytest.raises(RuntimeError, match="integrand does not vanish at the ends"):
+            riesz_kernel_direct(AlphaParams(alpha), 0, np.array(x), np.array(y))
+
+    @pytest.mark.parametrize("seed", [1359186057, 1906206968])
+    def test_route_agreement_where_the_oracle_refused(self, seed):
+        # the two documented-default configs at alpha = (-1/2, 0.7) whose
+        # direct batch at j = 0 (pairs with x_1 y_1 < 0) did not converge
+        rec = _check_route_agreement(RunConfig((-0.5, 0.7), seed=seed))
+        assert rec["passed"] and "refused_j" not in rec
+        assert rec["residual"] <= 1e-4
+
+    @pytest.mark.parametrize("alpha,x,u", [
+        ((0.0,), [1.1], [1.0]),
+        ((-0.5, 0.7), [0.9, -1.3], [0.6, 0.8]),
+        ((0.0, -0.5, 1.3), [1.2, -0.7, 0.9], [2 / 3, -1 / 3, 2 / 3]),
+    ])
+    def test_near_diagonal_matches_exact_s(self, alpha, x, u):
+        # |x - y| = 1e-3, 2e-3, 1e-2 (the first just above NEAR_DIAGONAL):
+        # the direct route converges and agrees with exact-s on 4096 zeta
+        # nodes; at 1e-3 most of the gap is the zeta-rule's (the direct
+        # route matches mpmath there, test_matches_mpmath)
+        al = AlphaParams(alpha)
+        r = np.array([1e-3 * (1 + 1e-9), 2e-3, 1e-2])
+        X = np.tile(x, (3, 1))
+        Y = X + r[:, None] * np.array(u)
+        ref = KernelConfig(zeta_points=4096, s_method="exact")
+        for j in range(al.dim):
+            direct = riesz_kernel_direct(al, j, X, Y)
+            exact = riesz_kernel(al, j, X, Y, ref)
+            assert np.all(np.abs(direct - exact) <= 2e-9 * np.abs(exact))
+
+
+class TestDeltaHeat:
+    @pytest.mark.parametrize("case", range(len(MPMATH["delta_heat"])))
+    def test_matches_mpmath(self, case):
+        # (T_j + x_j) G_t from the definition at 50 digits, t = 0.01, 0.3, 12:
+        # pairs with x_i y_i < 0 on an alpha_i = -1/2 coordinate (where the
+        # old parity factor was clamped rounding noise at t = 0.01), and
+        # t = 12, where the old 1 - coth 2t rounded to 0
+        alpha, j, t, x, y, ref = MPMATH["delta_heat"][case]
+        got = _delta_heat(AlphaParams(tuple(alpha)), j, np.array([t]), np.array([x]),
+                          np.array([y]))[0, 0]
+        ref = float(ref)
+        assert abs(ref) >= np.finfo(float).tiny
+        assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [(0.0,), (1.3,), (-0.5, 0.7)])
+    def test_matches_spectral_series(self, alpha):
+        # sum_{|n| <= 44} e^{-t lambda_n} (delta_j h_n)(x) h_n(y), with
+        # delta_j h_n from the Laguerre derivative (not the ladder relation),
+        # relative to the envelope ((coth 2t - 1)|x_j| + |y_j|/sinh 2t) G_t(|x|, |y|)
+        al = AlphaParams(alpha)
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-2.0, 2.0, size=(8, al.dim))
+        Y = rng.uniform(-2.0, 2.0, size=(8, al.dim))
+        idx = multi_indices_upto(al.dim, 44)
+        hy = np.array([hermite_fn(MultiIndex(n), al, Y) for n in idx])
+        lam = np.array([2.0 * sum(n) + 2.0 * al.abs_sum + 2.0 * al.dim for n in idx])
+        for j in range(al.dim):
+            dhx = np.array([delta_hermite(MultiIndex(n), al, j, X) for n in idx])
+            for t in (0.3, 1.0, 3.0):
+                series = np.exp(-t * lam) @ (dhx * hy)
+                closed = _delta_heat(al, j, np.array([t]), X, Y)[0]
+                scal = 2 * np.abs(X[:, j]) / math.expm1(4 * t) + np.abs(Y[:, j]) / math.sinh(2 * t)
+                env = scal * heat_kernel(al, t, np.abs(X), np.abs(Y))
+                assert np.max(np.abs(series - closed) / env) <= SERIES_TOL[t]
 
 
 class TestMLemma:
