@@ -14,6 +14,9 @@ for all products of generalized Hermite functions up to the exactness
 degree).  Moment certificates are therefore phrased for the test
 functions |x|^k e^{-x^2}, whose exact integrals are
 Gamma((k + 2a + 2)/2).
+
+Both Gauss rules of the package, this one and ``riesz.SchlafliMeasure``,
+come from ``_gauss_nodes_logweights`` (Golub-Welsch, on numpy alone).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .hermite import AlphaParams, hermite_fn_all_1d
 from .special import log_gamma
@@ -67,41 +69,33 @@ class QuadratureRule:
         return len(self.axes)
 
 
-def _laguerre_nodes_logweights(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight u^a e^{-u} on (0, inf).
+def _gauss_nodes_logweights(diag: np.ndarray, off: np.ndarray,
+                            log_mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the measure with Jacobi matrix (``diag``, ``off``) and
+    mass e^{log_mass} (Golub and Welsch 1969, Math. Comp. 23): the nodes,
+    ascending, and the logs of the weights 1 / sum_{k<m} p_k(x_i)^2.
 
-    Returns the nodes u_i and the logs of the compensated weights
-    e^{u_i} lambda_i.  The nodes are the eigenvalues of the Jacobi matrix
-    (diag 2k+a+1, off-diagonal sqrt(k (k+a))).  The weights come from the
-    Christoffel function, not from eigenvectors:
-
-        e^{u_i} lambda_i = 1 / sum_{k<m} (p_k(u_i) e^{-u_i/2})^2,
-
-    with p_k orthonormal for u^a e^{-u}, so p_k(u) e^{-u/2} = h_{2k}^a(sqrt u).
-    The squared first eigenvector component would carry only absolute
-    accuracy (~1e-16), which the e^{u} factor turns into garbage at the
-    tail nodes.  The sum is relative-accurate at every node; it runs the
-    recurrence of ``hermite_fn_all_1d`` with a running log-scale, since
-    e^{-u/2} underflows for u > ~1490 and p_k(u) overflows there.
+    The nodes are the eigenvalues of the dense Jacobi matrix.  The weights
+    come from the orthonormal recurrence, not from eigenvectors, whose
+    squared first components are only absolutely accurate (~1e-16); the
+    sum of squares is relative-accurate at every node.  A running
+    log-scale keeps p_k finite at the far nodes of a wide rule.
     """
-    k = np.arange(m)
-    diag = 2.0 * k + a + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + a))
-    u = eigh_tridiagonal(diag, off, eigvals_only=True)
-    # The true p_j(u) e^{-u/2} is p * e^{logscale}; every step rescales so
-    # that the stored partial sum of squares over k <= j is 1.
-    logscale = -0.5 * u - 0.5 * log_gamma(a + 1.0)
+    m = diag.size
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    b = np.concatenate([[0.0], off])
+    # The true p_j(x) is p * e^{logscale}; every step rescales so that the
+    # stored partial sum of squares over k <= j is 1.
+    logscale = np.full(m, -0.5 * log_mass)
     p_prev = np.zeros(m)
     p = np.ones(m)
     for j in range(1, m):
-        c1 = (2 * (j - 1) + a + 1 - u) / math.sqrt(j * (j + a))
-        c2 = math.sqrt((j - 1) * (j - 1 + a) / (j * (j + a)))
-        p_prev, p = p, -c1 * p - c2 * p_prev
+        p_prev, p = p, ((x - diag[j - 1]) * p - b[j - 1] * p_prev) / b[j]
         r = np.hypot(1.0, p)
         p_prev /= r
         p /= r
         logscale += np.log(r)
-    return u, -2.0 * logscale
+    return x, -2.0 * logscale
 
 
 def gauss_rule_1d(alpha_j: float, npoints: int) -> Rule1D:
@@ -110,7 +104,7 @@ def gauss_rule_1d(alpha_j: float, npoints: int) -> Rule1D:
 
     ``npoints`` counts nodes per half-axis; the stored weights include
     the e^{+x^2} factor.  They are the inverse Christoffel function of
-    the Laguerre rule (see ``_laguerre_nodes_logweights``), formed in
+    the Laguerre rule (see ``_gauss_nodes_logweights``), formed in
     log space, so every weight is finite up to ``MAX_POINTS`` and even
     moments of |x|^k e^{-x^2} are reproduced to about 1e-13 relative.
     """
@@ -120,10 +114,14 @@ def gauss_rule_1d(alpha_j: float, npoints: int) -> Rule1D:
         raise ValueError(f"npoints > {MAX_POINTS} rejected: orthogonal-polynomial recursion unstable")
     if alpha_j < -0.5:
         raise ValueError("alpha_j must be >= -1/2")
-    u, logw = _laguerre_nodes_logweights(npoints, alpha_j)
+    # The rule for u^a e^{-u}, u = x^2, has mass Gamma(a+1); the e^{u}
+    # compensation goes in log space, as e^{-u/2} underflows for u > ~1490.
+    k = np.arange(npoints)
+    u, logw = _gauss_nodes_logweights(2.0 * k + alpha_j + 1.0,
+                                      np.sqrt(k[1:] * (k[1:] + alpha_j)), log_gamma(alpha_j + 1.0))
     x = np.sqrt(u)
     # Halve the mass and mirror to -x.
-    w_half = 0.5 * np.exp(logw)
+    w_half = 0.5 * np.exp(logw + u)
     nodes = np.concatenate([-x[::-1], x])
     weights = np.concatenate([w_half[::-1], w_half])
     return Rule1D(alpha_j=float(alpha_j), nodes=nodes, weights=weights,

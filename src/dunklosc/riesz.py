@@ -33,10 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
-from .quadrature import QuadratureRule, SpectralCoeffs, project
+from .quadrature import QuadratureRule, SpectralCoeffs, _gauss_nodes_logweights, project
 from .special import bessel_ratio_scaled, log_gamma
 from .heat import _heat_values, _prepare_pairs, all_parities, psi_zeta
 
@@ -69,9 +68,11 @@ class SchlafliMeasure:
     """Discretization of the measure Pi_nu in the Poisson-type formula
     I_nu(z) = z^nu int_{-1}^1 e^{-z s} Pi_nu(ds).
 
-    For nu > -1/2 the nodes are Gauss-Jacobi points absorbing the density
-    (1-s^2)^{nu-1/2} / (sqrt(pi) 2^nu Gamma(nu+1/2)); for nu = -1/2
-    exactly two atoms at -+1, each of mass 1/sqrt(2 pi).
+    For nu > -1/2 the Gauss-Jacobi rule of the density
+    (1-s^2)^{nu-1/2} / (sqrt(pi) 2^nu Gamma(nu+1/2)), of mass
+    1/(2^nu Gamma(nu+1)), from the Gegenbauer recurrence (off-diagonal
+    sqrt(k (k+2l) / (4 (k+l)^2 - 1)), l = nu - 1/2) by the helper of
+    ``quadrature``; for nu = -1/2 two atoms at -+1 of mass 1/sqrt(2 pi).
     """
 
     nu: float
@@ -87,9 +88,14 @@ class SchlafliMeasure:
             c = 1.0 / math.sqrt(2.0 * math.pi)
             return cls(nu=nu, kind="atomic",
                        nodes=np.array([-1.0, 1.0]), weights=np.array([c, c]))
-        s, w = roots_jacobi(npoints, nu - 0.5, nu - 0.5)
-        w = w * math.exp(-0.5 * math.log(math.pi) - nu * math.log(2.0) - log_gamma(nu + 0.5))
-        return cls(nu=nu, kind="density", nodes=s, weights=w)
+        lam = nu - 0.5
+        k = np.arange(1.0, npoints)
+        with np.errstate(invalid="ignore"):  # 0/0 at k = 1, l = -1/2; the limit is 1/2
+            off2 = np.where(k + 2.0 * lam == 0.0, 0.5,
+                            k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0))
+        s, logw = _gauss_nodes_logweights(np.zeros(npoints), np.sqrt(off2),
+                                          -nu * math.log(2.0) - log_gamma(nu + 1.0))
+        return cls(nu=nu, kind="density", nodes=s, weights=np.exp(logw))
 
     def laplace(self, z: float) -> float:
         """int e^{-z s} Pi_nu(ds); equals I_nu(z)/z^nu for every z."""
@@ -129,6 +135,9 @@ class KernelConfig:
             raise ValueError(f"zeta_points must be even, got {self.zeta_points}")
         if not 1.0 <= self.zeta_grading < math.inf:
             raise ValueError("zeta_grading must be finite and >= 1")
+        if _graded_rule(self.zeta_points, self.zeta_grading)[0][0] == 0.0:
+            raise ValueError(f"zeta_grading {self.zeta_grading} is too steep for zeta_points "
+                             f"{self.zeta_points}: the node next to 0 underflows to 0")
         if self.s_method not in ("gauss-jacobi", "exact"):
             raise ValueError("s_method must be 'gauss-jacobi' or 'exact'")
 
@@ -138,12 +147,14 @@ class KernelConfig:
                        s_points_per_dim=2 * self.s_points_per_dim)
 
 
+@functools.cache
 def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes on (0,1), npoints // 2 per half,
     clustered at both endpoints by the power map v -> v^g on each half;
     returns (nodes, complements 1 - node, weights), the weights including
     the Jacobian of the map.  The right half's complements are 0.5 v^g
-    exactly, so they stay positive where the node itself rounds to 1.0."""
+    exactly, so they stay positive where the node itself rounds to 1.0.
+    Cached per (npoints, g), so the arrays are read-only."""
     v, wv = leggauss(npoints // 2)
     v = 0.5 * (v + 1.0)
     wv = 0.5 * wv
@@ -152,16 +163,14 @@ def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray, np.nda
     nodes = np.concatenate([left, (1.0 - left)[::-1]])
     complements = np.concatenate([1.0 - left, left[::-1]])
     weights = np.concatenate([wl, wl[::-1]])
+    for a in (nodes, complements, weights):
+        a.flags.writeable = False
     return nodes, complements, weights
 
 
 def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The graded zeta rule on (0,1) of a KernelConfig: (nodes, 1 - nodes, weights)."""
-    nodes, complements, weights = _graded_rule(cfg.zeta_points, cfg.zeta_grading)
-    if nodes[0] == 0.0:  # also the last complement
-        raise ValueError(f"zeta_grading {cfg.zeta_grading} is too steep for zeta_points "
-                         f"{cfg.zeta_points}: the node next to 0 underflows to 0")
-    return nodes, complements, weights
+    return _graded_rule(cfg.zeta_points, cfg.zeta_grading)
 
 
 def riesz_multiplier(n, alpha: AlphaParams, j: int) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "log_gamma",
@@ -153,8 +152,10 @@ def bessel_i_scaled(nu: float, z):
     # (z/2)^nu e^{-z} as one exponential: at nu = -1/2 and 1/2 the two
     # values must round alike where their true gap 2e^{-2z} is below
     # double resolution (Soni's inequality I_{nu+1} <= I_nu).
-    return _by_regime(nu, z, lambda a: np.exp(xlogy(nu, 0.5 * a) - a) * _series(nu, a),
-                      lambda a: _asymptotic(nu, a))
+    # nu log(z/2) is 0 at nu = 0, also at z = 0, and -+inf at z = 0 otherwise.
+    with np.errstate(divide="ignore"):
+        return _by_regime(nu, z, lambda a: np.exp((nu * np.log(0.5 * a) if nu else 0.0) - a)
+                          * _series(nu, a), lambda a: _asymptotic(nu, a))
 
 
 def bessel_ratio_scaled(nu: float, z):

@@ -30,15 +30,38 @@ def run_cli(*args, cwd=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_defers_oracle_modules():
-    # Only the QMC ball-measure oracle and the direct Riesz oracle need
-    # these heavy modules; the CLI must start without them.
-    code = ("import sys, dunklosc.cli; "
-            "print([m for m in ('scipy.stats.qmc', 'scipy.integrate') if m in sys.modules])")
+    # Only the QMC ball-measure oracle needs scipy; the CLI must start without it.
+    code = f"import sys, dunklosc.cli; print({SCIPY_LOADED})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    "scan-growth --alpha=0,-0.5,1.3 --seed=3 --pairs=2",
+    "scan-smoothness --alpha=-0.5,0.7 --seed=3 --pairs=4",
+    "riesz-kernel --alpha=-0.5,0.7 --j=1 --pairs={dir}/pairs.csv --s-method=gauss-jacobi",
+    "riesz-kernel --alpha=-0.5,0.7 --j=2 --pairs={dir}/pairs.csv --s-method=exact",
+    "heat-kernel --alpha=-0.5,0.7 --t=0.3,2 --pairs={dir}/pairs.csv",
+    "verify --config={dir}/cfg.json --suite=all",
+])
+def test_default_paths_load_no_scipy(argv, tmp_path):
+    # Each command runs through cli.main in a fresh interpreter; at d = 1
+    # verify's ball-measure check uses the closed form, not the QMC oracle.
+    (tmp_path / "pairs.csv").write_text("0.5,1.0,0.2,-0.3\n-1.2,0.4,0.9,2.0\n")
+    (tmp_path / "cfg.json").write_text('{"alpha": [0.0]}')
+    code = (f"import sys; from dunklosc.cli import main; "
+            f"rc = main(sys.argv[1:]); print(rc, {SCIPY_LOADED})")
+    argv = argv.format(dir=tmp_path).split() + ["-o", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []", proc.stderr
 
 
 class TestParseConfig:
@@ -86,6 +109,11 @@ class TestParseConfig:
             parse_config('{"alpha": [0.0], "kernel": {"zeta_points": 97}}')
         cfg = parse_config('{"alpha": [0.0], "kernel": {"zeta_points": 4096}}')
         assert cfg.kernel == KernelConfig(zeta_points=4096)
+
+    def test_too_steep_grading_refused(self):
+        with pytest.raises(ValueError, match="kernel: zeta_grading 100.0 is too steep for "
+                                             "zeta_points 256: the node next to 0 underflows"):
+            parse_config('{"alpha": [0.0], "kernel": {"zeta_points": 256, "zeta_grading": 100}}')
 
     def test_readme_config_is_the_defaults(self):
         # the README shows its verify config as "the documented defaults"
@@ -247,6 +275,18 @@ class TestSubcommands:
         assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=1024",
                      "--pairs", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_too_steep_grading_refused_before_any_work(self, workdir, capsys):
+        # the config is refused when it is read: no check runs, no report is written
+        cfgfile, outfile = workdir / "cfg.json", workdir / "report.json"
+        cfgfile.write_text('{"alpha": [0.0], "kernel": {"zeta_points": 256, "zeta_grading": 100.0}}')
+        assert main(["verify", "--config", str(cfgfile), "-o", str(outfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config error at kernel: zeta_grading 100.0 is too steep")
+        assert "PASS" not in err and "FAIL" not in err and not outfile.exists()
+        assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=256",
+                     "--zeta-grading=100"]) == 2
+        assert capsys.readouterr().err.startswith("error: zeta_grading 100.0 is too steep")
 
     def test_scan_growth_json(self):
         rc, out, err = run_cli("scan-growth", "--alpha=0.0", "--j=1",

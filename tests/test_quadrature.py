@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dunklosc.heat import heat_apply_kernel
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn, hermite_fn_all_1d
@@ -78,6 +79,17 @@ class TestRule1d:
         r = gauss_rule_1d(0.3, 17)
         np.testing.assert_allclose(r.nodes, -r.nodes[::-1])
         np.testing.assert_allclose(r.weights, r.weights[::-1])
+
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.3])
+    def test_nodes_match_tridiagonal_eigensolver(self, a):
+        # the dense eigensolver on the Laguerre Jacobi matrix against
+        # LAPACK's tridiagonal one, to a few ulps of each node x = sqrt(u)
+        for m in (12, 80, MAX_POINTS):
+            k = np.arange(m)
+            ref = np.sqrt(eigh_tridiagonal(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
+                                           eigvals_only=True))
+            x = gauss_rule_1d(a, m).nodes[m:]
+            assert np.all(np.abs(x - ref) <= 4 * np.spacing(ref)), m
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

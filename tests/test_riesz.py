@@ -3,9 +3,11 @@ import json
 import math
 import pathlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from dunklosc.estimates import pair_sample, reflection_distance
 from dunklosc.heat import heat_kernel, q_plus_minus
@@ -127,6 +129,26 @@ class TestSchlafli:
         for nu in (-0.5, 0.0, 1.3):
             m = SchlafliMeasure.from_nu(nu, 24)
             assert m.laplace(0.0) == pytest.approx(1.0 / (2**nu * math.gamma(nu + 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2, 0.7, 1.2, 3.0, 5.0])
+    @pytest.mark.parametrize("n", [8, 48, 96, 256])
+    def test_gegenbauer_rule_against_closed_forms(self, nu, n):
+        # Every even moment the rule integrates exactly, against
+        # B(k + 1/2, nu + 1/2) / (sqrt(pi) 2^nu Gamma(nu + 1/2)) at 30 digits.
+        # The bound is about 2n ulps for the n-term sum plus 2k times the
+        # node bound below, since a node error delta moves s^{2k} by up to
+        # 2k delta relative.  Measured: at most 0.64 of it (nu = 0.2,
+        # n = 256); scipy's rule misses the same moments by up to 6e-11.
+        m = SchlafliMeasure.from_nu(nu, n)
+        assert m.kind == "density" and np.all(m.weights > 0)
+        ref_nodes, _ = roots_jacobi(n, nu - 0.5, nu - 0.5)
+        assert np.max(np.abs(m.nodes - ref_nodes)) <= 2e-15
+        with mp.workdps(30):
+            scale = mp.sqrt(mp.pi) * mp.mpf(2) ** nu * mp.gamma(mp.mpf(nu) + 0.5)
+            for k in range(n):
+                exact = mp.beta(k + mp.mpf(0.5), mp.mpf(nu) + 0.5) / scale
+                got = float(np.sum(m.weights * m.nodes ** (2 * k)))
+                assert abs(got / exact - 1) <= n * 4e-16 + 2 * k * 2e-15, k
 
 
 class TestBetaWeight:
@@ -255,8 +277,10 @@ def test_zeta_points_limited_to_what_the_rule_builds():
     # the kernel stays finite and agrees with the 1024-node rule.
     with pytest.raises(ValueError, match="zeta_points must be even, got 97"):
         KernelConfig(zeta_points=97)
-    with pytest.raises(ValueError, match="node next to 0 underflows"):
-        zeta_grid(KernelConfig(zeta_points=256, zeta_grading=100.0))
+    for n, g in [(256, 100.0), (4096, 60.0)]:
+        with pytest.raises(ValueError, match=f"zeta_grading {g} is too steep for zeta_points "
+                                             f"{n}: the node next to 0 underflows"):
+            KernelConfig(zeta_points=n, zeta_grading=g)
     al = AlphaParams((-0.5, 0.7))
     X, Y = pair_sample(2, 200, 11)
     ref = riesz_kernel(al, 1, X, Y, KernelConfig(zeta_points=1024, s_method="exact"))
@@ -270,6 +294,16 @@ def test_zeta_points_limited_to_what_the_rule_builds():
         assert np.all(np.isfinite(vals))
         if g == 3.0:
             assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zeta_rule_is_shared_and_read_only():
+    # one rule per (zeta_points, zeta_grading), which no caller may change
+    rule = zeta_grid(KernelConfig(zeta_points=128))
+    again = zeta_grid(KernelConfig(zeta_points=128, s_method="exact"))
+    assert all(a is b for a, b in zip(rule, again))
+    for a in rule:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
 
 
 class TestKernelComponents:
