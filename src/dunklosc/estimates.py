@@ -78,38 +78,37 @@ def _antiderivative(a: float, v: np.ndarray, positive_orthant: bool) -> np.ndarr
 
 def _ball_quadrature(alpha: tuple[float, ...], X: np.ndarray, R: np.ndarray,
                      positive_orthant: bool) -> np.ndarray:
-    """w_alpha(B(x, r)) for rows x of X (B, k) and radii R (B,), nested
-    over coordinates: with u = x_1 + r sin(theta) and h = r cos(theta),
+    """w_alpha(B(x, r)) for rows x of X (B, k) and radii R (B,), nested over
+    coordinates.  With u_+- = x_1 +- r sin(theta) and h = r cos(theta), the
+    inner measure is even in theta, so each level runs over [0, pi/2]:
 
-        w_k(x, r) = int_{-pi/2}^{pi/2} |u|^{2 a_1 + 1} w_{k-1}(x', h) h dtheta,
+        w_k(x, r) = int_0^{pi/2} (|u_+|^{2a_1+1} + |u_-|^{2a_1+1}) w_{k-1}(x', h) h dtheta,
 
-    down to the closed form w_1(v, h) = F(v + h) - F(v - h).  The
-    integrand has kinks where u = 0 and where h = |x'_S| for each nonempty
-    subset S of the remaining coordinates; the theta-range is split there
-    and every piece of positive length gets the graded rule."""
+    each term kept where u_+- > 0 on the positive orthant, down to the closed
+    form w_1(v, h) = F(v + h) - F(v - h).  The kinks arcsin(min(|x_1|/r, 1))
+    and arccos(min(|x'_S|/r, 1)), for each nonempty subset S of the remaining
+    coordinates, split [0, pi/2] into at most 2^{k-1} + 1 pieces; every piece
+    of positive length gets the graded rule."""
     a = alpha[0]
     x1 = X[:, 0]
     if X.shape[1] == 1:
         return (_antiderivative(a, x1 + R, positive_orthant)
                 - _antiderivative(a, x1 - R, positive_orthant))
     rest = X[:, 1:]
-    half = 0.5 * math.pi
-    cuts = [np.full(R.shape, -half), np.arcsin(np.clip(-x1 / R, -1.0, 1.0)),
-            np.full(R.shape, half)]
+    cuts = [np.zeros(R.shape), np.arcsin(np.minimum(np.abs(x1) / R, 1.0)),
+            np.full(R.shape, 0.5 * math.pi)]
     for mask in itertools.product((False, True), repeat=rest.shape[1]):
         if any(mask):
-            c = np.arccos(np.minimum(np.linalg.norm(rest[:, mask], axis=1) / R, 1.0))
-            cuts += [-c, c]
+            cuts.append(np.arccos(np.minimum(np.linalg.norm(rest[:, mask], axis=1) / R, 1.0)))
     cuts = np.sort(np.stack(cuts, axis=1), axis=1)
     width = np.diff(cuts, axis=1)
     ball, piece = np.nonzero(width > 0.0)
     theta = cuts[ball, piece, None] + width[ball, piece, None] * _BALL_T
     dtheta = width[ball, piece, None] * _BALL_W
-    u = x1[ball, None] + R[ball, None] * np.sin(theta)
+    rs = R[ball, None] * np.sin(theta)
     h = R[ball, None] * np.cos(theta)
-    wu = np.abs(u) ** (2.0 * a + 1.0)
-    if positive_orthant:
-        wu = np.where(u > 0.0, wu, 0.0)
+    wu = sum(np.abs(u) ** (2.0 * a + 1.0) * ((u > 0.0) if positive_orthant else 1.0)
+             for u in (x1[ball, None] + rs, x1[ball, None] - rs))
     inner = _ball_quadrature(alpha[1:], np.repeat(rest[ball], _BALL_T.size, axis=0),
                              h.ravel(), positive_orthant).reshape(h.shape)
     # Pieces of one ball are summed in order, so a ball's value does not
@@ -151,8 +150,8 @@ def ball_measure(alpha: AlphaParams, x, r, positive_orthant: bool = False):
     reduction).
     """
     X, R, scalar = _balls(alpha, x, r)
-    # Level k of the nesting has 2^k theta pieces.
-    per_ball = math.prod(BALL_NODES << k for k in range(2, alpha.dim + 1))
+    # Level k of the nesting has at most 2^{k-1} + 1 theta pieces.
+    per_ball = math.prod(BALL_NODES * (2 ** (k - 1) + 1) for k in range(2, alpha.dim + 1))
     step = max(BALL_CHUNK // per_ball, 1)
     vals = np.concatenate([
         _ball_quadrature(alpha.alpha, X[lo:lo + step], R[lo:lo + step], positive_orthant)
@@ -183,9 +182,7 @@ def ball_measure_qmc(alpha: AlphaParams, x, r, npoints: int, seed: int,
             vals = np.prod(np.abs(pts) ** (2.0 * ex + 1.0), axis=1) * inside
             means[i, k] = np.mean(vals) * (2.0 * r) ** d
     vals, ses = np.mean(means, axis=1), np.std(means, axis=1, ddof=1) / math.sqrt(reps)
-    if scalar:
-        return float(vals[0]), float(ses[0])
-    return vals, ses
+    return (float(vals[0]), float(ses[0])) if scalar else (vals, ses)
 
 
 def pair_sample(d: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,13 +215,14 @@ def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: 
     PASS requires every value finite and the max stable (<= DRIFT_TOL)
     under a doubled-resolution rerun of the kernel quadrature.
     """
+    fine = cfg.doubled()  # built first: a rule it refuses is refused before any work
     X, Y = pair_sample(alpha.dim, n_pairs, seed)
     dist = np.linalg.norm(X - Y, axis=1)
     balls = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
     ratios = per_pair(X, Y, dist, cfg) * balls
     finite = bool(np.all(np.isfinite(ratios)))
     imax = int(np.argmax(ratios))
-    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, cfg.doubled()) * balls))
+    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, fine) * balls))
     drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
     return ScanReport(
         max_ratio=m1,

@@ -161,28 +161,18 @@ def hermite_fn_all_1d(nmax: int, a: float, x) -> np.ndarray:
     g = np.exp(-0.25 * x * x)
     out = np.zeros((nmax + 1, x.size))
     y = x * x
-    # Even chain: ell_m = h_{2m}; odd chain: o_m = h_{2m+1}.
-    ell_prev = np.zeros_like(x)
-    ell = g * math.exp(-0.5 * log_gamma(a + 1.0))
-    o_prev = np.zeros_like(x)
-    o = x * g * math.exp(-0.5 * log_gamma(a + 2.0))
-    if nmax >= 0:
-        out[0] = ell
-    if nmax >= 1:
-        out[1] = o
-    for n in range(2, nmax + 1):
-        m = n // 2  # new chain index
-        if n % 2 == 0:
-            c1 = (2 * (m - 1) + a + 1 - y) / math.sqrt(m * (m + a))
-            c2 = math.sqrt((m - 1) * (m - 1 + a) / (m * (m + a)))
-            ell_prev, ell = ell, -c1 * ell - c2 * ell_prev
-            out[n] = ell
-        else:
-            b = a + 1.0
+    # Two chains of one recurrence, (previous, current): h_{2m} with order
+    # b = a and h_{2m+1} = x times its even partner of order b = a + 1.
+    chains = [(np.zeros_like(x), g * math.exp(-0.5 * log_gamma(a + 1.0))),
+              (np.zeros_like(x), x * g * math.exp(-0.5 * log_gamma(a + 2.0)))]
+    for n in range(nmax + 1):
+        m, p = divmod(n, 2)
+        if m:
+            b, (prev, cur) = a + p, chains[p]
             c1 = (2 * (m - 1) + b + 1 - y) / math.sqrt(m * (m + b))
             c2 = math.sqrt((m - 1) * (m - 1 + b) / (m * (m + b)))
-            o_prev, o = o, -c1 * o - c2 * o_prev
-            out[n] = o
+            chains[p] = (cur, -c1 * cur - c2 * prev)
+        out[n] = chains[p][1]
     return out * g
 
 

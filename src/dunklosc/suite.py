@@ -10,6 +10,7 @@ a fixed config and seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -52,6 +53,24 @@ class RunConfig:
     @property
     def alpha_params(self) -> AlphaParams:
         return AlphaParams(self.alpha)
+
+    @functools.cached_property
+    def route_kernel(self) -> KernelConfig:
+        """riesz_route_agreement's rule: at least 256 zeta and 64 s-nodes."""
+        return replace(self.kernel, zeta_points=max(self.kernel.zeta_points, 256),
+                       s_points_per_dim=max(self.kernel.s_points_per_dim, 64))
+
+    @functools.cached_property
+    def scan_kernel(self) -> KernelConfig:
+        """cz_scans' rule: exact s on at least 192 zeta nodes, rerun doubled."""
+        return replace(self.kernel, zeta_points=max(self.kernel.zeta_points, 192),
+                       s_method="exact")
+
+    def __post_init__(self):  # refuse a grading too steep for a check's rule before any check
+        try:
+            self.route_kernel, self.scan_kernel.doubled()
+        except ValueError as e:
+            _fail("kernel.zeta_grading", f"{e} (a verify check runs that many zeta points)")
 
 
 def _fail(path: str, msg: str):
@@ -360,8 +379,6 @@ def _check_multiplier_norm(cfg: RunConfig):
 
 def _check_route_agreement(cfg: RunConfig, n_pairs: int = 8):
     al = cfg.alpha_params
-    kcfg = replace(cfg.kernel, zeta_points=max(cfg.kernel.zeta_points, 256),
-                   s_points_per_dim=max(cfg.kernel.s_points_per_dim, 64))
     rng = np.random.default_rng(cfg.seed + 3)
     pairs = []
     while len(pairs) < n_pairs:
@@ -381,7 +398,7 @@ def _check_route_agreement(cfg: RunConfig, n_pairs: int = 8):
         except RuntimeError:  # no convergence: fail this check, not the whole report
             worst, refused = math.nan, refused + [int(j)]
             continue
-        zt = riesz_kernel(al, int(j), Xj, Yj, kcfg)
+        zt = riesz_kernel(al, int(j), Xj, Yj, cfg.route_kernel)
         worst = worst_of(worst, np.abs(zt - dr) / np.maximum(np.abs(dr), 1e-290))
     return _record("riesz_route_agreement", worst <= 1e-4, 1e-4, worst, seed=cfg.seed + 3,
                    pairs=n_pairs, **({"refused_j": refused} if refused else {}))
@@ -412,10 +429,8 @@ def _check_ap(cfg: RunConfig):
 
 def _check_scans(cfg: RunConfig):
     al = cfg.alpha_params
-    scan_cfg = replace(cfg.kernel, zeta_points=max(cfg.kernel.zeta_points, 192),
-                       s_method="exact")
-    g = growth_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=scan_cfg)
-    s = smoothness_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=scan_cfg)
+    g = growth_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=cfg.scan_kernel)
+    s = smoothness_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=cfg.scan_kernel)
     passed = g.passed and s.passed
     return _record("cz_scans", passed, DRIFT_TOL, max(g.refinement_drift, s.refinement_drift),
                    seed=cfg.seed, growth_constant=g.max_ratio, smoothness_constant=s.max_ratio)
@@ -424,12 +439,9 @@ def _check_scans(cfg: RunConfig):
 def _check_ball(cfg: RunConfig):
     al = cfg.alpha_params
     if al.dim == 1:
-        v = ball_measure(al, [0.3], 0.9)
-        a = al[0]
-        p = 2 * a + 2
+        p = 2 * al[0] + 2
         F = lambda u: math.copysign(abs(u) ** p, u) / p
-        exact = F(1.2) - F(-0.6)
-        resid = abs(v - exact)
+        resid = abs(ball_measure(al, [0.3], 0.9) - (F(1.2) - F(-0.6)))
         return _record("ball_measure", resid <= 1e-12, 1e-12, resid)
     # The nested quadrature against the quasi-Monte Carlo oracle.  Its
     # standard error comes from 8 replicates (ddof 1), so the error over

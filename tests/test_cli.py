@@ -11,7 +11,7 @@ import pytest
 
 from dunklosc.cli import _kernel_config, build_parser, main
 from dunklosc.riesz import KernelConfig
-from dunklosc.suite import parse_config, run_suite, serialize_config, worst_of
+from dunklosc.suite import RunConfig, parse_config, run_suite, serialize_config, worst_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,6 +114,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="kernel: zeta_grading 100.0 is too steep for "
                                              "zeta_points 256: the node next to 0 underflows"):
             parse_config('{"alpha": [0.0], "kernel": {"zeta_points": 256, "zeta_grading": 100}}')
+
+    @pytest.mark.parametrize("grading,npoints", [(90.0, 256), (75.0, 384)])
+    def test_grading_too_steep_for_a_check_rule_refused(self, grading, npoints):
+        # 96 nodes build at these gradings, but riesz_route_agreement runs 256
+        # and cz_scans reruns 192 doubled to 384
+        msg = (f"config error at kernel.zeta_grading: zeta_grading {grading} is too steep "
+               f"for zeta_points {npoints}")
+        with pytest.raises(ValueError, match=msg):
+            parse_config(json.dumps({"alpha": [0.0], "kernel": {"zeta_grading": grading}}))
+        with pytest.raises(ValueError, match=msg):
+            RunConfig((0.0,), kernel=KernelConfig(zeta_grading=grading))
 
     def test_readme_config_is_the_defaults(self):
         # the README shows its verify config as "the documented defaults"
@@ -287,6 +298,24 @@ class TestSubcommands:
         assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=256",
                      "--zeta-grading=100"]) == 2
         assert capsys.readouterr().err.startswith("error: zeta_grading 100.0 is too steep")
+
+    def test_grading_too_steep_for_a_check_refused_before_any_work(self, workdir, capsys,
+                                                                   monkeypatch):
+        # grading 90 builds at the config's own 96 nodes but not at the checks'
+        # 256; grading 75 builds at a scan's 256 but not at its rerun's 512
+        import dunklosc.estimates as est
+        cfgfile, outfile = workdir / "cfg.json", workdir / "report.json"
+        cfgfile.write_text('{"alpha": [0.0], "kernel": {"zeta_grading": 90.0}}')
+        assert main(["verify", "--config", str(cfgfile), "-o", str(outfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config error at kernel.zeta_grading: zeta_grading 90.0 "
+                              "is too steep for zeta_points 256")
+        assert "PASS" not in err and "FAIL" not in err and not outfile.exists()
+        monkeypatch.setattr(est, "pair_sample", lambda *a: pytest.fail("the scan ran"))
+        assert main(["scan-growth", "--alpha=0.0", "--seed=3", "--zeta-points=256",
+                     "--zeta-grading=75"]) == 2
+        assert capsys.readouterr().err.startswith("error: zeta_grading 75.0 is too steep for "
+                                                  "zeta_points 512")
 
     def test_scan_growth_json(self):
         rc, out, err = run_cli("scan-growth", "--alpha=0.0", "--j=1",

@@ -79,8 +79,29 @@ class TestBallMeasure:
         v = ball_measure(AlphaParams((0.0, 0.0)), [0.0, 0.0], 1.3)
         assert v == pytest.approx(1.3**4 / 2.0, rel=1e-13)
 
+    @pytest.mark.parametrize("r", [0.4, 1.0, 2.7])
+    def test_centred_weighted_ball_d3(self, r):
+        # int_{|u| < r} |u_1 u_2 u_3| du = r^6 / 6 (a Dirichlet integral), an
+        # eighth of it on the positive orthant
+        al = AlphaParams((0.0, 0.0, 0.0))
+        assert ball_measure(al, [0.0, 0.0, 0.0], r) == pytest.approx(r**6 / 6.0, rel=1e-13)
+        assert ball_measure(al, [0.0, 0.0, 0.0], r,
+                            positive_orthant=True) == pytest.approx(r**6 / 48.0, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.6, 0.8], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0],
+                                   [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_lebesgue_balls_at_the_ends_of_the_folded_range(self, x):
+        # centres with x_1 = 0 or |x'_S| = r at some level: the theta pieces
+        # at 0 and at pi/2 have zero width
+        r = 1.0
+        v3 = ball_measure(AlphaParams((-0.5, -0.5, -0.5)), x, r)
+        assert v3 == pytest.approx(4.0 * math.pi * r**3 / 3.0, rel=1e-13)
+        v2 = ball_measure(AlphaParams((-0.5, -0.5)), x[:2], r)
+        assert v2 == pytest.approx(math.pi * r**2, rel=1e-13)
+
     @pytest.mark.parametrize("alpha", [(-0.45, 0.7), (-0.3, 2.5), (2.5, -0.45),
-                                       (0.7, -0.3), (-0.45, 0.7, -0.3), (2.5, -0.3, -0.45)])
+                                       (0.7, -0.3), (-0.45, 0.7, -0.3), (2.5, -0.3, -0.45),
+                                       (0.0, -0.5, 1.3)])
     @pytest.mark.parametrize("positive_orthant", [False, True])
     def test_self_convergence(self, alpha, positive_orthant, monkeypatch):
         # the module's rule against a four times finer one
@@ -114,16 +135,32 @@ class TestBallMeasure:
 
     @pytest.mark.parametrize("alpha", [(0.0, 0.7), (0.0, -0.5, 1.3)])
     def test_batch_equals_single_calls_bitwise(self, alpha):
-        # 20 balls: at d = 3 the batch spans three chunks
+        # 40 balls: at d = 3 (17 balls per chunk) the batch spans three chunks
         al = AlphaParams(alpha)
-        X, Y = pair_sample(al.dim, 20, seed=4)
+        X, Y = pair_sample(al.dim, 40, seed=4)
         R = np.linalg.norm(X - Y, axis=1)
         for po in (False, True):
             v = ball_measure(al, X, R, positive_orthant=po)
-            assert v.shape == (20,)
+            assert v.shape == (40,)
             single = [ball_measure(al, X[i], float(R[i]), positive_orthant=po)
-                      for i in range(20)]
+                      for i in range(40)]
             assert v.tolist() == single
+
+    def test_chunk_bounds_the_innermost_evaluations(self, monkeypatch):
+        # at d = 3 a ball needs at most 5 * 3 theta pieces of 32 nodes each,
+        # so BALL_CHUNK bounds the closed forms of one chunk of 17 balls
+        import dunklosc.estimates as est
+        sizes, quadrature = [], est._ball_quadrature
+
+        def spy(alpha, X, R, positive_orthant):
+            if X.shape[1] == 1:
+                sizes.append(R.size)
+            return quadrature(alpha, X, R, positive_orthant)
+
+        monkeypatch.setattr(est, "_ball_quadrature", spy)
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(40, 3))
+        ball_measure(AlphaParams((0.0, -0.5, 1.3)), X, np.full(40, 4.0))
+        assert len(sizes) == 3 and max(sizes) <= est.BALL_CHUNK
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
