@@ -34,7 +34,7 @@ for x, y in pairs:
 # Parity components: the kernel splits over eps in {0,1}^d; components are
 # large near the reflected diagonal y = -x while their sum stays moderate.
 x, y = np.array([1.3]), np.array([-1.2])
-comps = riesz_kernel_components(al, 0, x, y, cfg)
+_, comps = riesz_kernel_components(al, 0, x, y, cfg)
 print("\nnear the reflected diagonal (x=1.3, y=-1.2):")
 for eps, v in comps.items():
     print("  eps=%s component: %+.6f" % (eps, v))

@@ -179,9 +179,8 @@ def _cmd_riesz_kernel(ns) -> int:
         raise ValueError(f"--j must be in 1..{d}")
     X, Y = _read_pairs(ns.pairs, d)
     cfg = _kernel_config(ns)
-    comps = riesz_kernel_components(al, j, X, Y, cfg)
+    total, comps = riesz_kernel_components(al, j, X, Y, cfg)
     eps_list = all_parities(d)
-    total = sum(comps.values())
     cols = ([f"x{i+1}" for i in range(d)] + [f"y{i+1}" for i in range(d)] + ["R"]
             + [f"R_eps{_eps_label(e)}" for e in eps_list])
     lines = [f"# dunklosc riesz-kernel {CSV_VERSION}",

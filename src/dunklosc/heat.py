@@ -15,10 +15,12 @@ global exponent assembled once:
 
 so the evaluation cannot overflow for small t or large arguments.  Where
 z_i < 0 the bracket's two Bessel terms cancel, and it is summed instead as
-a confluent hypergeometric series of positive terms.  On a tensor rule a
-kernel column is an outer product of 1-d columns, d n pairs instead of
-n^d.  The parity components G^{alpha,eps} (eps in {0,1}^d) and the
-(zeta, s) integrand shared with the Riesz kernels live here as well.
+a confluent hypergeometric series of positive terms.  The prelude and this
+parity factor, with its derivative, are also every Riesz kernel route's
+(``riesz._delta_heat``).  On a tensor rule a kernel column is an outer
+product of 1-d columns, d n pairs instead of n^d.  The parity components
+G^{alpha,eps} (eps in {0,1}^d) and the paper's (zeta, s) integrand, an
+oracle for the closed form, live here as well.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ def _kernel_prelude(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray):
     return b, z, expo
 
 
-def _kummer_scaled(k: float, x: np.ndarray) -> np.ndarray:
-    """e^{-x} M(k, 2k+1, x) for k, x >= 0: the series sum_n (k)_n/(2k+1)_n
+def _kummer_scaled(k: float, b: float, x: np.ndarray) -> np.ndarray:
+    """e^{-x} M(k, b, x) for k, x >= 0 and b > k: the series sum_n (k)_n/(b)_n
     x^n/n! of positive terms (DLMF 13.2.2), summed as in ``special``, up to
     x = max(50, 2(k+2)^2) (at most 600), beyond it the large-argument
-    expansion Gamma(2k+1)/Gamma(k) x^{-k-1} sum_s (k+1)_s (1-k)_s/s! x^{-s}
+    expansion Gamma(b)/Gamma(k) x^{k-b} sum_s (b-k)_s (1-k)_s/s! x^{-s}
     (DLMF 13.7.2), optimally truncated, and e^{-x} at k = 0."""
     if k == 0.0:
         return np.exp(-x)
@@ -110,7 +112,7 @@ def _kummer_scaled(k: float, x: np.ndarray) -> np.ndarray:
         t, total, coefs = 1.0, 1.0, [1.0]
         while t > 1e-18 * total:
             n = len(coefs)
-            r = (k + n - 1) / ((2.0 * k + n) * n)
+            r = (k + n - 1) / ((b + n - 1) * n)
             t *= r * x_max
             total += t
             coefs.append(coefs[-1] * r * scale)
@@ -119,34 +121,44 @@ def _kummer_scaled(k: float, x: np.ndarray) -> np.ndarray:
         x_min, t, coefs = float(xl.min()), 1.0, [1.0]
         while abs(t) > 1e-18:
             s = len(coefs)
-            step = (k + s) * (s - k) / s
+            step = (b - k + s - 1) * (s - k) / s
             if abs(step) >= x_min:  # the next term would not decrease
                 break
             t *= step / x_min
             coefs.append(coefs[-1] * step)
-        out[~small] = (math.exp(math.lgamma(2.0 * k + 1.0) - math.lgamma(k)) * xl ** (-k - 1.0)
+        out[~small] = (math.exp(math.lgamma(b) - math.lgamma(k)) * xl ** (k - b)
                        * _horner(coefs, 1.0 / xl))
     return out
 
 
-def _parity_sum(a: float, z: np.ndarray) -> np.ndarray:
-    """rho_a(z) + z rho_{a+1}(z), scaled by e^{-|z|}: one coordinate's factor
-    summed over both parities.  Its two terms cancel for z < 0, where with
-    k = a + 1/2 it is e^{-2|z|} M(k, 2k+1, 2|z|)/(Gamma(a+1) 2^a), the
-    rank-one Dunkl kernel E_k(z) = e^z M(k, 2k+1, -2z) after Kummer's
-    transformation (DLMF 13.2.39)."""
+def _parity_sum(a: float, z: np.ndarray, slope: bool = False):
+    """P(z) = e^{-|z|} (rho_a(z) + z rho_{a+1}(z)), one coordinate's factor
+    summed over both parities; with ``slope`` also P'(z) (from the right at
+    0), for z >= 0 -(2a+1) e^{-z} rho_{a+1}(z) by the Bessel recurrence.
+    For z < 0 the two terms cancel, and with k = a + 1/2, x = 2|z| it is
+    e^{-x} M(k, 2k+1, x)/(Gamma(a+1) 2^a), the rank-one Dunkl kernel
+    E_k(z) = e^z M(k, 2k+1, -2z) after Kummer's transformation (DLMF
+    13.2.39); P' is 2(k+1)/(2k+1) times it at b = 2k+2 (DLMF 13.3.15)."""
     out, neg = np.empty(z.shape), z < 0.0
-    zp = z[~neg]
-    out[~neg] = bessel_ratio_scaled(a, zp) + zp * bessel_ratio_scaled(a + 1.0, zp)
-    out[neg] = (math.exp(-math.lgamma(a + 1.0) - a * math.log(2.0))
-                * _kummer_scaled(a + 0.5, -2.0 * z[neg]))
-    return out
+    zp, x = z[~neg], -2.0 * z[neg]
+    r1 = bessel_ratio_scaled(a + 1.0, zp)
+    out[~neg] = bessel_ratio_scaled(a, zp) + zp * r1
+    c, k = math.exp(-math.lgamma(a + 1.0) - a * math.log(2.0)), a + 0.5
+    out[neg] = c * _kummer_scaled(k, 2.0 * k + 1.0, x)
+    if not slope:
+        return out
+    der = np.empty(z.shape)
+    der[~neg] = -(2.0 * a + 1.0) * r1
+    der[neg] = c * 2.0 * (k + 1.0) / (2.0 * k + 1.0) * _kummer_scaled(k, 2.0 * k + 2.0, x)
+    return out, der
 
 
-def _heat_values(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray):
-    """(G_t(x, y), 1/sinh 2t) on (P, d) stacks; an array of t adds a leading axis."""
+def _heat_values(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray, factor=_parity_sum):
+    """(G_t(x, y), 1/sinh 2t) on (P, d) stacks; an array of t adds a leading
+    axis.  ``factor(a, z)`` is each coordinate's parity factor: ``_parity_sum``
+    or a Schlafli rule's (``riesz.SchlafliMeasure.parity_factor``)."""
     b, z, expo = _kernel_prelude(alpha, t, X, Y)
-    return np.exp(expo) * np.prod([_parity_sum(a, z[..., i]) for i, a in enumerate(alpha)],
+    return np.exp(expo) * np.prod([factor(a, z[..., i]) for i, a in enumerate(alpha)],
                                   axis=0), b
 
 

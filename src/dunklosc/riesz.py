@@ -1,22 +1,26 @@
 """Riesz transforms R_j for the Z2^d Dunkl harmonic oscillator.
 
-Three independent realizations:
+Three realizations, the last two of one integrand:
 
 * spectral multiplier on the generalized Hermite basis,
       R_j: coeff[n] -> m(n_j, a_j) / sqrt(2|n| + 2|alpha| + 2d) at n - e_j;
-* the (zeta, s) double integral for each parity component,
-      R_j^{alpha,eps}(x,y) = int Pi_{alpha+eps}(ds) int_0^1
-          beta_{d,alpha+eps}(zeta) (delta_j psi_zeta^eps)(x,y,s) dzeta,
-  evaluated with a graded composite Gauss-Legendre grid in zeta and, in
-  s, one-dimensional integrals per coordinate: Gauss-Jacobi (point masses
-  when the order is exactly -1/2) or exactly, by Bessel ratios.  The
-  integrand factors over coordinates, so the full kernel is one product
-  over coordinates instead of a sum over parities, and its gradient in
-  (x, y) is the same quadrature differentiated analytically in one pass
-  (central differences of the kernel are the test oracle);
-* a direct t-integral of delta_j G_t = ((1 - coth 2t) x_j + y_j/sinh 2t) G_t,
-  the independent oracle for the quadrature route: a trapezoid rule in log t
-  over a batch of pairs, refined until each pair converges, else it raises.
+* the kernel pi^{-1/2} int_0^inf delta_j G_t(x, y) t^{-1/2} dt on a graded
+  composite Gauss-Legendre zeta rule read as t = artanh zeta.  The
+  integrand delta_j G_t = (y_j - e^{-2t} x_j) G_t / sinh 2t is ``heat``'s
+  prelude times one parity factor per coordinate, P(z) = e^{-|z|}
+  (rho_a(z) + z rho_{a+1}(z)), and the s-route only chooses P: its
+  Bessel/Kummer closed form (exact s) or the Gauss-Jacobi rule of the
+  Schlafli measure Pi_a weighted by 1 + s, Rosler's positive integral for
+  the rank-one Dunkl kernel.  The parity components are the Walsh-Hadamard
+  transform of the kernel at the 2^d reflections of y, and the gradient in
+  (x, y) is the same integrand differentiated analytically (central
+  differences of the kernel are the test oracle).  The paper's pointwise
+  (zeta, s) integrand of each parity component, beta_{d,alpha+eps}(zeta)
+  (delta_j psi_zeta^eps)(x,y,s) against Pi_{alpha+eps}(ds) (``beta_weight``,
+  ``delta_psi``), is kept as an oracle for this route;
+* a trapezoid rule in log t for the same t-integral, the oracle for the
+  zeta rule: over a batch of pairs, refined until each pair converges,
+  else it raises.
 
 Both kernel routes refuse near-diagonal arguments (|x - y| < 1e-3); the
 values there would be dominated by quadrature error.  The parity
@@ -36,8 +40,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
 from .quadrature import QuadratureRule, SpectralCoeffs, _gauss_nodes_logweights, project
-from .special import bessel_ratio_scaled, log_gamma
-from .heat import _heat_values, _prepare_pairs, all_parities, psi_zeta
+from .special import log_gamma
+from .heat import _heat_values, _kernel_prelude, _parity_sum, _prepare_pairs, all_parities, psi_zeta
 
 __all__ = [
     "SchlafliMeasure",
@@ -94,31 +98,46 @@ class SchlafliMeasure:
             off2 = np.where(k + 2.0 * lam == 0.0, 0.5,
                             k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0))
         s, logw = _gauss_nodes_logweights(np.zeros(npoints), np.sqrt(off2),
-                                          -nu * math.log(2.0) - log_gamma(nu + 1.0))
+                                          -nu * math.log(2.0) - log_gamma(nu + 1.0), polish=True)
         return cls(nu=nu, kind="density", nodes=s, weights=np.exp(logw))
 
     def laplace(self, z: float) -> float:
         """int e^{-z s} Pi_nu(ds); equals I_nu(z)/z^nu for every z."""
         return float(np.sum(self.weights * np.exp(-z * self.nodes)))
 
+    def parity_factor(self, z: np.ndarray, slope: bool = False):
+        """The parity factor int (1 + s) e^{z s - |z|} Pi_nu(ds) = e^{-|z|}
+        (rho_nu(z) + z rho_{nu+1}(z)) as sum_k w_k (1 + s_k) e^{z s_k - |z|}:
+        (1 - s^2)^{nu-1/2} (1 + s) is Rosler's density of the rank-one Dunkl
+        kernel, so every term is positive.  With ``slope`` also P'(z), sum_k
+        w_k (1 + s_k) (s_k - sgn z) e^{z s_k - |z|} (sgn 0 = 1), of one sign."""
+        e = np.exp(z[..., None] * self.nodes - np.abs(z)[..., None])
+        w = self.weights * (1.0 + self.nodes)
+        if not slope:
+            return e @ w
+        p, right, left = np.moveaxis(
+            e @ np.stack([w, w * (self.nodes - 1.0), w * (self.nodes + 1.0)], axis=1), -1, 0)
+        return p, np.where(z < 0.0, left, right)
+
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature controls for the (zeta, s) double integral; the defaults
+    """Quadrature controls for the zeta rule of the kernel; the defaults
     are those of a ``verify`` config.
 
     ``zeta_points`` is even, as the zeta rule has zeta_points // 2 nodes on
     each half of (0, 1).
 
-    ``s_method`` selects the s-integration, one coordinate at a time:
-    "gauss-jacobi" is the rule matched to the (1-s^2)^{nu-1/2} density;
-    "exact" integrates s analytically (the delta_j psi bracket is affine
-    in each s_i, so the s-integrals are Bessel ratios by the Schlafli
-    identity).  The exact path stays accurate arbitrarily close to the
-    diagonal and the reflected diagonals, where a fixed Gauss-Jacobi grid
-    cannot resolve the e^{-q_+/(4 zeta)} boundary layer; the scans use it
-    for that reason.  The nu = -1/2 atoms of the Schlafli measure are
-    detected by exact comparison on the user-supplied alpha.
+    ``s_method`` selects each coordinate's parity factor P(z) (see the
+    module docstring): "exact" is its Bessel/Kummer closed form,
+    "gauss-jacobi" the sum of positive terms over the ``s_points_per_dim``
+    nodes of the Schlafli rule.  At 48 nodes that sum is within 1e-14 of
+    the closed form up to |z| = 100, 1e-7 at 200 and 1e-3 at 400, and
+    |z_i| = |x_i y_i| / sinh 2t grows without bound as t -> 0.  So only the
+    exact route stays accurate arbitrarily close to the diagonal and the
+    reflected diagonals, where the integrand's mass sits at small t; the
+    scans use it for that reason.  The nu = -1/2 atoms of the Schlafli
+    measure are detected by exact comparison on the user-supplied alpha.
     """
 
     zeta_points: int = 96
@@ -253,163 +272,112 @@ def _check_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool
     return X, Y, scalar
 
 
-# Pairs x zeta nodes x s-nodes per chunk of _zeta_batch, with s-nodes
-# counted as 1 on the exact route: 512 pairs at 256 zeta nodes (half as
-# many for the gradient, which keeps per-coordinate partials).
+# Pairs x zeta nodes x s-nodes per chunk of _zeta_sum, with s-nodes
+# counted as 1 on the exact route: 512 pairs at 256 zeta nodes.
 ZETA_BATCH_ELEMENTS = 2**17
 
 
-def _s_integrals(measures: dict | None, w: np.ndarray):
-    """m(nu, k) = e^{-|w|} int s^k e^{-w s} dPi_nu(s) for k = 0, 1, 2 on an
-    array w.  With ``measures`` None (the exact route) it uses
-    int e^{-w s} dPi_nu = I_nu(w)/w^nu and its w-derivatives: m(nu, 0) =
-    rho_nu(w), m(nu, 1) = -w rho_{nu+1}(w), m(nu, 2) = rho_{nu+1}(w) +
-    w^2 rho_{nu+2}(w) with rho_nu = e^{-|w|} I_nu(|w|)/|w|^nu; otherwise it
-    sums the Gauss-Jacobi rule ``measures[nu]``.  Each is evaluated once."""
-    if measures is None:
-        rho = functools.cache(lambda nu: bessel_ratio_scaled(nu, w))
-        moments = (rho, lambda nu: -w * rho(nu + 1.0),
-                   lambda nu: rho(nu + 1.0) + w * w * rho(nu + 2.0))
-        return functools.cache(lambda nu, k: moments[k](nu))
-    # |s| <= 1 on the support, so the exponent is <= 0.
-    kernel = functools.cache(
-        lambda nu: np.exp(-np.abs(w)[..., None] - w[..., None] * measures[nu].nodes))
-    return functools.cache(
-        lambda nu, k: kernel(nu) @ (measures[nu].weights * measures[nu].nodes**k))
-
-
-def _zeta_batch(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray,
-                cfg: KernelConfig, eps=None, grad: bool = False) -> np.ndarray:
-    """The (zeta, s) quadrature of one parity component ``eps``, or with
-    ``eps=None`` of the sum of all 2^d of them, as one product over
-    coordinates; with ``grad`` (and ``eps=None``) the 2d partials
-    [d/dx_1..d, d/dy_1..d] of the sum instead, shape (P, 2d).
-
-    The integrand factors coordinate by coordinate, so the s-integral
-    against the product measure Pi_{alpha+eps} is a product of the
-    one-dimensional integrals m(nu, k) of ``_s_integrals``.  With
-    w_i = x_i y_i h and h = 1/sinh 2t(zeta), coordinate i != j contributes
-    m(a_i, 0) at eps_i = 0 and w_i m(a_i+1, 0) at eps_i = 1, and
-    coordinate j contributes
-
-        F_j^0 = A_0 m(a_j, 0) + B_0 m(a_j, 1),
-        F_j^1 = w_j (A_0 m(a_j+1, 0) + B_0 m(a_j+1, 1)) + (2a_j+2) y_j h m(a_j+1, 0),
-
-    with A_0 = -x_j (1 - zeta)^2/(2 zeta) and B_0 = -y_j h, all under
-    one exponent.  Every factor that vanishes at zeta = 1 is built from the
-    rule's complement 1 - zeta, not from the rounded node.  The sum over eps is therefore
-    prod_{i != j} (m(a_i, 0) + w_i m(a_i+1, 0)) (F_j^0 + F_j^1): on the
-    exact route 2d+1 Bessel arrays per (pair, zeta) instead of (d+1) 2^d.
-
-    The gradient differentiates under the integral sign: with the
-    exponent's e^{|w_i|}, d/dw_i turns m(nu, k) into -m(nu, k+1), so 3d+1
-    Bessel arrays on the exact route.  The other coordinates' factors come
-    from prefix and suffix products, never from dividing by a factor (it can be 0).
-    """
-    d = alpha.dim
-    parities = [(0, 1)] * d if eps is None else [(int(e),) for e in eps]
-    measures = None if cfg.s_method == "exact" else {
-        nu: SchlafliMeasure.from_nu(nu, cfg.s_points_per_dim)
-        for nu in {alpha[i] + e for i in range(d) for e in parities[i]}}
-    zeta, comp, zw = zeta_grid(cfg)
-    s_nodes = 1 if measures is None else cfg.s_points_per_dim
-    chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes * (2 if grad else 1)))
-    h = comp * (1.0 + zeta) / (2.0 * zeta)  # = 1/sinh(2 t(zeta))
-    log_pow = (d + alpha.abs_sum) * np.log(h)
-    # beta_weight(d, -d, zeta) (its h^{d+|alpha|} is in log_pow), with
-    # log((1+zeta)/(1-zeta)) = 2t as log1p(2 zeta/(1-zeta))
-    zfac = zw * (math.sqrt(2.0) / (2.0**d * math.sqrt(math.pi))
-                 / (comp * (1.0 + zeta) * np.sqrt(np.log1p(2.0 * zeta / comp))))
-    coef = 1.0 / (4.0 * zeta) + zeta / 4.0
-    a0c = -comp * comp / (2.0 * zeta)
-    out = np.empty((X.shape[0], 2 * d) if grad else X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        Xc = X[lo:lo + chunk]
-        Yc = Y[lo:lo + chunk]
-        w = (Xc * Yc)[:, :, None] * h  # (P, d, Z)
-        expo = (-(np.sum(Xc * Xc, axis=1) + np.sum(Yc * Yc, axis=1))[:, None] * coef
-                + np.sum(np.abs(w), axis=1) + log_pow)
-        prod = np.exp(expo)
-        parts = []  # with grad, per coordinate: (prefix product, factor, partials)
-        for i in range(d):
-            a, wi, par = alpha[i], w[:, i, :], parities[i]
-            m = _s_integrals(measures, wi)
-            fac = 0.0
-            if i != j:
-                if 0 in par:
-                    fac = fac + m(a, 0)
-                if 1 in par:
-                    fac = fac + wi * m(a + 1.0, 0)
-            else:
-                A0 = Xc[:, j][:, None] * a0c
-                B0 = -Yc[:, j][:, None] * h
-                if 0 in par:
-                    fac = fac + A0 * m(a, 0) + B0 * m(a, 1)
-                if 1 in par:
-                    m0 = m(a + 1.0, 0)
-                    fac = fac + (wi * (A0 * m0 + B0 * m(a + 1.0, 1))
-                                 + (2.0 * a + 2.0) * Yc[:, j][:, None] * h * m0)
-            if grad:  # dw = e^{-|w_i|} d/dw_i (e^{|w_i|} fac); dx, dy: explicit terms
-                m0, m1 = m(a + 1.0, 0), m(a + 1.0, 1)
-                dw, dx, dy = m0 - m(a, 1) - wi * m1, 0.0, 0.0
-                if i == j:
-                    dw = (A0 * dw - B0 * (m(a, 2) - m1 + wi * m(a + 1.0, 2))
-                          - (2.0 * a + 2.0) * Yc[:, j][:, None] * h * m1)
-                    dx = a0c * (m(a, 0) + wi * m0)
-                    dy = h * ((2.0 * a + 2.0) * m0 - m(a, 1) - wi * m1)
-                parts.append((prod, fac, dw * Yc[:, i][:, None] * h + dx,
-                              dw * Xc[:, i][:, None] * h + dy))
-            prod = prod * fac
-        if not grad:
-            out[lo:lo + chunk] = prod @ zfac
-            continue
-        base = -2.0 * (prod @ (coef * zfac))  # d/dx_i of the exponent: -2 x_i coef
-        rest = 1.0  # the product of the factors after coordinate i
-        for i in reversed(range(d)):
-            pre, fac, gx, gy = parts[i]
-            out[lo:lo + chunk, i] = Xc[:, i] * base + (pre * rest * gx) @ zfac
-            out[lo:lo + chunk, d + i] = Yc[:, i] * base + (pre * rest * gy) @ zfac
-            rest = fac * rest
-    return out
-
-
-def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -> dict:
-    """All parity components R_j^{alpha,eps}(x, y) by the (zeta, s)
-    quadrature: {eps: values}."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
-    out = {}
-    for eps in all_parities(alpha.dim):
-        vals = _zeta_batch(alpha, j, X, Y, cfg, eps)
-        out[eps] = float(vals[0]) if scalar else vals
-    return out
-
-
-def riesz_kernel(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
-    """Full kernel R_j^alpha(x, y) = sum over the 2^d parity components,
-    evaluated as one product over coordinates."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
-    vals = _zeta_batch(alpha, j, X, Y, cfg)
-    return float(vals[0]) if scalar else vals
-
-
-def _delta_heat(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray, Y: np.ndarray):
+def _delta_heat(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                factor=_parity_sum) -> np.ndarray:
     """delta_{j,x} G_t(x, y) for each t of the array ``t`` (rows) and each
     pair of the (P, d) stacks (columns).  delta_j = T_j + x_j, and the Dunkl
     operator takes the kernel E_k(b x y) in G_t to b y_j E_k(b x y), so
     delta_j G_t = ((1 - coth 2t) x_j + y_j/sinh 2t) G_t = (y_j - e^{-2t} x_j) b G_t,
-    with y_j - e^{-2t} x_j from expm1 where e^{-2t} is near 1."""
-    G, b = _heat_values(alpha, t, X, Y)
-    t, xj, yj = t[:, None], X[:, j], Y[:, j]
-    return G * b * np.where(t < 0.35, (yj - xj) - np.expm1(-2.0 * t) * xj,
-                            yj - np.exp(-2.0 * t) * xj)
+    with y_j - e^{-2t} x_j from expm1 where e^{-2t} is near 1: ``heat``'s
+    prelude times one parity factor P(a, z) per coordinate, ``factor``."""
+    G, b = _heat_values(alpha, t, X, Y, factor)
+    return G * b * _j_factor(t[:, None], X[:, j], Y[:, j])
+
+
+def _j_factor(t: np.ndarray, xj: np.ndarray, yj: np.ndarray) -> np.ndarray:
+    # y_j - e^{-2t} x_j
+    return np.where(t < 0.35, (yj - xj) - np.expm1(-2.0 * t) * xj, yj - np.exp(-2.0 * t) * xj)
+
+
+def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray,
+                         Y: np.ndarray, factor, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k grad delta_j G_{t_k}(x, y) over the array ``t``, as
+    [d/dx_1..d, d/dy_1..d], shape (P, 2d).  Three parts are differentiated
+    analytically: the prelude's exponent (d/dx_i = -tanh(t) x_i -
+    b (x_i - sgn(z_i) y_i)), the j-factor (y_j - e^{-2t} x_j) b, and each
+    parity factor, P_i'(z_i) b y_i, with the sign convention of P' (sgn 0 = 1).
+    The other coordinates' factors come from prefix and suffix products,
+    never from dividing by a factor (it can underflow to 0)."""
+    b, z, expo = _kernel_prelude(alpha, t, X, Y)
+    t = t[:, None]
+    kj = b * _j_factor(t, X[:, j], Y[:, j])
+    facs, slopes = zip(*(factor(a, z[..., i], slope=True) for i, a in enumerate(alpha)))
+    pre = [np.exp(expo)]  # pre[i] = e^{expo} prod_{k < i} P_k
+    for f in facs:
+        pre.append(pre[-1] * f)
+    kg, tanh, d = kj * pre[-1], np.tanh(t), alpha.dim
+    out, rest = np.empty((X.shape[0], 2 * d)), 1.0  # rest = prod_{k > i} P_k
+    for i in reversed(range(d)):
+        xi, yi, sgn = X[:, i], Y[:, i], np.where(z[..., i] < 0.0, -1.0, 1.0)
+        dz = kj * pre[i] * rest * slopes[i] * b
+        out[:, i] = weights @ (dz * yi - kg * (tanh * xi + b * (xi - sgn * yi)))
+        out[:, d + i] = weights @ (dz * xi - kg * (tanh * yi + b * (yi - sgn * xi)))
+        rest = rest * facs[i]
+    out[:, j] -= weights @ (np.exp(-2.0 * t) * b * pre[-1])
+    out[:, d + j] += weights @ (b * pre[-1])
+    return out
+
+
+def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
+              grad: bool = False) -> np.ndarray:
+    """pi^{-1/2} int_0^inf delta_j G_t t^{-1/2} dt on the zeta rule of ``cfg``
+    read as t = artanh zeta: sum_k w_k delta_j G_{t_k} / ((1 - zeta_k)(1 + zeta_k)
+    sqrt(pi t_k)), with 2 t_k = log1p(2 zeta_k / (1 - zeta_k)) from the rule's
+    complements.  The s-route only chooses the parity factor P(a, z[, slope]).
+    With ``grad`` the 2d partials [d/dx_1..d, d/dy_1..d] instead, shape (P, 2d)."""
+    factor = _parity_sum
+    if cfg.s_method == "gauss-jacobi":
+        rules = {a: SchlafliMeasure.from_nu(a, cfg.s_points_per_dim) for a in set(alpha)}
+        factor = lambda a, z, slope=False: rules[a].parity_factor(z, slope)
+    zeta, comp, zw = zeta_grid(cfg)
+    t = 0.5 * np.log1p(2.0 * zeta / comp)
+    weights = zw / (comp * (1.0 + zeta) * np.sqrt(math.pi * t))
+    s_nodes = 1 if cfg.s_method == "exact" else cfg.s_points_per_dim
+    chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes))
+    out = np.empty((X.shape[0], 2 * alpha.dim) if grad else X.shape[0])
+    for lo in range(0, X.shape[0], chunk):
+        Xc, Yc = X[lo:lo + chunk], Y[lo:lo + chunk]
+        out[lo:lo + chunk] = (_delta_heat_gradient(alpha, j, t, Xc, Yc, factor, weights) if grad
+                              else weights @ _delta_heat(alpha, j, t, Xc, Yc, factor))
+    return out
+
+
+def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
+    """(R_j(x, y), {eps: R_j^{alpha,eps}(x, y)}): the full kernel and its
+    parity components, the Walsh-Hadamard transform 2^{-d} sum_sigma
+    (prod_i sigma_i^{eps_i}) R_j(x, sigma y) of 2^d full-kernel passes, one
+    per sign vector sigma.  The kernel is the sigma = 1 pass itself, not
+    the sum of the components, which near a reflected diagonal differs
+    from it by the rounding of the larger R_j(x, sigma y)."""
+    X, Y, scalar = _check_pairs(alpha, x, y)
+    parities = np.array(all_parities(alpha.dim))
+    passes = np.array([_zeta_sum(alpha, j, X, (1 - 2 * p) * Y, cfg) for p in parities])
+    comps = (-1.0) ** (parities @ parities.T) @ passes / 2**alpha.dim
+    value = (lambda v: float(v[0])) if scalar else (lambda v: v)
+    return value(passes[0]), {tuple(int(e) for e in eps): value(v)
+                              for eps, v in zip(parities, comps)}
+
+
+def riesz_kernel(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
+    """Full kernel R_j^alpha(x, y): delta_j G_t summed on the zeta rule."""
+    X, Y, scalar = _check_pairs(alpha, x, y)
+    vals = _zeta_sum(alpha, j, X, Y, cfg)
+    return float(vals[0]) if scalar else vals
 
 
 def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -> np.ndarray:
     """[dR_j/dx_1..d, dR_j/dy_1..d] of the full kernel, shape (P, 2d) or (2d,)
-    for a point pair: ``riesz_kernel``'s quadrature differentiated under the
-    integral sign.  Call it with exact s: 48 Gauss-Jacobi nodes can be 1e-2 off."""
+    for a point pair: ``riesz_kernel``'s integrand differentiated analytically
+    (``_delta_heat_gradient``) on the same zeta rule and s-route, so as
+    accurate as the kernel on either route (near the diagonal that takes
+    exact s, see ``KernelConfig``)."""
     X, Y, scalar = _check_pairs(alpha, x, y)
-    grads = _zeta_batch(alpha, j, X, Y, cfg, grad=True)
+    grads = _zeta_sum(alpha, j, X, Y, cfg, grad=True)
     return grads[0] if scalar else grads
 
 

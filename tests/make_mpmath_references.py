@@ -1,7 +1,7 @@
 """Write tests/mpmath_references.json: high-precision references for the
 closed-form heat kernel and the direct Riesz oracle.
 
-    python tests/make_mpmath_references.py      # about 40 s
+    python tests/make_mpmath_references.py      # a few minutes
 
 Everything here is mpmath (30 to 50 digits) from the definitions, not
 from the identities the package uses:
@@ -16,7 +16,10 @@ from the identities the package uses:
 * ``riesz``: pi^{-1/2} int_0^inf delta_j G_t t^{-1/2} dt at 30 digits,
   with t split at 10^{-9}, 10^{-8.75}, ..., 1, 3, 10 and 40, and each
   coordinate's Bessel pair from mpmath's hyp1f1 (checked against the
-  Bessel form here), since |x_i y_i|/sinh 2t reaches 1e7.
+  Bessel form here), since |x_i y_i|/sinh 2t reaches 1e7;
+* ``riesz_gradient``: [dR_j/dx_1..d, dR_j/dy_1..d] at the pinned pair
+  (the first of ``riesz``) at 30 digits, the same t-integral of the
+  integrand differentiated in each coordinate by ``mp.diff``.
 """
 
 import json
@@ -114,8 +117,24 @@ def riesz(alpha, j, x, y):
     return mp.quad(integrand, splits) / mp.sqrt(mp.pi)
 
 
+def riesz_gradient(alpha, j, x, y):
+    alpha, point = [mp.mpf(v) for v in alpha], [mp.mpf(v) for v in (*x, *y)]
+    d = len(alpha)
+    splits = [0] + [mp.mpf(10) ** (-9 + k / mp.mpf(4)) for k in range(37)] + [3, 10, 40]
+
+    def partial(k):
+        def integrand(t):
+            def at(v):
+                p = list(point)
+                p[k] = v
+                return closed_delta_heat(alpha, j, t, p[:d], p[d:], rho_sum_kummer)
+            return mp.diff(at, point[k]) / mp.sqrt(t)
+        return mp.quad(integrand, splits) / mp.sqrt(mp.pi)
+    return [partial(k) for k in range(2 * d)]
+
+
 def main():
-    refs = {"parity_sum": [], "delta_heat": [], "riesz": []}
+    refs = {"parity_sum": [], "delta_heat": [], "riesz": [], "riesz_gradient": []}
     mp.mp.dps = 30
     for a in PARITY_ALPHAS:
         for e in PARITY_Z:
@@ -136,6 +155,10 @@ def main():
         for j in range(len(alpha)):
             refs["riesz"].append([list(alpha), j, list(x), list(y),
                                   mp.nstr(riesz(alpha, j, x, y), 25)])
+    alpha, x, y = RIESZ_PAIRS[0]
+    for j in range(len(alpha)):
+        refs["riesz_gradient"].append([list(alpha), j, list(x), list(y),
+                                       [mp.nstr(g, 25) for g in riesz_gradient(alpha, j, x, y)]])
     blocks = [f' "{name}": [\n' + ",\n".join("  " + json.dumps(row) for row in rows) + "\n ]"
               for name, rows in refs.items()]
     OUT.write_text("{\n" + ",\n".join(blocks) + "\n}\n")  # one reference per line

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dunklosc.cli import _kernel_config, build_parser, main
-from dunklosc.riesz import KernelConfig
+from dunklosc.hermite import AlphaParams
+from dunklosc.riesz import KernelConfig, riesz_kernel
 from dunklosc.suite import RunConfig, parse_config, run_suite, serialize_config, worst_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -230,6 +231,22 @@ class TestSubcommands:
         for row in rows[1:]:
             vals = [float(v) for v in row.split(",")]
             assert vals[3] + vals[4] == pytest.approx(vals[2], rel=1e-12)
+
+    def test_riesz_kernel_csv_writes_the_kernel_pass(self, tmp_path):
+        # R is the kernel's own pass, equal to riesz_kernel, not the sum of
+        # the R_eps columns: near a reflected diagonal those are +-328 and
+        # cancel to R = 1.5e-8, so their sum is off by the rounding of the
+        # larger values
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("2.0,-1.5,2.2,-2.01,1.52,2.19\n")
+        out = tmp_path / "out.csv"
+        assert main(["riesz-kernel", "--alpha=-0.5,-0.5,-0.5", "--j=3", "--pairs", str(pairs),
+                     "-o", str(out)]) == 0
+        row = [float(v) for v in out.read_text().splitlines()[-1].split(",")]
+        want = riesz_kernel(AlphaParams((-0.5, -0.5, -0.5)), 2, np.array([2.0, -1.5, 2.2]),
+                            np.array([-2.01, 1.52, 2.19]), KernelConfig(zeta_points=192))
+        assert row[6] == want
+        assert abs(sum(row[7:]) - want) <= 1e-12 * sum(abs(v) for v in row[7:])
 
     def test_riesz_apply_round_trip(self, workdir):
         rc, out, err = run_cli("riesz-apply", "--j=1", "--coeffs", str(workdir / "c.json"))

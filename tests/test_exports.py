@@ -13,8 +13,8 @@ MODULES = {info.name: importlib.import_module(f"dunklosc.{info.name}")
 TEST_ONLY_EXPORTS = {
     "hermite_fn_1d": "Laguerre closed form, the oracle for the hermite_fn_all_1d recurrence",
     "heat_kernel_zeta": "(zeta, s) integrand of the heat kernel, an oracle for the closed form",
-    "delta_psi": "pointwise (zeta, s) integrand of R_j, the oracle for the batched zeta-engine",
-    "beta_weight": "pointwise zeta-weight of R_j, which the zeta-engine builds from 1 - zeta",
+    "delta_psi": "the paper's pointwise (zeta, s) integrand, an oracle for the heat-kernel route",
+    "beta_weight": "the paper's pointwise (zeta, s) integrand, an oracle for the heat-kernel route",
     "maximal_empirical": "heat maximal function on a t-grid, acceptance 13's desk-scale T_*",
     "AnnularBump": "the invariant bumps on which acceptance 07 checks the pairing vanishes",
 }

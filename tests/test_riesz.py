@@ -137,8 +137,9 @@ class TestSchlafli:
         # B(k + 1/2, nu + 1/2) / (sqrt(pi) 2^nu Gamma(nu + 1/2)) at 30 digits.
         # The bound is about 2n ulps for the n-term sum plus 2k times the
         # node bound below, since a node error delta moves s^{2k} by up to
-        # 2k delta relative.  Measured: at most 0.64 of it (nu = 0.2,
-        # n = 256); scipy's rule misses the same moments by up to 6e-11.
+        # 2k delta relative.  Measured: at most 0.19 of it (nu = 5, n = 8;
+        # 0.64 at nu = 0.2, n = 256 before the nodes' Newton step); scipy's
+        # rule misses the same moments by up to 6e-11.
         m = SchlafliMeasure.from_nu(nu, n)
         assert m.kind == "density" and np.all(m.weights > 0)
         ref_nodes, _ = roots_jacobi(n, nu - 0.5, nu - 0.5)
@@ -149,6 +150,31 @@ class TestSchlafli:
                 exact = mp.beta(k + mp.mpf(0.5), mp.mpf(nu) + 0.5) / scale
                 got = float(np.sum(m.weights * m.nodes ** (2 * k)))
                 assert abs(got / exact - 1) <= n * 4e-16 + 2 * k * 2e-15, k
+
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_polished_nodes_match_mpmath(self, nu):
+        # the 20 nodes nearest each of -1 and 1 and 8 central ones of the
+        # 256-node rule against Newton's method on the Jacobi polynomial in
+        # mpmath at 40 digits: the dense eigensolver alone was up to 7.8e-16
+        # off near +-1, and its even moments up to 4.9e-13 (nu = 0.2)
+        n = 256
+        m = SchlafliMeasure.from_nu(nu, n)
+        idx = [*range(20), *range(124, 132), *range(n - 20, n)]
+        with mp.workdps(40):
+            a = mp.mpf(nu) - 0.5
+            ref = []
+            for i in idx:
+                s = mp.mpf(m.nodes[i])
+                for _ in range(3):
+                    s -= mp.jacobi(n, a, a, s) / ((n + 2 * a + 1) / 2 * mp.jacobi(n - 1, a + 1, a + 1, s))
+                ref.append(float(s))
+            scale = mp.sqrt(mp.pi) * mp.mpf(2) ** nu * mp.gamma(mp.mpf(nu) + 0.5)
+            exact = [mp.beta(k + mp.mpf(0.5), mp.mpf(nu) + 0.5) / scale for k in range(n)]
+        assert np.max(np.abs(m.nodes[idx] - np.array(ref))) <= 2.3e-16
+        worst = max(abs(float(np.sum(m.weights * m.nodes ** (2 * k))) / e - 1)
+                    for k, e in enumerate(exact))
+        assert worst <= 5e-14
 
 
 class TestBetaWeight:
@@ -312,7 +338,7 @@ class TestKernelComponents:
         # 2-term sum; the Gauss-Jacobi path must agree with an explicit sum
         al = AlphaParams((-0.5,))
         x = np.array([1.2]); y = np.array([0.4])
-        got = riesz_kernel_components(al, 0, x, y, CFG)[(0,)]
+        got = riesz_kernel_components(al, 0, x, y, CFG)[1][(0,)]
         zeta, _, zw = zeta_grid(CFG)
         acc = 0.0
         for s_atom in (-1.0, 1.0):
@@ -325,10 +351,10 @@ class TestKernelComponents:
         # |R_j^{alpha,eps}(eta x, xi y)| = |R_j^{alpha,eps}(x, y)|
         al = AlphaParams((0.0, 1.3))
         x = np.array([0.9, -0.6]); y = np.array([-0.3, 1.4])
-        base = riesz_kernel_components(al, 0, x, y, CFG_EXACT)
+        _, base = riesz_kernel_components(al, 0, x, y, CFG_EXACT)
         for eta in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
             for xi in [(1, 1), (-1, -1)]:
-                comps = riesz_kernel_components(al, 0, np.array(eta) * x, np.array(xi) * y,
+                _, comps = riesz_kernel_components(al, 0, np.array(eta) * x, np.array(xi) * y,
                                                 CFG_EXACT)
                 for eps, v in comps.items():
                     assert abs(v) == pytest.approx(abs(base[eps]), rel=1e-11)
@@ -337,9 +363,10 @@ class TestKernelComponents:
         al = AlphaParams((0.0, 1.3))
         X = np.array([[0.9, -0.6], [1.5, 0.2]])
         Y = np.array([[-0.3, 1.4], [0.1, 1.0]])
-        comps = riesz_kernel_components(al, 0, X, Y, CFG_EXACT)
+        kernel, comps = riesz_kernel_components(al, 0, X, Y, CFG_EXACT)
         total = riesz_kernel(al, 0, X, Y, CFG_EXACT)
         np.testing.assert_allclose(sum(comps.values()), total, rtol=1e-14)
+        assert np.array_equal(kernel, total)  # the sigma = 1 pass, bit for bit
 
     def test_exact_and_jacobi_methods_agree(self):
         for alpha in [(0.0, 0.7), (0.0, -0.5, 1.3)]:
@@ -356,11 +383,17 @@ class TestKernelComponents:
 
     @pytest.mark.parametrize("alpha", [(-0.5, 0.7), (0.0, -0.5, 1.3)])
     def test_gauss_jacobi_matches_tensor_sum(self, alpha):
-        # reference for the Gauss-Jacobi route: delta_psi on the tensor grid
-        # of the product Schlafli rule (with the alpha_i = -1/2 atoms) times
-        # beta_weight, summed over the zeta rule, for every parity and j
+        # the paper's pointwise (zeta, s) integrand as the oracle for the
+        # heat-kernel route: delta_psi on the tensor grid of the product
+        # Schlafli rule Pi_{alpha+eps} (32 nodes, the alpha_i = -1/2 atoms
+        # exact) times beta_weight, summed over the same zeta rule, for
+        # every parity and j, against the Gauss-Jacobi components and full
+        # kernel.  The gap is the tensor grid's own s-error, relative to
+        # sum |R_eps|: 1.4e-15 at d = 2, 4.5e-10 at d = 3 (1.4e-12 at 40
+        # nodes; at 10 nodes it is 3.6e-4 and 1.1e-2).
         al = AlphaParams(alpha)
-        cfg = KernelConfig(zeta_points=32, s_points_per_dim=10)
+        tol = 1e-13 if al.dim == 2 else 1e-9
+        cfg = KernelConfig(zeta_points=32)
         zeta, _, zw = zeta_grid(cfg)
         rng = np.random.default_rng(29)
         xs, ys = [], []
@@ -372,20 +405,35 @@ class TestKernelComponents:
                 ys.append(y)
         X, Y = np.array(xs), np.array(ys)
         for j in range(al.dim):
-            comps = riesz_kernel_components(al, j, X, Y, cfg)
+            _, comps = riesz_kernel_components(al, j, X, Y, cfg)
             envelope = sum(np.abs(v) for v in comps.values())
             total = 0.0
             for eps, got in comps.items():
-                ms = [SchlafliMeasure.from_nu(al[i] + eps[i], 10) for i in range(al.dim)]
+                ms = [SchlafliMeasure.from_nu(al[i] + eps[i], 32) for i in range(al.dim)]
                 s = np.array(list(itertools.product(*[m.nodes for m in ms])))
                 sw = np.prod(list(itertools.product(*[m.weights for m in ms])), axis=1)
                 zb = zw * beta_weight(al.dim, al.abs_sum + sum(eps), zeta)
                 ref = np.array([sum(b * (sw @ delta_psi(al, eps, j, float(z), x, y, s))
                                     for z, b in zip(zeta, zb)) for x, y in zip(X, Y)])
-                assert np.max(np.abs(got - ref) / envelope) <= 1e-13
+                assert np.max(np.abs(got - ref) / envelope) <= tol
                 total = total + ref
             full = riesz_kernel(al, j, X, Y, cfg)
-            assert np.max(np.abs(full - total) / envelope) <= 1e-13
+            assert np.max(np.abs(full - total) / envelope) <= tol
+
+    @pytest.mark.parametrize("alpha", [(-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_components_are_the_transform_of_reflected_kernels(self, alpha):
+        # R_j^eps(x, y) = 2^{-d} sum_sigma (prod_i sigma_i^{eps_i}) R_j(x, sigma y),
+        # each R_j(x, sigma y) from its own riesz_kernel call
+        al = AlphaParams(alpha)
+        X, Y = pair_sample(al.dim, 12, seed=9)
+        for j in range(al.dim):
+            _, comps = riesz_kernel_components(al, j, X, Y, CFG)
+            envelope = sum(np.abs(v) for v in comps.values())
+            for eps, got in comps.items():
+                ref = sum(math.prod(sg[i] ** eps[i] for i in range(al.dim))
+                          * riesz_kernel(al, j, X, np.array(sg) * Y, CFG)
+                          for sg in itertools.product((1, -1), repeat=al.dim)) / 2**al.dim
+                assert np.max(np.abs(got - ref) / envelope) <= 1e-14
 
     @pytest.mark.parametrize("alpha,cfg", [
         pytest.param((-0.5, 0.7), CFG_EXACT, id="alpha0"),
@@ -408,7 +456,7 @@ class TestKernelComponents:
                 ys.append(y)
         X, Y = np.array(xs), np.array(ys)
         for j in range(al.dim):
-            comps = riesz_kernel_components(al, j, X, Y, cfg)
+            _, comps = riesz_kernel_components(al, j, X, Y, cfg)
             envelope = sum(np.abs(v) for v in comps.values())
             gap = np.abs(riesz_kernel(al, j, X, Y, cfg) - sum(comps.values())) / envelope
             assert np.max(gap) <= 1e-12
@@ -425,7 +473,7 @@ class TestKernelComponents:
         x, y = np.array(x), np.array(y)
         direct = riesz_kernel_direct(al, j, x, y)
         product = riesz_kernel(al, j, x, y, CFG_EXACT)
-        total = sum(riesz_kernel_components(al, j, x, y, CFG_EXACT).values())
+        total = sum(riesz_kernel_components(al, j, x, y, CFG_EXACT)[1].values())
         assert abs(product - direct) <= abs(total - direct)
 
     def test_near_diagonal_refused(self):
@@ -464,6 +512,16 @@ class TestKernelGradient:
             ref = richardson_gradient(al, j, X, Y, CFG_EXACT)
             gap = np.max(np.abs(got - ref), axis=1) / np.linalg.norm(ref, axis=1)
             assert np.max(gap) <= 1e-6
+
+    @pytest.mark.parametrize("s_method", ["exact", "gauss-jacobi"])
+    def test_matches_mpmath(self, s_method):
+        # the pinned pair's 30-digit gradients (tests/make_mpmath_references.py),
+        # every partial relative to the gradient norm, at the default 96/48 rule
+        cfg = KernelConfig(s_method=s_method)
+        for alpha, j, x, y, ref in MPMATH["riesz_gradient"]:
+            ref = np.array([float(v) for v in ref])
+            got = riesz_kernel_gradient(AlphaParams(tuple(alpha)), j, x, y, cfg)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.linalg.norm(ref)
 
     def test_pinned_pair_where_coarse_fd_is_off(self):
         # pair_sample(1, 1000, seed=111)[297], 0.012 from the reflected
@@ -546,6 +604,26 @@ class TestKernelRoutes:
             direct = riesz_kernel_direct(al, j, x, y)
             quadr = riesz_kernel(al, j, x, y, CFG)
             assert quadr == pytest.approx(direct, rel=1e-4, abs=1e-12)
+
+    @pytest.mark.parametrize("s_method", ["gauss-jacobi", "exact"])
+    def test_pinned_pair_matches_mpmath_at_the_default_rule(self, s_method):
+        # the pair 0.024 from a reflected diagonal at the documented 96/48
+        # rule, every j: the per-parity Schlafli moments of the old
+        # Gauss-Jacobi route cancelled to a relative error of 1e12 here,
+        # and exact s was 2.5e-2 off at 96 zeta nodes
+        cfg = KernelConfig(s_method=s_method)
+        rows = [r for r in MPMATH["riesz"] if r[2] == [1.0, 2.5, 0.5]]
+        assert len(rows) == 3
+        for alpha, j, x, y, ref in rows:
+            got = riesz_kernel(AlphaParams(tuple(alpha)), j, np.array(x), np.array(y), cfg)
+            assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
+
+    def test_route_agreement_at_the_gauss_jacobi_fault(self):
+        # the documented-default d = 2 config whose pair x = (-2.226, -1.437),
+        # y = (1.969, -1.117), j = 0, 0.41 from a reflected diagonal, was
+        # 2.1e-4 off the direct route on 64 Gauss-Jacobi s-nodes
+        rec = _check_route_agreement(RunConfig((-0.5, 0.7), seed=406068863))
+        assert rec["passed"] and rec["residual"] <= 1e-10
 
     def test_exact_method_handles_near_diagonal(self):
         # the analytic-s path stays accurate where the fixed Gauss-Jacobi
