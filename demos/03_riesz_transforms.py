@@ -23,7 +23,7 @@ for n, v in sorted(rc.coeffs.items()):
     print("  %s -> %.6f (multiplier %.6f)" % (n, v, riesz_multiplier((n[0] + 1,), al, 0)))
 
 # Kernel route vs the direct t-integral oracle.
-cfg = KernelConfig(zeta_points=256, s_points_per_dim=64)
+cfg = KernelConfig(zeta_points=256, s_points_per_dim=64, s_method="gauss-jacobi")
 pairs = [(0.7, 1.5), (1.0, -0.4), (2.0, 0.3)]
 print("\nkernel routes (alpha = 0.7):")
 for x, y in pairs:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -56,14 +56,14 @@ def _kernel_config(ns) -> KernelConfig:
 
 def _add_kernel_flags(p: argparse.ArgumentParser, s_method: bool = True):
     """The kernel quadrature flags, each stored under its KernelConfig field,
-    with CLI_KERNEL's defaults; without ``--s-method`` the exact route is
-    fixed, as the scans need it near the diagonal."""
+    with CLI_KERNEL's defaults; the scans take no ``--s-method``, as they
+    need the exact route near the diagonal."""
     p.add_argument("--zeta-points", type=int, dest="zeta_points")
     p.add_argument("--zeta-grading", type=float, dest="zeta_grading")
     p.add_argument("--s-points", type=int, dest="s_points_per_dim")
     if s_method:
         p.add_argument("--s-method", choices=["gauss-jacobi", "exact"], dest="s_method")
-    p.set_defaults(**asdict(CLI_KERNEL if s_method else replace(CLI_KERNEL, s_method="exact")))
+    p.set_defaults(**asdict(CLI_KERNEL))
 
 
 def _read_pairs(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import AlphaParams
-from .riesz import KernelConfig, _graded_rule, riesz_kernel, riesz_kernel_gradient
+from .quadrature import _graded_rule
+from .riesz import KernelConfig, riesz_kernel, riesz_kernel_gradient
 from .special import bessel_i_scaled
 
 __all__ = [

@@ -14,10 +14,10 @@ global exponent assembled once:
     exp( -coth(2t) (|x|^2+|y|^2)/2 + sum_i |z_i| ) <= 1,
 
 so the evaluation cannot overflow for small t or large arguments.  Where
-z_i < 0 the bracket's two Bessel terms cancel, and it is summed instead as
-a confluent hypergeometric series of positive terms.  The prelude and this
-parity factor, with its derivative, are also every Riesz kernel route's
-(``riesz._delta_heat``).  On a tensor rule a kernel column is an outer
+z_i < 0 the bracket's two Bessel terms cancel, and it is Kummer's function
+instead, summed by the same series core in ``special``.  The prelude and
+this parity factor, with its derivative, are also every Riesz kernel
+route's (``riesz._delta_heat``).  On a tensor rule a kernel column is an outer
 product of 1-d columns, d n pairs instead of n^d.  The parity components
 G^{alpha,eps} (eps in {0,1}^d) and the paper's (zeta, s) integrand, an
 oracle for the closed form, live here as well.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .hermite import AlphaParams, hermite_fn_all_1d
 from .quadrature import QuadratureRule, SpectralCoeffs, _evaluate
-from .special import _horner, bessel_ratio_scaled
+from .special import _kummer_scaled, bessel_ratio_scaled
 
 __all__ = [
     "q_plus_minus",
@@ -94,41 +94,6 @@ def _kernel_prelude(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray):
             - 0.5 * b * np.sum((np.abs(X) - np.abs(Y)) ** 2, axis=1) - alpha.dim * math.log(2.0)
             - (alpha.dim + alpha.abs_sum) * (2.0 * t - math.log(2.0) + np.log(one_m_e4)))
     return b, z, expo
-
-
-def _kummer_scaled(k: float, b: float, x: np.ndarray) -> np.ndarray:
-    """e^{-x} M(k, b, x) for k, x >= 0 and b > k: the series sum_n (k)_n/(b)_n
-    x^n/n! of positive terms (DLMF 13.2.2), summed as in ``special``, up to
-    x = max(50, 2(k+2)^2) (at most 600), beyond it the large-argument
-    expansion Gamma(b)/Gamma(k) x^{k-b} sum_s (b-k)_s (1-k)_s/s! x^{-s}
-    (DLMF 13.7.2), optimally truncated, and e^{-x} at k = 0."""
-    if k == 0.0:
-        return np.exp(-x)
-    small = x <= min(max(50.0, 2.0 * (k + 2.0) ** 2), 600.0)
-    xs, xl, out = x[small], x[~small], np.empty(x.shape)
-    if xs.size:
-        x_max = float(xs.max())
-        scale = math.ldexp(1.0, math.frexp(x_max)[1] - 1)
-        t, total, coefs = 1.0, 1.0, [1.0]
-        while t > 1e-18 * total:
-            n = len(coefs)
-            r = (k + n - 1) / ((b + n - 1) * n)
-            t *= r * x_max
-            total += t
-            coefs.append(coefs[-1] * r * scale)
-        out[small] = np.exp(-xs) * _horner(coefs, xs * (1.0 / scale))
-    if xl.size:
-        x_min, t, coefs = float(xl.min()), 1.0, [1.0]
-        while abs(t) > 1e-18:
-            s = len(coefs)
-            step = (b - k + s - 1) * (s - k) / s
-            if abs(step) >= x_min:  # the next term would not decrease
-                break
-            t *= step / x_min
-            coefs.append(coefs[-1] * step)
-        out[~small] = (math.exp(math.lgamma(b) - math.lgamma(k)) * xl ** (k - b)
-                       * _horner(coefs, 1.0 / xl))
-    return out
 
 
 def _parity_sum(a: float, z: np.ndarray, slope: bool = False):

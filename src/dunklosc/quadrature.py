@@ -16,15 +16,19 @@ functions |x|^k e^{-x^2}, whose exact integrals are
 Gamma((k + 2a + 2)/2).
 
 Both Gauss rules of the package, this one and ``riesz.SchlafliMeasure``,
-come from ``_gauss_nodes_logweights`` (Golub-Welsch, on numpy alone).
+come from ``_gauss_nodes_logweights`` (Golub-Welsch, on numpy alone).  The
+graded Gauss-Legendre rule on (0, 1) behind the kernel's zeta rule and
+the ball quadrature of ``estimates`` is ``_graded_rule``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .hermite import AlphaParams, hermite_fn_all_1d
 from .special import log_gamma
@@ -108,6 +112,27 @@ def _gauss_nodes_logweights(diag: np.ndarray, off: np.ndarray, log_mass: float,
     # p is p_m, unnormalized (b[m] = 1)
     step = -p / dp if polish else 0.0
     return x + step, -2.0 * logscale - 2.0 * pdp * step
+
+
+@functools.cache
+def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes on (0,1), npoints // 2 per half,
+    clustered at both endpoints by the power map v -> v^g on each half;
+    returns (nodes, complements 1 - node, weights), the weights including
+    the Jacobian of the map.  The right half's complements are 0.5 v^g
+    exactly, so they stay positive where the node itself rounds to 1.0.
+    Cached per (npoints, g), so the arrays are read-only."""
+    v, wv = leggauss(npoints // 2)
+    v = 0.5 * (v + 1.0)
+    wv = 0.5 * wv
+    left = 0.5 * v**g
+    wl = 0.5 * g * v ** (g - 1.0) * wv
+    nodes = np.concatenate([left, (1.0 - left)[::-1]])
+    complements = np.concatenate([1.0 - left, left[::-1]])
+    weights = np.concatenate([wl, wl[::-1]])
+    for a in (nodes, complements, weights):
+        a.flags.writeable = False
+    return nodes, complements, weights
 
 
 def gauss_rule_1d(alpha_j: float, npoints: int) -> Rule1D:

@@ -31,7 +31,6 @@ cancellation-limited accuracy very close to those sets.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -39,7 +38,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .hermite import AlphaParams, MultiIndex, ladder_coeff
-from .quadrature import QuadratureRule, SpectralCoeffs, _gauss_nodes_logweights, project
+from .quadrature import (QuadratureRule, SpectralCoeffs, _gauss_nodes_logweights,
+                         _graded_rule, project)
 from .special import log_gamma
 from .heat import _heat_values, _kernel_prelude, _parity_sum, _prepare_pairs, all_parities, psi_zeta
 
@@ -135,15 +135,16 @@ class KernelConfig:
     the closed form up to |z| = 100, 1e-7 at 200 and 1e-3 at 400, and
     |z_i| = |x_i y_i| / sinh 2t grows without bound as t -> 0.  So only the
     exact route stays accurate arbitrarily close to the diagonal and the
-    reflected diagonals, where the integrand's mass sits at small t; the
-    scans use it for that reason.  The nu = -1/2 atoms of the Schlafli
-    measure are detected by exact comparison on the user-supplied alpha.
+    reflected diagonals, where the integrand's mass sits at small t; it is
+    the default for that reason, and the scans force it.  The nu = -1/2
+    atoms of the Schlafli measure are detected by exact comparison on the
+    user-supplied alpha.
     """
 
     zeta_points: int = 96
     zeta_grading: float = 3.0
     s_points_per_dim: int = 48
-    s_method: str = "gauss-jacobi"
+    s_method: str = "exact"
 
     def __post_init__(self):
         for name, least in (("zeta_points", 16), ("s_points_per_dim", 8)):
@@ -164,27 +165,6 @@ class KernelConfig:
         """Twice the zeta and s points: a scan's refinement rerun."""
         return replace(self, zeta_points=2 * self.zeta_points,
                        s_points_per_dim=2 * self.s_points_per_dim)
-
-
-@functools.cache
-def _graded_rule(npoints: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes on (0,1), npoints // 2 per half,
-    clustered at both endpoints by the power map v -> v^g on each half;
-    returns (nodes, complements 1 - node, weights), the weights including
-    the Jacobian of the map.  The right half's complements are 0.5 v^g
-    exactly, so they stay positive where the node itself rounds to 1.0.
-    Cached per (npoints, g), so the arrays are read-only."""
-    v, wv = leggauss(npoints // 2)
-    v = 0.5 * (v + 1.0)
-    wv = 0.5 * wv
-    left = 0.5 * v**g
-    wl = 0.5 * g * v ** (g - 1.0) * wv
-    nodes = np.concatenate([left, (1.0 - left)[::-1]])
-    complements = np.concatenate([1.0 - left, left[::-1]])
-    weights = np.concatenate([wl, wl[::-1]])
-    for a in (nodes, complements, weights):
-        a.flags.writeable = False
-    return nodes, complements, weights
 
 
 def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

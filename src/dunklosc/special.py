@@ -1,18 +1,19 @@
-"""Special functions: log-gamma, Laguerre polynomials and modified
-Bessel functions of the first kind in overflow-safe (exponentially scaled)
-form.
+"""Special functions: log-gamma, Laguerre polynomials, and in
+overflow-safe (exponentially scaled) form the modified Bessel functions of
+the first kind and Kummer's function.
 
-Everything here is a pure function of its arguments.  The three Bessel
-functions share one vectorized core with two regimes: the ascending series
-sum_k (z/2)^{2k} / (k! Gamma(k+nu+1)) (DLMF 10.25.2) for
-z <= max(30, 4 nu^2), and above that the large-argument expansion of
-e^{-z} I_nu(z) with optimal truncation (DLMF 10.40.1).  Each public
-function only adds its prefactor to these two branches.
+Everything here is a pure function of its arguments.  Every series goes
+through one core: a sum of positive terms c0 sum_n (p)_n/(q)_n u^n/n!
+(0F1 for Bessel, 1F1 for Kummer) up to a cutoff of each caller's, and the
+large-argument expansion 2F0(p, q;; w) with optimal truncation above it,
+split by ``_by_regime``.  Each public function only adds its prefactor to
+the two branches.
 
 Both branches are polynomials evaluated by Horner's rule, with a term
 count fixed once per call by a scalar loop at the element that needs the
 most terms.  The series' coefficients are its terms at the largest
-argument, scaled by a power of two, as unscaled ones underflow at large nu.
+argument, scaled by a power of two, as unscaled ones underflow at large
+orders.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ __all__ = [
     "bessel_ratio",
     "bessel_ratio_scaled",
 ]
-
-
-# The series serves z <= max(SERIES_CUTOFF, 4 nu^2), below which the
-# asymptotic expansion has not started to converge.
-SERIES_CUTOFF = 30.0
 
 
 def log_gamma(x: float) -> float:
@@ -89,47 +85,47 @@ def _horner(coefs: list[float], u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series(nu: float, a: np.ndarray) -> np.ndarray:
-    # sum_k q^k / (k! Gamma(k+nu+1)), q = (a/2)^2, all terms positive.  The
-    # terms t_k at q_max = max q, up to the first t_k <= 1e-18 sum, fix the
-    # length; u = q / 2^e, 2^e <= q_max < 2^{e+1}, is exact and keeps coefs <= t_k.
-    q = 0.25 * a * a
-    q_max = float(q.max(initial=0.0))
-    scale = math.ldexp(1.0, math.frexp(q_max)[1] - 1)
-    t = total = c = math.exp(-math.lgamma(nu + 1.0))
-    coefs = [c]
+def _positive_series(c0: float, p: float | None, q: float, u: np.ndarray) -> np.ndarray:
+    # c0 sum_n (p+1)_n / (q+1)_n u^n / n! for u >= 0, all terms positive: the
+    # term ratio is (p + n) / ((q + n) n), so Bessel's order enters exactly,
+    # and no p is 0F1, (p+1)_n = n!.  The terms t_n at u_max = max u, up to
+    # the first t_n <= 1e-18 sum, fix the length; u / 2^e, 2^e <= u_max <
+    # 2^{e+1}, is exact and keeps the coefficients <= t_n, which underflow
+    # unscaled at large orders.
+    u_max = float(u.max(initial=0.0))
+    scale = math.ldexp(1.0, math.frexp(u_max)[1] - 1)
+    t = total = c0
+    coefs = [c0]
     while t > 1e-18 * total:
-        k = len(coefs)
-        t *= q_max / (k * (k + nu))
+        n = len(coefs)
+        r = (1.0 if p is None else p + n) / ((q + n) * n)
+        t *= r * u_max
         total += t
-        c *= scale / (k * (k + nu))
-        coefs.append(c)
-    return _horner(coefs, q * (1.0 / scale))
+        coefs.append(coefs[-1] * r * scale)
+    return _horner(coefs, u * (1.0 / scale))
 
 
-def _asymptotic(nu: float, a: np.ndarray) -> np.ndarray:
-    # e^{-a} I_nu(a) ~ (2 pi a)^{-1/2} sum_k (-1)^k a_k(nu) / a^k with
-    # a_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k), a polynomial in 1/a.
-    # Its terms t_k at a_min = min a fix the length: up to |t_k| <= 1e-18 or
+def _expansion_2f0(p: float, q: float, w: np.ndarray) -> np.ndarray:
+    # The asymptotic series 2F0(p, q;; w) = sum_n (p)_n (q)_n w^n / n!, w > 0.
+    # Its terms t_n at w_max = max w fix the length: up to |t_n| <= 1e-18 or
     # before the first that does not decrease (optimal truncation where it
-    # binds; every larger a is short of its optimum).  Exact at nu = +-1/2.
-    mu = 4.0 * nu * nu
-    a_min = float(np.fmin.reduce(a))  # skips NaN, which must not spoil the batch
+    # binds; every smaller w is short of its optimum).  Exact where p or q
+    # is a nonpositive integer.
+    w_max = float(np.fmax.reduce(w))  # skips NaN, which must not spoil the batch
     coefs, t = [1.0], 1.0
     while abs(t) > 1e-18:
-        step = -(mu - (2 * len(coefs) - 1) ** 2) / (8.0 * len(coefs))
-        if abs(step) >= a_min:  # |t_k| >= |t_{k-1}|
+        n = len(coefs)
+        step = (p + n - 1) * (q + n - 1) / n
+        if abs(step) * w_max >= 1.0:  # |t_n| >= |t_{n-1}|
             break
-        t *= step / a_min
+        t *= step * w_max
         coefs.append(coefs[-1] * step)
-    return _horner(coefs, 1.0 / a) / np.sqrt(2.0 * math.pi * a)
+    return _horner(coefs, w)
 
 
-def _by_regime(nu: float, z: np.ndarray, series, asymptotic):
-    # series(a) for a <= max(SERIES_CUTOFF, 4 nu^2), asymptotic(a) above
-    if nu < -0.5:
-        raise ValueError("order nu must be >= -1/2")
-    small = z <= max(SERIES_CUTOFF, 4.0 * nu * nu)
+def _by_regime(z: np.ndarray, cutoff: float, series, asymptotic):
+    # series(z) where z <= cutoff, asymptotic(z) elsewhere (NaN included)
+    small = z <= cutoff
     if small.all():
         out = series(z)
     elif not small.any():
@@ -139,6 +135,34 @@ def _by_regime(nu: float, z: np.ndarray, series, asymptotic):
         out[small] = series(z[small])
         out[~small] = asymptotic(z[~small])
     return out if out.shape else float(out)
+
+
+def _bessel(nu: float, z: np.ndarray, series_factor, asymptotic_factor):
+    # e^{-z} I_nu(z) is series_factor(z) 0F1(; nu+1; z^2/4) / Gamma(nu+1)
+    # (DLMF 10.25.2) up to z = max(30, 4 nu^2), below which the expansion has
+    # not started to converge, and asymptotic_factor(z) (2 pi z)^{-1/2}
+    # 2F0(1/2+nu, 1/2-nu;; 1/(2z)) above (DLMF 10.40.1), exact at nu = +-1/2.
+    if nu < -0.5:
+        raise ValueError("order nu must be >= -1/2")
+    c0 = math.exp(-math.lgamma(nu + 1.0))
+    return _by_regime(
+        z, max(30.0, 4.0 * nu * nu),
+        lambda a: series_factor(a) * _positive_series(c0, None, nu, 0.25 * a * a),
+        lambda a: asymptotic_factor(a) * _expansion_2f0(0.5 + nu, 0.5 - nu, 0.5 / a)
+        / np.sqrt(2.0 * math.pi * a))
+
+
+def _kummer_scaled(k: float, b: float, x: np.ndarray) -> np.ndarray:
+    """e^{-x} M(k, b, x) for k, x >= 0 and b > k: the series sum_n (k)_n/(b)_n
+    x^n/n! of positive terms (DLMF 13.2.2) up to x = max(50, 2(k+2)^2) (at
+    most 600), beyond it Gamma(b)/Gamma(k) x^{k-b} 2F0(b-k, 1-k;; 1/x)
+    (DLMF 13.7.2), and e^{-x} at k = 0."""
+    if k == 0.0:
+        return np.exp(-x)
+    c = math.exp(math.lgamma(b) - math.lgamma(k))
+    return _by_regime(x, min(max(50.0, 2.0 * (k + 2.0) ** 2), 600.0),
+                      lambda u: np.exp(-u) * _positive_series(1.0, k - 1.0, b - 1.0, u),
+                      lambda u: c * u ** (k - b) * _expansion_2f0(b - k, 1.0 - k, 1.0 / u))
 
 
 def bessel_i_scaled(nu: float, z):
@@ -154,8 +178,8 @@ def bessel_i_scaled(nu: float, z):
     # double resolution (Soni's inequality I_{nu+1} <= I_nu).
     # nu log(z/2) is 0 at nu = 0, also at z = 0, and -+inf at z = 0 otherwise.
     with np.errstate(divide="ignore"):
-        return _by_regime(nu, z, lambda a: np.exp((nu * np.log(0.5 * a) if nu else 0.0) - a)
-                          * _series(nu, a), lambda a: _asymptotic(nu, a))
+        return _bessel(nu, z, lambda a: np.exp((nu * np.log(0.5 * a) if nu else 0.0) - a),
+                       lambda a: 1.0)
 
 
 def bessel_ratio_scaled(nu: float, z):
@@ -164,9 +188,8 @@ def bessel_ratio_scaled(nu: float, z):
     This is the bounded building block of every kernel evaluation: the
     e^{|z|} growth is re-absorbed into the kernel's global exponent.
     """
-    return _by_regime(nu, np.abs(np.asarray(z, dtype=float)),
-                      lambda a: np.exp(-nu * math.log(2.0) - a) * _series(nu, a),
-                      lambda a: _asymptotic(nu, a) * np.exp(-nu * np.log(a)))
+    return _bessel(nu, np.abs(np.asarray(z, dtype=float)),
+                   lambda a: np.exp(-nu * math.log(2.0) - a), lambda a: np.exp(-nu * np.log(a)))
 
 
 def bessel_ratio(nu: float, z):

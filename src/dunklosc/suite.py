@@ -427,10 +427,10 @@ def _check_ap(cfg: RunConfig):
     return _record("ap_power_weight", bad == 0, 0.0, float(bad), cases=len(cases))
 
 
-def _check_scans(cfg: RunConfig):
+def _check_scans(cfg: RunConfig, n_pairs: int = 200):
     al = cfg.alpha_params
-    g = growth_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=cfg.scan_kernel)
-    s = smoothness_scan(al, 0, n_pairs=200, seed=cfg.seed, cfg=cfg.scan_kernel)
+    g = growth_scan(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=cfg.scan_kernel)
+    s = smoothness_scan(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=cfg.scan_kernel)
     passed = g.passed and s.passed
     return _record("cz_scans", passed, DRIFT_TOL, max(g.refinement_drift, s.refinement_drift),
                    seed=cfg.seed, growth_constant=g.max_ratio, smoothness_constant=s.max_ratio)

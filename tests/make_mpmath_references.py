@@ -19,7 +19,11 @@ from the identities the package uses:
   Bessel form here), since |x_i y_i|/sinh 2t reaches 1e7;
 * ``riesz_gradient``: [dR_j/dx_1..d, dR_j/dy_1..d] at the pinned pair
   (the first of ``riesz``) at 30 digits, the same t-integral of the
-  integrand differentiated in each coordinate by ``mp.diff``.
+  integrand differentiated in each coordinate by ``mp.diff``;
+* ``kummer_scaled``: e^{-x} M(k, b, x) from mpmath's hyp1f1 at 50 digits,
+  asserted equal at 60, at b = 2k+1 and 2k+2 (the parity factor and its
+  slope for z < 0), x from 1e-3 to 1e3 and on both sides of the cutoff
+  between the series and the expansion.
 """
 
 import json
@@ -49,6 +53,15 @@ NEAR_R = 1e-3 * (1 + 1e-9)
 NEAR = [((0.0,), (1.1,), (1.0,)),
         ((-0.5, 0.7), (0.9, -1.3), (0.6, 0.8)),
         ((0.0, -0.5, 1.3), (1.2, -0.7, 0.9), (2 / 3, -1 / 3, 2 / 3))]
+KUMMER_K = (0.5, 1.2, 2.2, 3.5)
+KUMMER_X = [float(x) for x in mp.linspace(-3, 3, 13)]  # log10 x
+
+
+def kummer_cutoff(k):
+    """special._kummer_scaled's switch from the series to the expansion."""
+    return min(max(50.0, 2.0 * (k + 2.0) ** 2), 600.0)
+
+
 RIESZ_PAIRS = [DELTA_PAIRS[2]] + [(alpha, x, tuple(xi + NEAR_R * ui for xi, ui in zip(x, u)))
                                   for alpha, x, u in NEAR]
 
@@ -133,8 +146,18 @@ def riesz_gradient(alpha, j, x, y):
     return [partial(k) for k in range(2 * d)]
 
 
+def kummer_scaled(k, b, x):
+    k, b, x = mp.mpf(k), mp.mpf(b), mp.mpf(x)
+    value = mp.exp(-x) * mp.hyp1f1(k, b, x)
+    with mp.workdps(60):
+        check = mp.exp(-x) * mp.hyp1f1(k, b, x)
+    assert abs(value - check) <= mp.mpf(10) ** -45 * abs(check), (k, b, x)
+    return value
+
+
 def main():
-    refs = {"parity_sum": [], "delta_heat": [], "riesz": [], "riesz_gradient": []}
+    refs = {"parity_sum": [], "delta_heat": [], "riesz": [], "riesz_gradient": [],
+            "kummer_scaled": []}
     mp.mp.dps = 30
     for a in PARITY_ALPHAS:
         for e in PARITY_Z:
@@ -159,6 +182,13 @@ def main():
     for j in range(len(alpha)):
         refs["riesz_gradient"].append([list(alpha), j, list(x), list(y),
                                        [mp.nstr(g, 25) for g in riesz_gradient(alpha, j, x, y)]])
+    mp.mp.dps = 50
+    for k in KUMMER_K:
+        cut = kummer_cutoff(k)
+        xs = sorted([10**e for e in KUMMER_X] + [0.95 * cut, cut, 1.05 * cut])
+        for b in (2.0 * k + 1.0, 2.0 * k + 2.0):
+            for x in xs:
+                refs["kummer_scaled"].append([k, b, x, mp.nstr(kummer_scaled(k, b, x), 25)])
     blocks = [f' "{name}": [\n' + ",\n".join("  " + json.dumps(row) for row in rows) + "\n ]"
               for name, rows in refs.items()]
     OUT.write_text("{\n" + ",\n".join(blocks) + "\n}\n")  # one reference per line

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from dunklosc.estimates import growth_scan, smoothness_scan, soni_scan
+from dunklosc.estimates import soni_scan
 from dunklosc.heat import maximal_empirical
 from dunklosc.hermite import AlphaParams
 from dunklosc.quadrature import gauss_rule_1d, tensor_rule
@@ -17,14 +17,13 @@ from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMea
                             dual_pairing_check)
 from dunklosc.suite import (RunConfig, _check_ap, _check_apriori, _check_contraction,
                             _check_fischer, _check_ladder, _check_orthonormality,
-                            _check_route_agreement, _check_schlafli, _check_semigroup,
-                            _check_series_vs_kernel, _check_star, worst_of)
+                            _check_route_agreement, _check_scans, _check_schlafli,
+                            _check_semigroup, _check_series_vs_kernel, _check_star, worst_of)
 
 from conftest import ALPHA_MATRIX
 
-KERNEL_CFG = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=64)
-SCAN_CFG = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=48,
-                        s_method="exact")
+KERNEL_CFG = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=64,
+                          s_method="gauss-jacobi")
 
 
 def report(num, name, passed, detail):
@@ -147,12 +146,12 @@ def test_11_cz_estimate_scans():
     constants = []
     for a in (-0.5, 0.0, 1.3):
         for d in (1, 2):
-            al = AlphaParams((a,) * d)
-            gr = growth_scan(al, 0, n_pairs=1000, seed=110, cfg=SCAN_CFG)
-            sm = smoothness_scan(al, 0, n_pairs=1000, seed=111, cfg=SCAN_CFG)
-            ok = ok and gr.passed and sm.passed
-            constants.append((a, d, round(gr.max_ratio, 4), round(sm.max_ratio, 4),
-                              f"{max(gr.refinement_drift, sm.refinement_drift):.2g}"))
+            # exact s on 256 zeta nodes, rerun on 512
+            rec = _check_scans(RunConfig((a,) * d, seed=110, kernel=KernelConfig(zeta_points=256)),
+                               n_pairs=1000)
+            ok = ok and rec["passed"]
+            constants.append((a, d, round(rec["growth_constant"], 4),
+                              round(rec["smoothness_constant"], 4), f"{rec['residual']:.2g}"))
     elapsed = time.time() - t0
     report(11, "cz_estimate_scans", ok,
            f"growth/smoothness finite, drift <= 5% over 1000 pairs per config; "

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -241,10 +241,11 @@ class TestSubcommands:
         pairs.write_text("2.0,-1.5,2.2,-2.01,1.52,2.19\n")
         out = tmp_path / "out.csv"
         assert main(["riesz-kernel", "--alpha=-0.5,-0.5,-0.5", "--j=3", "--pairs", str(pairs),
-                     "-o", str(out)]) == 0
+                     "--s-method=gauss-jacobi", "-o", str(out)]) == 0
         row = [float(v) for v in out.read_text().splitlines()[-1].split(",")]
         want = riesz_kernel(AlphaParams((-0.5, -0.5, -0.5)), 2, np.array([2.0, -1.5, 2.2]),
-                            np.array([-2.01, 1.52, 2.19]), KernelConfig(zeta_points=192))
+                            np.array([-2.01, 1.52, 2.19]),
+                            KernelConfig(zeta_points=192, s_method="gauss-jacobi"))
         assert row[6] == want
         assert abs(sum(row[7:]) - want) <= 1e-12 * sum(abs(v) for v in row[7:])
 
@@ -288,13 +289,11 @@ class TestSubcommands:
     def test_kernel_flag_defaults(self):
         parser = build_parser()
         cli_kernel = KernelConfig(zeta_points=192)
-        for argv, expect in [
-                (["riesz-kernel", "--alpha=0", "--j=1", "--pairs=p.csv"], cli_kernel),
-                (["pairing-check", "--alpha=0"], cli_kernel),
-                (["scan-growth", "--alpha=0", "--seed=1"], replace(cli_kernel, s_method="exact")),
-                (["scan-smoothness", "--alpha=0", "--seed=1"],
-                 replace(cli_kernel, s_method="exact"))]:
-            assert _kernel_config(parser.parse_args(argv)) == expect
+        assert cli_kernel.s_method == "exact"
+        for argv in (["riesz-kernel", "--alpha=0", "--j=1", "--pairs=p.csv"],
+                     ["pairing-check", "--alpha=0"], ["scan-growth", "--alpha=0", "--seed=1"],
+                     ["scan-smoothness", "--alpha=0", "--seed=1"]):
+            assert _kernel_config(parser.parse_args(argv)) == cli_kernel
 
     def test_scan_refuses_a_resolution_it_cannot_double(self, capsys):
         # an odd count is refused; 1024 runs, and its rerun at 2048 zeta points

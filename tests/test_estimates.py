@@ -106,7 +106,7 @@ class TestBallMeasure:
     def test_self_convergence(self, alpha, positive_orthant, monkeypatch):
         # the module's rule against a four times finer one
         import dunklosc.estimates as est
-        from dunklosc.riesz import _graded_rule
+        from dunklosc.quadrature import _graded_rule
         al = AlphaParams(alpha)
         rng = np.random.default_rng(8)
         X = rng.uniform(-3, 3, size=(12, al.dim))

@@ -30,7 +30,8 @@ MPMATH = json.loads(pathlib.Path(__file__).with_name("mpmath_references.json").r
 # t = 0.3, rounding (7e-16) at t = 1 and 3
 SERIES_TOL = {0.3: 1e-10, 1.0: 1e-12, 3.0: 1e-12}
 
-CFG = KernelConfig(zeta_points=192, zeta_grading=3.0, s_points_per_dim=48)
+CFG = KernelConfig(zeta_points=192, zeta_grading=3.0, s_points_per_dim=48,
+                  s_method="gauss-jacobi")
 CFG_EXACT = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=48,
                          s_method="exact")
 
@@ -393,7 +394,7 @@ class TestKernelComponents:
         # nodes; at 10 nodes it is 3.6e-4 and 1.1e-2).
         al = AlphaParams(alpha)
         tol = 1e-13 if al.dim == 2 else 1e-9
-        cfg = KernelConfig(zeta_points=32)
+        cfg = KernelConfig(zeta_points=32, s_method="gauss-jacobi")
         zeta, _, zw = zeta_grid(cfg)
         rng = np.random.default_rng(29)
         xs, ys = [], []
@@ -558,7 +559,8 @@ class TestKernelGradient:
             exact = riesz_kernel_gradient(al, j, X, Y,
                                           KernelConfig(zeta_points=128, s_method="exact"))
             jacobi = riesz_kernel_gradient(al, j, X, Y,
-                                           KernelConfig(zeta_points=128, s_points_per_dim=96))
+                                           KernelConfig(zeta_points=128, s_points_per_dim=96,
+                                                        s_method="gauss-jacobi"))
             gap = np.max(np.abs(jacobi - exact), axis=1) / np.linalg.norm(exact, axis=1)
             assert np.max(gap) <= 1e-6
 
@@ -732,6 +734,20 @@ class TestDirectOracle:
         # integrand does not decay as t -> 0: refused, not truncated
         with pytest.raises(RuntimeError, match="integrand does not vanish at the ends"):
             riesz_kernel_direct(AlphaParams(alpha), 0, np.array(x), np.array(y))
+
+    @pytest.mark.parametrize("a,x", [(0.0, 2.25), (0.7, 1.0), (1.3, 2.25)])
+    def test_log_singularity_at_the_reflected_diagonal(self, a, x):
+        # d = 1, y = -x + delta: R ~ -(2/sqrt(pi)) C ln(1/delta) + O(1), with
+        # -C = -Gamma(2a+2)/(Gamma(a+1/2) Gamma(a+1) 2^a) 2^{-(a+2)} x^{-(2a+2)}
+        # the limit of t^{1/2} delta G_t(x, -x) as t -> 0.  The change per
+        # decade of delta, 1e-3 to 1e-4, is within 1.1e-3, 4.1e-3 and 2.4e-3
+        # of it; with 2^{-(a+1)} in C it would be 100 % off.
+        c = (math.gamma(2 * a + 2) / (math.gamma(a + 0.5) * math.gamma(a + 1) * 2**a)
+             * 2 ** -(a + 2) * x ** -(2 * a + 2))
+        r = riesz_kernel_direct(AlphaParams((a,)), 0, np.array([[x], [x]]),
+                                np.array([[1e-3 - x], [1e-4 - x]]))
+        want = 2 / math.sqrt(math.pi) * c * math.log(10)
+        assert abs((r[0] - r[1]) - want) <= 1e-2 * want
 
     @pytest.mark.parametrize("seed", [1359186057, 1906206968])
     def test_route_agreement_where_the_oracle_refused(self, seed):

@@ -1,13 +1,15 @@
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln, ive
 
-from dunklosc.special import (_asymptotic, _series, bessel_i_scaled, bessel_ratio,
-                              bessel_ratio_scaled, laguerre, laguerre_deriv,
-                              log_gamma)
+from dunklosc.special import (_expansion_2f0, _kummer_scaled, _positive_series,
+                              bessel_i_scaled, bessel_ratio, bessel_ratio_scaled, laguerre,
+                              laguerre_deriv, log_gamma)
 
 
 class TestLogGamma:
@@ -104,9 +106,22 @@ class TestBessel:
         # switch is the truncation mismatch, not the function's variation
         z = np.array([25.0, 30.0, 40.0, 75.0])
         for nu in (-0.5, 0.0, 1.7):
-            lo = np.exp(nu * np.log(z / 2) - z) * _series(nu, z)
-            hi = _asymptotic(nu, z)
+            lo = (np.exp(nu * np.log(z / 2) - z - math.lgamma(nu + 1))
+                  * _positive_series(1.0, None, nu, z * z / 4))
+            hi = _expansion_2f0(0.5 + nu, 0.5 - nu, 0.5 / z) / np.sqrt(2 * math.pi * z)
             assert np.all(np.abs(lo - hi) / hi < 1e-10)
+
+    @pytest.mark.parametrize("k", [0.5, 1.2, 2.2, 3.5])
+    def test_kummer_cross_regime_continuity(self, k):
+        # e^{-x} M(k, b, x) by the 1F1 series and by its 2F0 expansion at the
+        # same x, from below to above the cutoff (measured <= 3e-15)
+        cutoff = min(max(50.0, 2.0 * (k + 2.0) ** 2), 600.0)
+        x = cutoff * np.array([0.8, 1.0, 1.25, 2.0])
+        for b in (2 * k + 1, 2 * k + 2):
+            lo = np.exp(-x) * _positive_series(1.0, k - 1, b - 1, x)
+            hi = math.exp(math.lgamma(b) - math.lgamma(k)) * x ** (k - b) * _expansion_2f0(
+                b - k, 1 - k, 1 / x)
+            assert np.all(np.abs(lo - hi) / hi < 1e-13)
 
     def test_array_against_scipy(self):
         z = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 60)])
@@ -219,3 +234,22 @@ class TestBesselMpmathOracle:
         np.testing.assert_allclose(bessel_ratio_scaled(nu, z), single, rtol=1e-14, atol=0)
         single = np.array([bessel_i_scaled(nu, v) for v in z[1:]])
         np.testing.assert_allclose(bessel_i_scaled(nu, z[1:]), single, rtol=1e-14, atol=0)
+
+
+class TestKummer:
+    ROWS = json.loads(pathlib.Path(__file__).with_name("mpmath_references.json")
+                      .read_text())["kummer_scaled"]
+
+    @pytest.mark.parametrize("k", sorted({r[0] for r in ROWS}))
+    def test_matches_mpmath(self, k):
+        # e^{-x} M(k, b, x) at 30 digits (tests/make_mpmath_references.py),
+        # x from 1e-3 to 1e3 and on both sides of the series' cutoff: each
+        # (k, b) as one batch, whose term counts its extremes fix, and
+        # element by element
+        for b in sorted({r[1] for r in self.ROWS if r[0] == k}):
+            x = np.array([r[2] for r in self.ROWS if r[:2] == [k, b]])
+            ref = np.array([float(r[3]) for r in self.ROWS if r[:2] == [k, b]])
+            assert x.size >= 16 and x.min() <= 1e-3 and x.max() >= 1e3
+            for got in (_kummer_scaled(k, b, x),
+                        np.concatenate([_kummer_scaled(k, b, x[i:i + 1]) for i in range(x.size)])):
+                assert np.max(np.abs(got - ref) / ref) <= 1e-13  # measured 3.6e-15
