@@ -17,8 +17,8 @@ so the evaluation cannot overflow for small t or large arguments.  Where
 z_i < 0 the bracket's two Bessel terms cancel, and it is Kummer's function
 instead, summed by the same series core in ``special``.  The prelude and
 this parity factor, with its derivative, are also every Riesz kernel
-route's (``riesz._delta_heat``).  On a tensor rule a kernel column is an outer
-product of 1-d columns, d n pairs instead of n^d.  The parity components
+route's (``riesz._delta_heat``).  On a tensor rule a kernel column is an
+outer product of 1-d columns, d n pairs instead of n^d.  The parity components
 G^{alpha,eps} (eps in {0,1}^d) and the paper's (zeta, s) integrand, an
 oracle for the closed form, live here as well.
 """
