@@ -3,11 +3,12 @@ overflow-safe (exponentially scaled) form the modified Bessel functions of
 the first kind and Kummer's function.
 
 Everything here is a pure function of its arguments.  Every series goes
-through one core: a sum of positive terms c0 sum_n (p)_n/(q)_n u^n/n!
-(0F1 for Bessel, 1F1 for Kummer) up to a cutoff of each caller's, and the
-large-argument expansion 2F0(p, q;; w) with optimal truncation above it,
-split by ``_by_regime``.  Each public function only adds its prefactor to
-the two branches.
+through one core: a sum of positive terms c0 sum_n (p+1)_n/(q+1)_n u^n/n!,
+term ratio (p + n)/((q + n) n), up to a cutoff of each caller's (0F1 for
+Bessel with no p and q = nu, 1F1(k; b) for Kummer with p = k - 1 and
+q = b - 1), and the large-argument expansion 2F0(p, q;; w), unshifted, with
+optimal truncation above it, split by ``_by_regime``.  Each public
+function only adds its prefactor to the two branches.
 
 Both branches are polynomials evaluated by Horner's rule, with a term
 count fixed once per call by a scalar loop at the element that needs the
@@ -154,9 +155,10 @@ def _bessel(nu: float, z: np.ndarray, series_factor, asymptotic_factor):
 
 def _kummer_scaled(k: float, b: float, x: np.ndarray) -> np.ndarray:
     """e^{-x} M(k, b, x) for k, x >= 0 and b > k: the series sum_n (k)_n/(b)_n
-    x^n/n! of positive terms (DLMF 13.2.2) up to x = max(50, 2(k+2)^2) (at
-    most 600), beyond it Gamma(b)/Gamma(k) x^{k-b} 2F0(b-k, 1-k;; 1/x)
-    (DLMF 13.7.2), and e^{-x} at k = 0."""
+    x^n/n! of positive terms (DLMF 13.2.2; ``_positive_series`` at k - 1,
+    b - 1) up to x = max(50, 2(k+2)^2) (at most 600), beyond it
+    Gamma(b)/Gamma(k) x^{k-b} 2F0(b-k, 1-k;; 1/x) (DLMF 13.7.2), and e^{-x}
+    at k = 0."""
     if k == 0.0:
         return np.exp(-x)
     c = math.exp(math.lgamma(b) - math.lgamma(k))

@@ -621,10 +621,11 @@ class TestKernelRoutes:
             assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
 
     def test_route_agreement_at_the_gauss_jacobi_fault(self):
-        # the documented-default d = 2 config whose pair x = (-2.226, -1.437),
-        # y = (1.969, -1.117), j = 0, 0.41 from a reflected diagonal, was
-        # 2.1e-4 off the direct route on 64 Gauss-Jacobi s-nodes
-        rec = _check_route_agreement(RunConfig((-0.5, 0.7), seed=406068863))
+        # the d = 2 config whose pair x = (-2.226, -1.437), y = (1.969, -1.117),
+        # j = 0, 0.41 from a reflected diagonal, was 2.1e-4 off the direct
+        # route on 64 Gauss-Jacobi s-nodes
+        rec = _check_route_agreement(RunConfig((-0.5, 0.7), seed=406068863,
+                                               kernel=KernelConfig(s_method="gauss-jacobi")))
         assert rec["passed"] and rec["residual"] <= 1e-10
 
     def test_exact_method_handles_near_diagonal(self):
@@ -751,9 +752,10 @@ class TestDirectOracle:
 
     @pytest.mark.parametrize("seed", [1359186057, 1906206968])
     def test_route_agreement_where_the_oracle_refused(self, seed):
-        # the two documented-default configs at alpha = (-1/2, 0.7) whose
-        # direct batch at j = 0 (pairs with x_1 y_1 < 0) did not converge
-        rec = _check_route_agreement(RunConfig((-0.5, 0.7), seed=seed))
+        # the two configs at alpha = (-1/2, 0.7), on the Gauss-Jacobi route,
+        # whose direct batch at j = 0 (pairs with x_1 y_1 < 0) did not converge
+        rec = _check_route_agreement(RunConfig((-0.5, 0.7), seed=seed,
+                                               kernel=KernelConfig(s_method="gauss-jacobi")))
         assert rec["passed"] and "refused_j" not in rec
         assert rec["residual"] <= 1e-4
 
