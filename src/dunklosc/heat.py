@@ -18,9 +18,10 @@ z_i < 0 the bracket's two Bessel terms cancel, and it is Kummer's function
 instead, summed by the same series core in ``special``.  The prelude and
 this parity factor, with its derivative, are also every Riesz kernel
 route's (``riesz._delta_heat``).  On a tensor rule a kernel column is an
-outer product of 1-d columns, d n pairs instead of n^d.  The parity components
-G^{alpha,eps} (eps in {0,1}^d) and the paper's (zeta, s) integrand, an
-oracle for the closed form, live here as well.
+outer product of 1-d columns, d n pairs instead of n^d, and a stack of
+points and times is one call per axis: ``verify``'s heat checks use it.
+The parity components G^{alpha,eps} (eps in {0,1}^d) and the paper's
+(zeta, s) integrand, an oracle for the closed form, live here as well.
 """
 
 from __future__ import annotations
@@ -127,22 +128,35 @@ def _heat_values(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray, factor=_pa
                                   axis=0), b
 
 
-def heat_kernel(alpha: AlphaParams, t: float, x, y):
-    """G_t^alpha(x, y); accepts single points or (P, d) stacks."""
+def heat_kernel(alpha: AlphaParams, t, x, y):
+    """G_t^alpha(x, y); accepts single points or (P, d) stacks, and an array
+    of t, whose shape goes in front."""
     X, Y, scalar = _prepare_pairs(alpha, x, y)
     out = _heat_values(alpha, t, X, Y)[0]
-    return float(out[0]) if scalar else out
+    out = out[..., 0] if scalar else out
+    return out if out.ndim else float(out)
 
 
-def heat_kernel_column(t: float, x, rule: QuadratureRule) -> np.ndarray:
+def heat_kernel_column(t, x, rule: QuadratureRule) -> np.ndarray:
     """G_t(x, y_k) at the M nodes y_k of the tensor rule ``rule``: the outer
-    product of one 1-d column per axis, first axis slowest (``tensor_rule``)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != rule.dim:
-        raise ValueError(f"x must be a point in R^{rule.dim}, got {x.size} coordinates")
-    cols = [heat_kernel(AlphaParams((ax.alpha_j,)), t, np.full((ax.nodes.size, 1), xi),
-                        ax.nodes[:, None]) for xi, ax in zip(x, rule.axes)]
-    return functools.reduce(np.multiply.outer, cols).ravel()
+    product of one 1-d column per axis, first axis slowest (``tensor_rule``).
+
+    ``x`` is a point in R^d or a (P, d) stack of them and ``t`` a time or an
+    array of T times: every (t, point, node) of an axis is one
+    ``_heat_values`` call, and the result has shape (T, P, M), without the
+    T axis for a scalar t and without the P axis for a single point."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != rule.dim:
+        raise ValueError(f"x must be a point in R^{rule.dim} or a stack of them, "
+                         f"got shape {x.shape}")
+    X = x.reshape(-1, rule.dim)
+    cols = [_heat_values(AlphaParams((ax.alpha_j,)), t, np.repeat(xi, ax.nodes.size)[:, None],
+                         np.tile(ax.nodes, xi.size)[:, None])[0].reshape(t.shape + (xi.size, -1))
+            for xi, ax in zip(X.T, rule.axes)]
+    out = functools.reduce(
+        lambda u, v: (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], -1), cols)
+    return out.reshape(t.shape + x.shape[:-1] + (-1,))
 
 
 def heat_kernel_component(alpha: AlphaParams, eps, t: float, x, y):
@@ -212,22 +226,24 @@ def heat_apply_spectral(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
     return SpectralCoeffs(out, c.alpha)
 
 
-def heat_apply_kernel(f, t: float, x, rule: QuadratureRule):
-    """(T_t f)(x) = sum_i w_i G_t(x, y_i) f(y_i) through the quadrature rule;
-    for a sequence of functions ``f``, their array from one ``heat_kernel_column``."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+def heat_apply_kernel(f, t, x, rule: QuadratureRule):
+    """(T_t f)(x) = sum_i w_i G_t(x, y_i) f(y_i) through the quadrature rule,
+    with ``t`` and ``x`` as in ``heat_kernel_column``: an array of times and a
+    stack of points are one column call, and their axes lead the result.
+    For a sequence of functions ``f``, their values are its last axis."""
     wg = rule.weights * heat_kernel_column(t, x, rule)
     if callable(f):
-        return float(np.sum(wg * _evaluate(f, rule.nodes)))
-    return np.array([np.sum(wg * _evaluate(fk, rule.nodes)) for fk in f])
+        out = np.sum(wg * _evaluate(f, rule.nodes), axis=-1)
+        return out if out.ndim else float(out)
+    return np.stack([np.sum(wg * _evaluate(fk, rule.nodes), axis=-1) for fk in f], axis=-1)
 
 
 def maximal_empirical(f, x, t_grid, rule: QuadratureRule) -> float:
-    """max over the t-grid of |T_t f(x)|: a desk-scale stand-in for T_*."""
+    """max over the t-grid of |T_t f(x)|: a desk-scale stand-in for T_*, from
+    one kernel column call over the whole grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if np.any(t_grid <= 0):
         raise ValueError("t_grid entries must be positive")
-    return max(abs(heat_apply_kernel(f, float(t), x, rule)) for t in t_grid)
+    return float(np.max(np.abs(heat_apply_kernel(f, t_grid, x, rule))))

@@ -223,13 +223,11 @@ def delta_hermite_1d(n: int, a: float, x) -> np.ndarray:
     d = _norm_const(n, a)
     if n % 2 == 0:
         # (d/dx + x) [d g L_m^a(y)] = d g * 2x dL/dy = -2x d g L_{m-1}^{a+1}(y)
-        lder = np.array([laguerre_deriv(m, a, yy) for yy in y])
-        return d * g * 2.0 * x * lder
+        return d * g * 2.0 * x * laguerre_deriv(m, a, y)
     # (d/dx + x + (2a+1)/x) [d g x L_m^{a+1}(y)]
     #   = d g [ (2a+2) L_m^{a+1}(y) + 2 y dL^{a+1}/dy ]
-    lval = np.array([laguerre(m, a + 1.0, yy) for yy in y])
-    lder = np.array([laguerre_deriv(m, a + 1.0, yy) for yy in y])
-    return d * g * ((2.0 * a + 2.0) * lval + 2.0 * y * lder)
+    return d * g * ((2.0 * a + 2.0) * laguerre(m, a + 1.0, y)
+                    + 2.0 * y * laguerre_deriv(m, a + 1.0, y))
 
 
 def delta_star_hermite_1d(n: int, a: float, x) -> np.ndarray:

@@ -41,39 +41,46 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def laguerre_scaled(n: int, a: float, y: float) -> tuple[float, int]:
+def laguerre_scaled(n: int, a: float, y):
     """(c, k) with L_n^a(y) = c 2^k, by the upward three-term recurrence
     rescaled by exact powers of two, so neither part overflows at any
     degree.  Stable in the regime needed here (n up to a few thousand,
-    a > -1).
+    a > -1).  Elementwise on an array y, each element rescaled on its own
+    (c and k then arrays, bit for bit the scalar values); a scalar y gives
+    (float, int).
     """
     if n < 0:
         raise ValueError("degree n must be >= 0")
     if a <= -1:
         raise ValueError("order a must be > -1")
-    if n == 0:
-        return 1.0, 0
-    prev = 1.0
-    cur = 1.0 + a - y
-    k = 0
+    y = np.asarray(y, dtype=float)
+    u = y.reshape(-1)
+    cur, k = np.ones(u.shape), np.zeros(u.shape, dtype=int)
+    if n:
+        prev, cur = cur, 1.0 + a - u
     for m in range(1, n):
-        prev, cur = cur, ((2 * m + a + 1 - y) * cur - (m + a) * prev) / (m + 1)
-        if abs(cur) > 2.0**500:
-            prev, cur, k = math.ldexp(prev, -500), math.ldexp(cur, -500), k + 500
-    return cur, k
+        prev, cur = cur, ((2 * m + a + 1 - u) * cur - (m + a) * prev) / (m + 1)
+        big = np.abs(cur) > 2.0**500
+        if big.any():
+            prev[big], cur[big] = np.ldexp(prev[big], -500), np.ldexp(cur[big], -500)
+            k[big] += 500
+    if y.ndim == 0:
+        return float(cur[0]), int(k[0])
+    return cur.reshape(y.shape), k.reshape(y.shape)
 
 
-def laguerre(n: int, a: float, y: float) -> float:
-    """Laguerre polynomial L_n^a(y); raises OverflowError beyond the
-    double range (see :func:`laguerre_scaled`)."""
+def laguerre(n: int, a: float, y):
+    """Laguerre polynomial L_n^a(y), elementwise on arrays; a scalar y
+    raises OverflowError beyond the double range, an array element is inf
+    there (see :func:`laguerre_scaled`)."""
     c, k = laguerre_scaled(n, a, y)
-    return math.ldexp(c, k)
+    return np.ldexp(c, k) if np.ndim(c) else math.ldexp(c, k)
 
 
-def laguerre_deriv(n: int, a: float, y: float) -> float:
+def laguerre_deriv(n: int, a: float, y):
     """d/dy L_n^a(y), via d/dy L_n^a = -L_{n-1}^{a+1}; zero for n = 0."""
     if n == 0:
-        return 0.0
+        return np.zeros(np.shape(y)) if np.ndim(y) else 0.0
     return -laguerre(n - 1, a + 1.0, y)
 
 

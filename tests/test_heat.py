@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import dunklosc.heat as heat_module
 from dunklosc.heat import (_parity_sum, all_parities, heat_apply_kernel, heat_apply_spectral,
                            heat_kernel, heat_kernel_column, heat_kernel_component,
                            heat_kernel_series, heat_kernel_zeta, maximal_empirical,
@@ -12,6 +13,7 @@ from dunklosc.heat import (_parity_sum, all_parities, heat_apply_kernel, heat_ap
 from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn
 from dunklosc.quadrature import SpectralCoeffs, default_rule, gauss_rule_1d, tensor_rule
 from dunklosc.riesz import SchlafliMeasure
+from dunklosc.suite import RunConfig, _check_contraction, _check_semigroup
 
 from conftest import ALPHA_MATRIX
 
@@ -127,6 +129,15 @@ class TestHeatKernel1d:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             heat_kernel(AlphaParams((0.0,)), 0.0, [1.0], [1.0])
+
+    def test_array_of_t(self):
+        al, ts = AlphaParams((0.7,)), np.array([0.05, 0.3, 2.0])
+        X, Y = np.array([[0.3], [-1.7]]), np.array([[1.1], [0.4]])
+        single = [heat_kernel(al, float(t), [0.3], [1.1]) for t in ts]
+        np.testing.assert_allclose(heat_kernel(al, ts, [0.3], [1.1]), single, rtol=1e-15)
+        stacked = heat_kernel(al, ts, X, Y)
+        assert stacked.shape == (3, 2)
+        np.testing.assert_allclose(stacked[:, 0], single, rtol=1e-15)
 
 
 class TestComponents:
@@ -263,6 +274,24 @@ class TestKernelColumn:
                 ref = heat_kernel(rule.alpha, t, np.broadcast_to(x, rule.nodes.shape), rule.nodes)
                 np.testing.assert_allclose(heat_kernel_column(t, x, rule), ref, rtol, atol)
 
+    @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_stacked_call_equals_single_calls(self, alpha):
+        rule = default_rule(AlphaParams(alpha), 20 if len(alpha) == 3 else 80)
+        ts = np.array([0.05, 0.3, 1.0, 3.0])
+        X = np.random.default_rng(7).uniform(-2.5, 2.5, size=(7, len(alpha)))
+        got = heat_kernel_column(ts, X, rule)
+        ref = np.array([[heat_kernel_column(float(t), x, rule) for x in X] for t in ts])
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_shapes(self):
+        rule = default_rule(AlphaParams((-0.5, 0.7)), 6)
+        M = rule.nodes.shape[0]
+        X = np.zeros((3, 2))
+        assert heat_kernel_column([0.3, 1.0], X, rule).shape == (2, 3, M)
+        assert heat_kernel_column(0.3, X, rule).shape == (3, M)
+        assert heat_kernel_column([0.3, 1.0], X[0], rule).shape == (2, M)
+        assert heat_kernel_column(0.3, X[0], rule).shape == (M,)
+
     @pytest.mark.parametrize("x", [[0.3], [0.3, 0.1, 0.2]])
     def test_wrong_length_point_rejected(self, x):
         with pytest.raises(ValueError, match="x must be a point in R\\^2"):
@@ -306,6 +335,19 @@ class TestApplyKernel:
             assert vals.shape == (4,)
             assert vals.tolist() == [heat_apply_kernel(f, t, x, rule) for f in fs]
 
+    def test_stacked_times_and_points_equal_single_calls(self):
+        al = AlphaParams((-0.5, 0.7))
+        rule = default_rule(al, 20)
+        rng = np.random.default_rng(4)
+        fs = [lambda pts, w=w: np.cos(pts @ w) for w in rng.uniform(0.3, 2.0, size=(3, 2))]
+        ts, X = np.array([0.1, 1.0]), rng.uniform(-2.0, 2.0, size=(4, 2))
+        got = heat_apply_kernel(fs, ts, X, rule)
+        assert got.shape == (2, 4, 3)
+        ref = [[heat_apply_kernel(fs, float(t), x, rule) for x in X] for t in ts]
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(heat_apply_kernel(fs[0], ts, X, rule), got[..., 0],
+                                   rtol=0.0, atol=0.0)
+
     def test_matches_spectral_synthesis(self, rules):
         from dunklosc.quadrature import synthesize
         al = AlphaParams((0.0,))
@@ -334,7 +376,30 @@ class TestMaximal:
         fine = maximal_empirical(bump, x, np.geomspace(0.01, 5.0, 24), rule)
         assert abs(fine - m) / fine <= 0.02
 
+    def test_one_column_call_equals_per_t_maximum(self, rules):
+        rule = rules[(0.0,)]
+        bump = lambda pts: np.exp(-4 * (pts[:, 0] - 0.5) ** 2)
+        x = np.array([0.2])
+        for grid in (np.geomspace(0.01, 5.0, 12), [0.7]):
+            ref = max(abs(heat_apply_kernel(bump, float(t), x, rule)) for t in grid)
+            assert maximal_empirical(bump, x, grid, rule) == pytest.approx(ref, rel=1e-14)
+
     def test_empty_grid_rejected(self, rules):
         rule = rules[(0.0,)]
         with pytest.raises(ValueError):
             maximal_empirical(lambda p: np.ones(p.shape[0]), np.array([0.0]), [], rule)
+
+
+class TestHeatChecksBatched:
+    """The semigroup and contraction checks batch their points and times:
+    per-point loops made 100 d + 4 and 10 d kernel evaluations."""
+
+    @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7)])
+    @pytest.mark.parametrize("check", [_check_semigroup, _check_contraction])
+    def test_at_most_2d_plus_1_kernel_evaluations(self, monkeypatch, alpha, check):
+        calls = []
+        values = heat_module._heat_values
+        monkeypatch.setattr(heat_module, "_heat_values",
+                            lambda *a, **k: calls.append(1) or values(*a, **k))
+        assert check(RunConfig(alpha, quad_points=20))["passed"]
+        assert 0 < len(calls) <= 2 * len(alpha) + 1

@@ -9,7 +9,7 @@ from scipy.special import eval_genlaguerre, gammaln, ive
 
 from dunklosc.special import (_expansion_2f0, _kummer_scaled, _positive_series,
                               bessel_i_scaled, bessel_ratio, bessel_ratio_scaled, laguerre,
-                              laguerre_deriv, log_gamma)
+                              laguerre_deriv, laguerre_scaled, log_gamma)
 
 
 class TestLogGamma:
@@ -58,6 +58,44 @@ class TestLaguerre:
                 fd = (laguerre(n, 0.4, y + h) - laguerre(n, 0.4, y - h)) / (2 * h)
                 an = laguerre_deriv(n, 0.4, y)
                 assert an == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    @staticmethod
+    def _scaled_reference(n, a, y):
+        # The recurrence in Python floats, one y at a time: the reference the
+        # numpy recurrence must reproduce bit for bit.
+        if n == 0:
+            return 1.0, 0
+        prev, cur, k = 1.0, 1.0 + a - y, 0
+        for m in range(1, n):
+            prev, cur = cur, ((2 * m + a + 1 - y) * cur - (m + a) * prev) / (m + 1)
+            if abs(cur) > 2.0**500:
+                prev, cur, k = math.ldexp(prev, -500), math.ldexp(cur, -500), k + 500
+        return cur, k
+
+    def test_array_equals_scalar_bitwise(self):
+        # One recurrence for both: each element of an array y takes the
+        # scalar path's steps and its own 2^500 rescales.
+        for n in (0, 1, 5, 10, 40, 300):
+            for a in (-0.5, 0.7):
+                y = np.concatenate([np.linspace(0.0, 50.0, 41), [900.0, 2000.0]])
+                c, k = laguerre_scaled(n, a, y)
+                scalar = [laguerre_scaled(n, a, float(v)) for v in y]
+                assert scalar == [self._scaled_reference(n, a, float(v)) for v in y]
+                assert c.tolist() == [ci for ci, _ in scalar]
+                assert k.tolist() == [ki for _, ki in scalar]
+                for fn in (laguerre, laguerre_deriv):  # finite values only
+                    assert fn(n, a, y[:41]).tolist() == [fn(n, a, float(v)) for v in y[:41]]
+        # y = 900 and 2000 at n = 300 take the rescale
+        assert laguerre_scaled(300, 0.7, 2000.0)[1] > 0
+
+    def test_scalar_in_scalar_out_and_shape_kept(self):
+        c, k = laguerre_scaled(7, 0.7, 3.0)
+        assert type(c) is float and type(k) is int
+        assert type(laguerre(7, 0.7, 3.0)) is float
+        for n in (0, 7):
+            assert type(laguerre_deriv(n, 0.7, 3.0)) is float
+            assert laguerre_deriv(n, 0.7, np.ones((2, 3))).shape == (2, 3)
+        assert laguerre_scaled(7, 0.7, np.ones((2, 3)))[1].shape == (2, 3)
 
     def test_recurrence_nn3(self):
         # L_{n-1}^{a+1} - L_n^{a+1} = -L_n^a
