@@ -82,14 +82,21 @@ def _write(text: str, path: str | None):
 
 
 def _load_coeffs(path: str) -> SpectralCoeffs:
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path) as fh:  # objects as lists of pairs, so that a repeated key is seen
+        doc = dict(json.load(fh, object_pairs_hook=list))
     alpha = AlphaParams(tuple(doc["alpha"]))
     coeffs = {}
-    for key, val in doc["coeffs"].items():
-        n = tuple(int(tok) for tok in key.split(","))
+    for key, val in doc["coeffs"]:
+        try:
+            n = MultiIndex(tuple(int(tok) for tok in key.split(","))).entries
+        except ValueError as e:
+            raise ValueError(f"coefficient index {key!r}: {e}") from e
         if len(n) != alpha.dim:
             raise ValueError(f"coefficient index {key!r} does not match alpha dimension")
+        if n in coeffs:
+            raise ValueError(f"coefficient index {key!r} repeats the index {n}")
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
+            raise ValueError(f"coefficient {key!r} must be a finite number, got {val!r}")
         coeffs[n] = float(val)
     return SpectralCoeffs(coeffs, alpha)
 
@@ -155,10 +162,7 @@ def _cmd_heat_kernel(ns) -> int:
 
 
 def _cmd_heat_apply(ns) -> int:
-    c = _load_coeffs(ns.coeffs)
-    if ns.t < 0:
-        raise ValueError("--t must be >= 0")
-    _write(_dump_coeffs(heat_apply_spectral(c, ns.t)), ns.output)
+    _write(_dump_coeffs(heat_apply_spectral(_load_coeffs(ns.coeffs), ns.t)), ns.output)
     return 0
 
 

@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from .hermite import AlphaParams, hermite_fn_all_1d
-from .quadrature import QuadratureRule, SpectralCoeffs, _evaluate
+from .hermite import AlphaParams, eigenvalue, hermite_fn_all_1d
+from .quadrature import QuadratureRule, SpectralCoeffs, _coeff_arrays, _evaluate
 from .special import _kummer_scaled, bessel_ratio_scaled
 
 __all__ = [
@@ -180,7 +180,6 @@ def heat_kernel_series(alpha: AlphaParams, t: float, x, y, max_total_degree: int
     if t <= 0:
         raise ValueError("t must be positive")
     X, Y, scalar = _prepare_pairs(alpha, x, y)
-    d = alpha.dim
     M = max_total_degree
     # Per-coordinate products h_n(x_i) h_n(y_i), (M+1, P), folded by total
     # degree (a truncated Cauchy product over the degree axis).
@@ -189,8 +188,8 @@ def heat_kernel_series(alpha: AlphaParams, t: float, x, y, max_total_degree: int
         e = hermite_fn_all_1d(M, a, X[:, i]) * hermite_fn_all_1d(M, a, Y[:, i])
         conv = e if conv is None else np.array(
             [sum(conv[k] * e[m - k] for k in range(m + 1)) for m in range(M + 1)])
-    degrees = np.arange(M + 1)
-    lam = 2.0 * degrees + 2.0 * alpha.abs_sum + 2.0 * d
+    # lambda_n depends on |n| alone: take n = (m, 0, ..., 0) at degree m.
+    lam = eigenvalue(np.outer(np.arange(M + 1), np.eye(1, alpha.dim, dtype=int)), alpha)
     out = np.exp(-t * lam) @ conv
     return float(out[0]) if scalar else out
 
@@ -218,11 +217,11 @@ def heat_kernel_zeta(alpha: AlphaParams, eps, zeta: float, x, y, s):
 
 
 def heat_apply_spectral(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
-    """Scale each coefficient by e^{-t (2|n| + 2|alpha| + 2d)}."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    base = 2.0 * c.alpha.abs_sum + 2.0 * c.dim
-    out = {n: v * math.exp(-t * (2.0 * sum(n) + base)) for n, v in c.coeffs.items()}
+    """Scale each coefficient c_n by e^{-t lambda_n}, lambda_n = ``eigenvalue``."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    lam = eigenvalue(_coeff_arrays(c)[0], c.alpha)
+    out = {n: v * math.exp(-t * lam_n) for (n, v), lam_n in zip(c.coeffs.items(), lam)}
     return SpectralCoeffs(out, c.alpha)
 
 

@@ -13,6 +13,9 @@ harmonic oscillator with eigenvalue 2|n| + 2|alpha| + 2d.
 
 At a = -1/2 the system reduces to the classical Hermite functions,
 signs included.
+
+The d-dimensional functions and ``eigenvalue`` also take a (K, d) integer
+stack of multi-indices; its products come from one 1-d table per axis.
 """
 
 from __future__ import annotations
@@ -176,35 +179,73 @@ def hermite_fn_all_1d(nmax: int, a: float, x) -> np.ndarray:
     return out * g
 
 
-def hermite_fn(n: MultiIndex, alpha: AlphaParams, x) -> float | np.ndarray:
+def _stack(n, alpha: AlphaParams) -> tuple[np.ndarray, bool]:
+    """``n`` as a (K, d) integer stack, and whether it was one index (a
+    MultiIndex or a sequence of d entries) rather than a stack."""
+    ent = np.asarray(n.entries if isinstance(n, MultiIndex) else n)
+    if ent.ndim not in (1, 2) or ent.shape[-1] != alpha.dim:
+        raise ValueError(f"dimension mismatch: n has shape {ent.shape}, alpha has {alpha.dim}")
+    if ent.size and (ent.dtype.kind not in "iu" or ent.min() < 0):
+        raise ValueError(f"multi-index entries must be integers >= 0, got {ent.tolist()}")
+    return ent.reshape(-1, alpha.dim), ent.ndim == 1
+
+
+def _product(n, alpha: AlphaParams, x, j: int | None = None, op_1d=None) -> np.ndarray:
+    """Products over coordinates at P points: (K, P) for a stack, (P,) for one index.
+
+    Slot j, the first factor, is op_1d(n_j, a_j, x_j), one call per
+    distinct n_j.  Each other coordinate i follows in order with
+    h_{n_i}^{a_i}(x_i) from one ``hermite_fn_all_1d`` table up to its
+    largest degree, on the distinct x_i only (a tensor rule repeats them).
+    """
+    stack, single = _stack(n, alpha)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != alpha.dim:
+        raise ValueError(f"points have dimension {pts.shape[-1]}, expected {alpha.dim}")
+    val = None
+    if j is not None:
+        if not 0 <= j < alpha.dim:
+            raise ValueError(f"coordinate j must be in 0..{alpha.dim - 1}, got {j}")
+        degs, inv = np.unique(stack[:, j], return_inverse=True)
+        rows = [op_1d(int(k), alpha[j], pts[:, j]) for k in degs]
+        val = np.reshape(rows, (degs.size, pts.shape[0]))[inv]
+    for i in range(alpha.dim):
+        if i != j:
+            deg = stack[:, i]
+            xs, at = np.unique(pts[:, i], return_inverse=True)
+            factor = np.take(hermite_fn_all_1d(int(deg.max(initial=0)), alpha[i], xs)[deg], at, 1)
+            val = factor if val is None else np.multiply(val, factor, out=val)
+    return val[0] if single else val
+
+
+def hermite_fn(n, alpha: AlphaParams, x) -> float | np.ndarray:
     """d-dimensional h_n^alpha(x) = prod_i h_{n_i}^{a_i}(x_i).
 
     ``x`` may be a single point (length-d sequence) or an array of shape
-    (npoints, d).
+    (P, d).  ``n`` is a MultiIndex, giving a float at a single point and a
+    (P,) array otherwise, or a (K, d) integer stack of multi-indices such
+    as ``np.array(multi_indices_upto(d, N))``, giving a (K, P) array.
     """
-    if n.dim != alpha.dim:
-        raise ValueError(f"dimension mismatch: n has {n.dim}, alpha has {alpha.dim}")
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != alpha.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {alpha.dim}")
-    val = np.ones(pts.shape[0])
-    for i in range(alpha.dim):
-        val *= hermite_fn_all_1d(n[i], alpha[i], pts[:, i])[n[i]]
-    return float(val[0]) if np.asarray(x).ndim == 1 else val
+    val = _product(n, alpha, x)
+    return float(val[0]) if val.ndim == 1 and np.ndim(x) == 1 else val
 
 
-def ladder_coeff(n_j: int, a_j: float) -> float:
-    """m(n_j, a_j): sqrt(2 n_j) for even n_j, sqrt(2 n_j + 4 a_j + 2) for odd."""
-    if n_j < 0:
+def ladder_coeff(n_j, a_j: float):
+    """m(n_j, a_j): sqrt(2 n_j) for even n_j, sqrt(2 n_j + 4 a_j + 2) for odd;
+    a float for an integer n_j, elementwise on an integer array."""
+    n_j = np.asarray(n_j)
+    if (n_j < 0).any():
         raise ValueError("n_j must be >= 0")
-    if n_j % 2 == 0:
-        return math.sqrt(2.0 * n_j)
-    return math.sqrt(2.0 * n_j + 4.0 * a_j + 2.0)
+    out = np.sqrt(np.where(n_j % 2 == 0, 2.0 * n_j, 2.0 * n_j + 4.0 * a_j + 2.0))
+    return float(out) if out.ndim == 0 else out
 
 
-def eigenvalue(n: MultiIndex, alpha: AlphaParams) -> float:
-    """Oscillator eigenvalue 2|n| + 2|alpha| + 2d."""
-    return 2.0 * n.total + 2.0 * alpha.abs_sum + 2.0 * n.dim
+def eigenvalue(n, alpha: AlphaParams):
+    """Oscillator eigenvalue lambda_n = 2|n| + 2|alpha| + 2d: a float for one
+    multi-index, a (K,) array for a (K, d) stack."""
+    stack, single = _stack(n, alpha)
+    lam = 2.0 * stack.sum(axis=1) + 2.0 * alpha.abs_sum + 2.0 * alpha.dim
+    return float(lam[0]) if single else lam
 
 
 def delta_hermite_1d(n: int, a: float, x) -> np.ndarray:
@@ -237,21 +278,12 @@ def delta_star_hermite_1d(n: int, a: float, x) -> np.ndarray:
     return -delta_hermite_1d(n, a, x) + 2.0 * x * base
 
 
-def _apply_in_slot(op_1d, n: MultiIndex, alpha: AlphaParams, j: int, x) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    val = op_1d(n[j], alpha[j], pts[:, j])
-    for i in range(alpha.dim):
-        if i != j:
-            val = val * hermite_fn_all_1d(n[i], alpha[i], pts[:, i])[n[i]]
-    return val
+def delta_hermite(n, alpha: AlphaParams, j: int, x) -> np.ndarray:
+    """(delta_j h_n^alpha)(x) at a (P, d) array of points: (P,) for a
+    MultiIndex, (K, P) for a (K, d) stack of them."""
+    return _product(n, alpha, x, j, delta_hermite_1d)
 
 
-def delta_hermite(n: MultiIndex, alpha: AlphaParams, j: int, x) -> np.ndarray:
-    """(delta_j h_n^alpha)(x) on an (npoints, d) array of points."""
-    return _apply_in_slot(delta_hermite_1d, n, alpha, j, x)
-
-
-def delta_star_hermite(n: MultiIndex, alpha: AlphaParams, j: int, x) -> np.ndarray:
-    """(delta_j^* h_n^alpha)(x) on an (npoints, d) array of points."""
-    return _apply_in_slot(delta_star_hermite_1d, n, alpha, j, x)
-
+def delta_star_hermite(n, alpha: AlphaParams, j: int, x) -> np.ndarray:
+    """(delta_j^* h_n^alpha)(x), shaped as for ``delta_hermite``."""
+    return _product(n, alpha, x, j, delta_star_hermite_1d)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import AlphaParams, hermite_fn_all_1d
+from .hermite import AlphaParams, hermite_fn, hermite_fn_all_1d
 from .special import log_gamma
 
 __all__ = [
@@ -227,6 +227,12 @@ class SpectralCoeffs:
         return math.sqrt(sum(c * c for c in self.coeffs.values()))
 
 
+def _coeff_arrays(c: SpectralCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of ``c`` as a (K, d) stack, and their coefficients."""
+    return (np.array(list(c.coeffs), dtype=int).reshape(-1, c.dim),
+            np.array(list(c.coeffs.values()), dtype=float))
+
+
 def multi_indices_upto(dim: int, max_degree: int) -> list[tuple[int, ...]]:
     """All n in N^dim with |n| <= max_degree, in lexicographic order."""
     if dim == 1:
@@ -260,10 +266,8 @@ def project(f, alpha: AlphaParams, max_degree: int, rule: QuadratureRule) -> Spe
         # so the next coordinate's point axis is leading again.
         tensor = np.tensordot(table, tensor, axes=([1], [0]))
         tensor = np.moveaxis(tensor, 0, len(shape) - 1)
-    coeffs = {}
-    for n in multi_indices_upto(rule.dim, max_degree):
-        coeffs[n] = float(tensor[n])
-    return SpectralCoeffs(coeffs, alpha)
+    return SpectralCoeffs({n: float(tensor[n]) for n in multi_indices_upto(rule.dim, max_degree)},
+                          alpha)
 
 
 def synthesize(c: SpectralCoeffs, points) -> np.ndarray:
@@ -271,17 +275,5 @@ def synthesize(c: SpectralCoeffs, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != c.dim:
         raise ValueError("point dimension mismatch")
-    if not c.coeffs:
-        return np.zeros(pts.shape[0])
-    nmax = [max(n[i] for n in c.coeffs) for i in range(c.dim)]
-    tables = [hermite_fn_all_1d(nmax[i], c.alpha[i], pts[:, i]) for i in range(c.dim)]
-    out = np.zeros(pts.shape[0])
-    for n, v in c.coeffs.items():
-        if v == 0.0:
-            continue
-        prod = tables[0][n[0]].copy()
-        for i in range(1, c.dim):
-            prod *= tables[i][n[i]]
-        out += v * prod
-    return out
-
+    n, v = _coeff_arrays(c)
+    return v @ hermite_fn(n, c.alpha, pts)

@@ -2,8 +2,9 @@
 
 Three realizations, the last two of one integrand:
 
-* spectral multiplier on the generalized Hermite basis,
-      R_j: coeff[n] -> m(n_j, a_j) / sqrt(2|n| + 2|alpha| + 2d) at n - e_j;
+* spectral multiplier on the generalized Hermite basis, on one multi-index
+  or a (K, d) stack of them, with lambda_n = ``hermite.eigenvalue``:
+      R_j: coeff[n] -> m(n_j, a_j) / sqrt(lambda_n) at n - e_j;
 * the kernel pi^{-1/2} int_0^inf delta_j G_t(x, y) t^{-1/2} dt on a graded
   composite Gauss-Legendre zeta rule read as t = artanh zeta.  The
   integrand delta_j G_t = (y_j - e^{-2t} x_j) G_t / sinh 2t is ``heat``'s
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import AlphaParams, MultiIndex, ladder_coeff
-from .quadrature import (QuadratureRule, SpectralCoeffs, _gauss_nodes_logweights,
+from .hermite import AlphaParams, MultiIndex, eigenvalue, ladder_coeff
+from .quadrature import (QuadratureRule, SpectralCoeffs, _coeff_arrays, _gauss_nodes_logweights,
                          _graded_rule, project)
 from .special import log_gamma
 from .heat import _heat_values, _kernel_prelude, _parity_sum, _prepare_pairs, all_parities, psi_zeta
@@ -172,38 +173,37 @@ def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _graded_rule(cfg.zeta_points, cfg.zeta_grading)
 
 
-def riesz_multiplier(n, alpha: AlphaParams, j: int) -> float:
-    """m(n_j, a_j) / sqrt(2|n| + 2|alpha| + 2d)."""
-    n = tuple(n)
-    lam = 2.0 * sum(n) + 2.0 * alpha.abs_sum + 2.0 * alpha.dim
-    return ladder_coeff(n[j], alpha[j]) / math.sqrt(lam)
+def riesz_multiplier(n, alpha: AlphaParams, j: int):
+    """m(n_j, a_j) / sqrt(lambda_n): a float for one multi-index, a (K,)
+    array for a (K, d) stack, 0 where n_j = 0."""
+    n_j = np.asarray(n.entries if isinstance(n, MultiIndex) else n)[..., j]
+    out = ladder_coeff(n_j, alpha[j]) / np.sqrt(eigenvalue(n, alpha))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _shifted(c: SpectralCoeffs, j: int, step: int, multiplier) -> SpectralCoeffs:
+    """c_n multiplier(n) moved to n + step e_j where n_j + step >= 0; the
+    0.0 + turns a -0.0 into 0.0, as a sum into an empty slot does."""
+    if not 0 <= j < c.dim:
+        raise ValueError("coordinate j out of range")
+    n, v = _coeff_arrays(c)
+    keep = n[:, j] + step >= 0
+    n, v = n[keep], v[keep]
+    moved = map(tuple, (n + step * np.eye(c.dim, dtype=int)[j]).tolist())
+    return SpectralCoeffs(dict(zip(moved, (0.0 + multiplier(n) * v).tolist())), c.alpha)
 
 
 def riesz_apply_spectral(c: SpectralCoeffs, j: int) -> SpectralCoeffs:
     """R_j on coefficients: shift n -> n - e_j with the spectral multiplier;
     indices with n_j = 0 are annihilated."""
-    if not 0 <= j < c.dim:
-        raise ValueError("coordinate j out of range")
-    out: dict[tuple[int, ...], float] = {}
-    for n, v in c.coeffs.items():
-        if n[j] == 0:
-            continue
-        m = n[:j] + (n[j] - 1,) + n[j + 1:]
-        out[m] = out.get(m, 0.0) + riesz_multiplier(n, c.alpha, j) * v
-    return SpectralCoeffs(out, c.alpha)
+    return _shifted(c, j, -1, lambda n: riesz_multiplier(n, c.alpha, j))
 
 
 def riesz_adjoint_spectral(c: SpectralCoeffs, j: int) -> SpectralCoeffs:
     """Adjoint R^_j: shift n -> n + e_j with multiplier
-    m(n_j + 1, a_j) / sqrt(2|n| + 2|alpha| + 2d + 2)."""
-    if not 0 <= j < c.dim:
-        raise ValueError("coordinate j out of range")
-    out: dict[tuple[int, ...], float] = {}
-    for n, v in c.coeffs.items():
-        lam = 2.0 * sum(n) + 2.0 * c.alpha.abs_sum + 2.0 * c.dim + 2.0
-        m = n[:j] + (n[j] + 1,) + n[j + 1:]
-        out[m] = out.get(m, 0.0) + ladder_coeff(n[j] + 1, c.alpha[j]) / math.sqrt(lam) * v
-    return SpectralCoeffs(out, c.alpha)
+    m(n_j + 1, a_j) / sqrt(lambda_n + 2)."""
+    return _shifted(c, j, +1, lambda n: ladder_coeff(n[:, j] + 1, c.alpha[j])
+                    / np.sqrt(eigenvalue(n, c.alpha) + 2.0))
 
 
 def beta_weight(d: int, alpha_eff: float, zeta) -> np.ndarray | float:
@@ -523,16 +523,14 @@ def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams) -> float:
         down = n.shift(j, -1)
         coeff = ladder_coeff(n[j], alpha[j]) * ladder_coeff(down[i] + 1, alpha[i])
         lhs[down.shift(i, +1).entries] = coeff
-    unit = SpectralCoeffs({n.entries: 1.0}, alpha)
-    lam = 2.0 * n.total + 2.0 * alpha.abs_sum + 2.0 * alpha.dim
-    scaled = SpectralCoeffs({k: lam * v for k, v in unit.coeffs.items()}, alpha)
+    scaled = SpectralCoeffs({n.entries: eigenvalue(n, alpha)}, alpha)  # L h_n = lambda_n h_n
     rhs = riesz_adjoint_spectral(riesz_apply_spectral(scaled, j), i)
     keys = set(lhs) | set(rhs.coeffs)
     return max((abs(lhs.get(k, 0.0) - rhs.coeffs.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def star_identity_check(f: SpectralCoeffs, n, j: int, alpha: AlphaParams) -> float:
-    """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(2|n|+2|alpha|+2d) <f, h_n>."""
+    """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(lambda_n) <f, h_n>."""
     n = MultiIndex(tuple(n))
     rf = riesz_apply_spectral(f, j)
     if n[j] == 0:

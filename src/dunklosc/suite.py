@@ -21,8 +21,8 @@ import numpy as np
 from .estimates import (DRIFT_TOL, ap_power_weight, ball_measure, ball_measure_qmc,
                         growth_scan, reflection_distance, smoothness_scan, soni_scan)
 from .heat import heat_apply_kernel, heat_kernel, heat_kernel_column, heat_kernel_series
-from .hermite import (AlphaParams, MultiIndex, delta_hermite, delta_star_hermite,
-                      eigenvalue, hermite_fn, hermite_fn_all_1d, ladder_coeff)
+from .hermite import (AlphaParams, delta_hermite, delta_star_hermite, eigenvalue,
+                      hermite_fn, ladder_coeff)
 from .polydunkl import fund_identity_check, monomial, verify_eldwa
 from .quadrature import SpectralCoeffs, default_rule, multi_indices_upto
 from .riesz import (KernelConfig, SchlafliMeasure, apriori_identity_check,
@@ -173,19 +173,11 @@ def _record(name, passed, tolerance, residual, seed=None, **extra):
 
 def _check_orthonormality(cfg: RunConfig):
     al = cfg.alpha_params
-    N = min(cfg.max_degree, 8)
     rule = default_rule(al, cfg.quad_points)
-    idx = multi_indices_upto(al.dim, N)
-    tables = [hermite_fn_all_1d(N, ax.alpha_j, ax.nodes) for ax in rule.axes]
-    B = np.empty((len(idx), rule.nodes.shape[0]))
-    for k, n in enumerate(idx):
-        v = tables[0][n[0]]
-        for i in range(1, al.dim):
-            v = np.multiply.outer(v, tables[i][n[i]])
-        B[k] = v.reshape(-1)
+    B = hermite_fn(np.array(multi_indices_upto(al.dim, min(cfg.max_degree, 8))), al, rule.nodes)
     G = (B * rule.weights) @ B.T
-    resid = float(np.max(np.abs(G - np.eye(len(idx)))))
-    return _record("orthonormality", resid <= 1e-8, 1e-8, resid, basis_size=len(idx))
+    resid = float(np.max(np.abs(G - np.eye(len(B)))))
+    return _record("orthonormality", resid <= 1e-8, 1e-8, resid, basis_size=len(B))
 
 
 def _grid_points(dim: int, lo=-4.0, hi=4.0, npts=21) -> np.ndarray:
@@ -195,39 +187,33 @@ def _grid_points(dim: int, lo=-4.0, hi=4.0, npts=21) -> np.ndarray:
 
 
 def _check_ladder(cfg: RunConfig, npts: int | None = None):
+    # delta_j h_n = m(n_j) h_{n - e_j} and delta_j^* h_n = m(n_j + 1) h_{n + e_j}
+    # on the stack of all n; m(0) = 0, so n - e_j is clamped at 0.
     al = cfg.alpha_params
-    N = min(cfg.max_degree, 10)
+    n = np.array(multi_indices_upto(al.dim, min(cfg.max_degree, 10)))
     pts = _grid_points(al.dim, npts=npts or (21 if al.dim == 1 else 9))
     worst = 0.0
-    for n in multi_indices_upto(al.dim, N):
-        mi = MultiIndex(n)
-        for j in range(al.dim):
-            lower = delta_hermite(mi, al, j, pts)
-            target = (ladder_coeff(n[j], al[j]) * hermite_fn(mi.shift(j, -1), al, pts)
-                      if n[j] >= 1 else np.zeros(pts.shape[0]))
-            worst = worst_of(worst, np.abs(lower - target))
-            upper = delta_star_hermite(mi, al, j, pts)
-            target = ladder_coeff(n[j] + 1, al[j]) * hermite_fn(mi.shift(j, +1), al, pts)
-            worst = worst_of(worst, np.abs(upper - target))
+    for j, e_j in enumerate(np.eye(al.dim, dtype=int)):
+        lower = ladder_coeff(n[:, j], al[j])[:, None] * hermite_fn(np.maximum(n - e_j, 0), al, pts)
+        upper = ladder_coeff(n[:, j] + 1, al[j])[:, None] * hermite_fn(n + e_j, al, pts)
+        worst = worst_of(worst, np.abs(delta_hermite(n, al, j, pts) - lower))
+        worst = worst_of(worst, np.abs(delta_star_hermite(n, al, j, pts) - upper))
     return _record("ladder_identities", worst <= 1e-9, 1e-9, worst)
 
 
 def _check_eigen_relation(cfg: RunConfig):
     # (1/2) sum_j (delta_j* delta_j + delta_j delta_j*) h_n = lambda_n h_n,
-    # composed through the verified ladder coefficients.
+    # composed through the verified ladder coefficients; m(0) = 0 drops the
+    # first term where n_j = 0.
     al = cfg.alpha_params
-    N = min(cfg.max_degree, 6)
+    n = np.array(multi_indices_upto(al.dim, min(cfg.max_degree, 6)))
     pts = _grid_points(al.dim, npts=13 if al.dim == 1 else 7)
-    worst = 0.0
-    for n in multi_indices_upto(al.dim, N):
-        mi = MultiIndex(n)
-        acc = np.zeros(pts.shape[0])
-        for j in range(al.dim):
-            if n[j] >= 1:
-                acc += 0.5 * ladder_coeff(n[j], al[j]) * delta_star_hermite(mi.shift(j, -1), al, j, pts)
-            acc += 0.5 * ladder_coeff(n[j] + 1, al[j]) * delta_hermite(mi.shift(j, +1), al, j, pts)
-        resid = np.max(np.abs(acc - eigenvalue(mi, al) * hermite_fn(mi, al, pts)))
-        worst = worst_of(worst, resid)
+    acc = np.zeros((len(n), pts.shape[0]))
+    for j, e_j in enumerate(np.eye(al.dim, dtype=int)):
+        down, up = 0.5 * ladder_coeff(n[:, j], al[j]), 0.5 * ladder_coeff(n[:, j] + 1, al[j])
+        acc += down[:, None] * delta_star_hermite(np.maximum(n - e_j, 0), al, j, pts)
+        acc += up[:, None] * delta_hermite(n + e_j, al, j, pts)
+    worst = worst_of(0.0, np.abs(acc - eigenvalue(n, al)[:, None] * hermite_fn(n, al, pts)))
     return _record("eigen_relation", worst <= 1e-9, 1e-9, worst)
 
 
@@ -299,11 +285,6 @@ def _check_schlafli(cfg: RunConfig):
     return _record("schlafli_normalization", worst <= 1e-8, 1e-8, worst)
 
 
-def _random_coeffs(al: AlphaParams, N: int, rng) -> SpectralCoeffs:
-    idx = multi_indices_upto(al.dim, N)
-    return SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
-
-
 def _check_star(cfg: RunConfig):
     al = cfg.alpha_params
     rng = np.random.default_rng(cfg.seed)
@@ -311,7 +292,7 @@ def _check_star(cfg: RunConfig):
     idx = multi_indices_upto(al.dim, N)
     worst = 0.0
     for _ in range(100):
-        f = _random_coeffs(al, N, rng)
+        f = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
         n = idx[rng.integers(len(idx))]
         for j in range(al.dim):
             worst = worst_of(worst, star_identity_check(f, n, j, al))
@@ -333,24 +314,17 @@ def _check_apriori(cfg: RunConfig, max_index: int = 8):
 def _check_multiplier_norm(cfg: RunConfig):
     # On the truncation the L2 operator norm of R_j equals the largest
     # multiplier (diagonal-after-shift structure); confirm with a power
-    # iteration on R^T R run to convergence of the Rayleigh quotient.
+    # iteration on R^T R run to convergence of the Rayleigh quotient.  The
+    # shift n -> n - e_j maps the indices with n_j > 0 onto those with
+    # |n| < N in order, since the stack is sorted.
     al = cfg.alpha_params
     N = min(cfg.max_degree, 12)
-    idx = multi_indices_upto(al.dim, N)
-    pos = {n: k for k, n in enumerate(idx)}
+    idx = np.array(multi_indices_upto(al.dim, N))
+    dst = idx.sum(axis=1) < N
     worst = 0.0
     for j in range(al.dim):
-        src, dst, mul = [], [], []
-        for n, k in pos.items():
-            if n[j] == 0:
-                continue
-            tgt = n[:j] + (n[j] - 1,) + n[j + 1:]
-            src.append(k)
-            dst.append(pos[tgt])
-            mul.append(riesz_multiplier(n, al, j))
-        src = np.array(src, dtype=int)
-        dst = np.array(dst, dtype=int)
-        mul = np.array(mul)
+        src = idx[:, j] > 0
+        mul = riesz_multiplier(idx[src], al, j)
         exact = float(np.max(mul)) if mul.size else 0.0
         rng = np.random.default_rng(cfg.seed + 2)
         v = np.abs(rng.normal(size=len(idx))) + 0.1
@@ -358,10 +332,10 @@ def _check_multiplier_norm(cfg: RunConfig):
         est = prev = 0.0
         for _ in range(50000):
             w = np.zeros(len(idx))
-            np.add.at(w, dst, mul * v[src])
+            w[dst] = mul * v[src]
             est = float(np.linalg.norm(w))  # Rayleigh: |R v| for unit v
             u = np.zeros(len(idx))
-            np.add.at(u, src, mul * w[dst])
+            u[src] = mul * w[dst]
             nrm = np.linalg.norm(u)
             if nrm == 0:
                 break

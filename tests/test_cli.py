@@ -390,6 +390,7 @@ class TestSubcommands:
         "scan-smoothness --alpha=0 --j=0 --seed=1",
         "heat-kernel --alpha=0 --t=0.3,0 --pairs={dir}/pairs.csv",
         "heat-apply --t=-1 --coeffs={dir}/c.json",
+        "heat-apply --t=nan --coeffs={dir}/c.json",
         "heat-kernel --alpha=0,0 --t=0.3 --pairs={dir}/pairs.csv",
         "riesz-kernel --alpha=0,0 --j=1 --pairs={dir}/pairs.csv",
         "pairing-check --alpha=0 --f-support=0.4,2 --g-support=1,3",
@@ -401,6 +402,35 @@ class TestSubcommands:
         # exit 1 is kept for a check, scan or pairing that fails
         assert main(argv.format(dir=workdir).split()) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("coeffs,named", [
+        ('{"-1": 1.0}', "'-1'"),
+        ('{"1": 1.0, "01": 2.0}', "'01'"),
+        ('{"1": 1.0, "1": 2.0}', "'1'"),
+        ('{"1": NaN}', "'1'"),
+        ('{"0": "1.0"}', "'0'"),
+        ('{"1.5": 1.0}', "'1.5'"),
+    ], ids=["negative", "same-index", "same-key", "nan", "string", "non-integer"])
+    def test_bad_coefficient_file_names_the_key(self, coeffs, named, tmp_path, capsys):
+        # otherwise h_{-1} is written out, a later key for the same index
+        # silently replaces the earlier one, and a NaN reaches the output
+        path = tmp_path / "bad.json"
+        path.write_text('{"alpha": [0.0], "coeffs": %s}' % coeffs)
+        for argv in (["heat-apply", "--t=1"], ["riesz-apply", "--j=1"]):
+            assert main([*argv, "--coeffs", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("argv", ["riesz-apply --j=1", "riesz-apply --j=2",
+                                      "heat-apply --t=0.3", "heat-apply --t=2.5"])
+    def test_spectral_apply_bytes_pinned(self, argv, tmp_path, capsys):
+        # d = 2 coefficients with a -0.0, a 1e-300 and a -3.5e10 entry; a
+        # -0.0 moved by R_j is written as 0.0
+        pinned = json.loads(Path(__file__).with_name("spectral_apply_pinned.json").read_text())
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(pinned["input"]))
+        assert main([*argv.split(), "--coeffs", str(path)]) == 0
+        assert capsys.readouterr().out == pinned["outputs"][argv]
 
     def test_pairing_check_small(self, workdir):
         rc, out, err = run_cli("pairing-check", "--alpha=0.0", "--j=1",

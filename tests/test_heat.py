@@ -93,6 +93,13 @@ class TestHeatSpectral:
         with pytest.raises(ValueError):
             heat_apply_spectral(c, -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_rejected(self, t):
+        # a NaN t would scale every coefficient to NaN
+        c = SpectralCoeffs({(0,): 1.0}, AlphaParams((0.0,)))
+        with pytest.raises(ValueError, match="t must be finite"):
+            heat_apply_spectral(c, t)
+
 
 class TestHeatKernel1d:
     def test_symmetric(self):

@@ -112,6 +112,53 @@ class TestTensor:
         with pytest.raises(ValueError):
             hermite_fn(MultiIndex((1,)), AlphaParams((0.0, 0.0)), np.zeros(2))
 
+    @pytest.mark.parametrize("op", [delta_hermite, delta_star_hermite])
+    @pytest.mark.parametrize("n,j,x,match", [
+        (MultiIndex((1, 2)), -1, [0.3, 0.4], "coordinate j"),
+        (MultiIndex((1, 2)), 2, [0.3, 0.4], "coordinate j"),
+        (MultiIndex((1, 2)), 0, [[0.3, 0.4, 0.5]], "points have dimension 3"),
+        (MultiIndex((1,)), 0, [0.3, 0.4], "dimension mismatch"),
+        (np.array([[1, 2], [0, -1]]), 0, [0.3, 0.4], ">= 0"),
+    ])
+    def test_ladder_operators_validate_like_hermite_fn(self, op, n, j, x, match):
+        # a negative j must not wrap round to the last slot (which would
+        # count that coordinate twice), nor may a spare point column or a
+        # short index pass or fail with a bare IndexError
+        with pytest.raises(ValueError, match=match):
+            op(n, AlphaParams((0.0, 0.7)), j, np.array(x))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("alpha", [(1.3,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_stack_equals_single_calls_bitwise(self, alpha):
+        from dunklosc.quadrature import multi_indices_upto
+        from dunklosc.riesz import riesz_multiplier
+        al = AlphaParams(alpha)
+        idx = multi_indices_upto(al.dim, 6 if al.dim < 3 else 4)
+        stack = np.array(idx)
+        pts = np.random.default_rng(7).uniform(-3.0, 3.0, size=(9, al.dim))
+        assert np.array_equal(hermite_fn(stack, al, pts),
+                              [hermite_fn(MultiIndex(n), al, pts) for n in idx])
+        assert np.array_equal(eigenvalue(stack, al), [eigenvalue(MultiIndex(n), al) for n in idx])
+        for j in range(al.dim):
+            for op in (delta_hermite, delta_star_hermite):
+                assert np.array_equal(op(stack, al, j, pts),
+                                      [op(MultiIndex(n), al, j, pts) for n in idx])
+            assert np.array_equal(ladder_coeff(stack[:, j], al[j]),
+                                  [ladder_coeff(n[j], al[j]) for n in idx])
+            assert np.array_equal(riesz_multiplier(stack, al, j),
+                                  [riesz_multiplier(n, al, j) for n in idx])
+
+    def test_shapes(self):
+        al = AlphaParams((0.0, 0.7))
+        stack = np.array([[0, 1], [2, 0], [1, 1]])
+        assert hermite_fn(stack, al, [0.3, 0.4]).shape == (3, 1)
+        assert hermite_fn(stack, al, np.zeros((5, 2))).shape == (3, 5)
+        assert delta_hermite(stack, al, 1, np.zeros((5, 2))).shape == (3, 5)
+        assert isinstance(hermite_fn(MultiIndex((0, 1)), al, [0.3, 0.4]), float)
+        assert isinstance(eigenvalue(MultiIndex((0, 1)), al), float)
+        assert isinstance(ladder_coeff(3, 0.7), float)
+
 
 class TestLadderCoeff:
     def test_values(self):
