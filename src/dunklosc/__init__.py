@@ -1,8 +1,8 @@
 """Generalized Hermite expansions, heat semigroup and Riesz transforms
 for the Z2^d Dunkl harmonic oscillator."""
 
-from .hermite import (AlphaParams, MultiIndex, a_coeff, eigenvalue, hermite_fn,
-                      hermite_fn_1d, hermite_fn_all_1d, ladder_coeff)
+from .hermite import (AlphaParams, a_coeff, eigenvalue, hermite_fn, hermite_fn_1d,
+                      hermite_fn_all_1d, ladder_coeff)
 from .quadrature import (QuadratureRule, SpectralCoeffs, default_rule, gauss_rule_1d,
                          inner_product, project, synthesize, tensor_rule)
 from .polydunkl import (Polynomial, dunkl_T, dunkl_laplacian, exp_neg_lap_quarter,

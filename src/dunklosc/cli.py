@@ -31,7 +31,7 @@ import numpy as np
 
 from .estimates import growth_scan, smoothness_scan
 from .heat import all_parities, heat_apply_spectral, heat_kernel, heat_kernel_component
-from .hermite import AlphaParams, MultiIndex, hermite_fn
+from .hermite import AlphaParams, hermite_fn
 from .quadrature import SpectralCoeffs, default_rule
 from .riesz import (IntervalBump, KernelConfig, dual_pairing_check,
                     riesz_apply_spectral, riesz_kernel_components)
@@ -56,12 +56,13 @@ def _kernel_config(ns) -> KernelConfig:
 
 def _add_kernel_flags(p: argparse.ArgumentParser, s_method: bool = True):
     """The kernel quadrature flags, each stored under its KernelConfig field,
-    with CLI_KERNEL's defaults; the scans take no ``--s-method``, as they
-    need the exact route near the diagonal."""
+    with CLI_KERNEL's defaults; the scans take no ``--s-method`` or
+    ``--s-points``, as they need the exact route near the diagonal, which
+    has no s-nodes."""
     p.add_argument("--zeta-points", type=int, dest="zeta_points")
     p.add_argument("--zeta-grading", type=float, dest="zeta_grading")
-    p.add_argument("--s-points", type=int, dest="s_points_per_dim")
     if s_method:
+        p.add_argument("--s-points", type=int, dest="s_points_per_dim")
         p.add_argument("--s-method", choices=["gauss-jacobi", "exact"], dest="s_method")
     p.set_defaults(**asdict(CLI_KERNEL))
 
@@ -88,9 +89,11 @@ def _load_coeffs(path: str) -> SpectralCoeffs:
     coeffs = {}
     for key, val in doc["coeffs"]:
         try:
-            n = MultiIndex(tuple(int(tok) for tok in key.split(","))).entries
+            n = tuple(int(tok) for tok in key.split(","))
         except ValueError as e:
             raise ValueError(f"coefficient index {key!r}: {e}") from e
+        if min(n) < 0:
+            raise ValueError(f"coefficient index {key!r}: entries must be >= 0")
         if len(n) != alpha.dim:
             raise ValueError(f"coefficient index {key!r} does not match alpha dimension")
         if n in coeffs:
@@ -117,9 +120,6 @@ def _eps_label(eps) -> str:
 
 def _cmd_hermite_eval(ns) -> int:
     al = AlphaParams(ns.alpha)
-    n = MultiIndex(ns.n)
-    if n.dim != al.dim:
-        raise ValueError("--n and --alpha dimensions differ")
     if ns.points:
         pts = np.loadtxt(ns.points, delimiter=",", comments="#", ndmin=2)
         if pts.shape[1] != al.dim:
@@ -129,10 +129,10 @@ def _cmd_hermite_eval(ns) -> int:
         axis = np.linspace(lo, hi, int(cnt))
         grids = np.meshgrid(*([axis] * al.dim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = hermite_fn(n, al, pts)
+    vals = hermite_fn(ns.n, al, pts)
     d = al.dim
     lines = [f"# dunklosc hermite-eval {CSV_VERSION}",
-             f"# alpha={list(al.alpha)} n={list(n.entries)}",
+             f"# alpha={list(al.alpha)} n={list(ns.n)}",
              ",".join(f"x{i+1}" for i in range(d)) + ",h"]
     for row, v in zip(pts, vals):
         lines.append(",".join(f"{c:.17g}" for c in row) + f",{v:.17g}")
@@ -150,8 +150,6 @@ def _cmd_heat_kernel(ns) -> int:
     lines = [f"# dunklosc heat-kernel {CSV_VERSION}", f"# alpha={list(al.alpha)}",
              ",".join(cols)]
     for t in ns.t:
-        if t <= 0:
-            raise ValueError("--t values must be positive")
         total = heat_kernel(al, t, X, Y)
         comps = [heat_kernel_component(al, e, t, X, Y) for e in eps_list]
         for p in range(X.shape[0]):

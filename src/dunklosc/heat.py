@@ -76,6 +76,10 @@ def _prepare_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bo
     Y = np.atleast_2d(Y)
     if X.shape != Y.shape or X.shape[1] != alpha.dim:
         raise ValueError("x and y must be points (or stacks of points) in R^d")
+    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"pair {k} has a non-finite coordinate: x = {X[k]}, y = {Y[k]}")
     return X, Y, scalar
 
 
@@ -86,8 +90,9 @@ def _kernel_prelude(alpha: AlphaParams, t, X: np.ndarray, Y: np.ndarray):
     formed as -tanh(t) (|x|^2+|y|^2)/2 - b sum_i (|x_i| - |y_i|)^2/2 and
     b = 2e^{-2t}/(1 - e^{-4t}) with expm1, so nothing cancels or rounds away."""
     t = np.asarray(t, dtype=float)[..., None]
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
+    ok = (t > 0) & (t < math.inf)
+    if not ok.all():
+        raise ValueError(f"t must be finite and positive, got {t[~ok][0]}")
     one_m_e4 = -np.expm1(-4.0 * t)
     b = 2.0 * np.exp(-2.0 * t) / one_m_e4
     z = X * Y * b[..., None]
@@ -177,8 +182,8 @@ def heat_kernel_series(alpha: AlphaParams, t: float, x, y, max_total_degree: int
     The truncation oracle for the closed form; the omitted tail is bounded
     by e^{-2 t (M+1)} relative to the lowest retained band.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     X, Y, scalar = _prepare_pairs(alpha, x, y)
     M = max_total_degree
     # Per-coordinate products h_n(x_i) h_n(y_i), (M+1, P), folded by total

@@ -28,7 +28,6 @@ import numpy as np
 from .special import laguerre, laguerre_deriv, laguerre_scaled, log_gamma
 
 __all__ = [
-    "MultiIndex",
     "AlphaParams",
     "a_coeff",
     "hermite_fn_1d",
@@ -41,40 +40,6 @@ __all__ = [
     "delta_hermite",
     "delta_star_hermite",
 ]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Element of N^d indexing basis functions and monomials."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        ent = tuple(int(e) for e in self.entries)
-        if any(e < 0 for e in ent):
-            raise ValueError(f"multi-index entries must be >= 0, got {ent}")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total(self) -> int:
-        """|n| = sum of entries."""
-        return sum(self.entries)
-
-    def shift(self, j: int, by: int) -> "MultiIndex":
-        """n +/- e_j (0-based j); raises if an entry would go negative."""
-        ent = list(self.entries)
-        ent[j] += by
-        return MultiIndex(tuple(ent))
-
-    def __getitem__(self, j: int) -> int:
-        return self.entries[j]
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -181,8 +146,8 @@ def hermite_fn_all_1d(nmax: int, a: float, x) -> np.ndarray:
 
 def _stack(n, alpha: AlphaParams) -> tuple[np.ndarray, bool]:
     """``n`` as a (K, d) integer stack, and whether it was one index (a
-    MultiIndex or a sequence of d entries) rather than a stack."""
-    ent = np.asarray(n.entries if isinstance(n, MultiIndex) else n)
+    sequence of d integers) rather than a stack; every multi-index is checked here."""
+    ent = np.asarray(n)
     if ent.ndim not in (1, 2) or ent.shape[-1] != alpha.dim:
         raise ValueError(f"dimension mismatch: n has shape {ent.shape}, alpha has {alpha.dim}")
     if ent.size and (ent.dtype.kind not in "iu" or ent.min() < 0):
@@ -222,9 +187,9 @@ def hermite_fn(n, alpha: AlphaParams, x) -> float | np.ndarray:
     """d-dimensional h_n^alpha(x) = prod_i h_{n_i}^{a_i}(x_i).
 
     ``x`` may be a single point (length-d sequence) or an array of shape
-    (P, d).  ``n`` is a MultiIndex, giving a float at a single point and a
-    (P,) array otherwise, or a (K, d) integer stack of multi-indices such
-    as ``np.array(multi_indices_upto(d, N))``, giving a (K, P) array.
+    (P, d).  ``n`` is one multi-index (d integers), giving a float at a
+    single point and a (P,) array otherwise, or a (K, d) integer stack
+    such as ``np.array(multi_indices_upto(d, N))``, giving a (K, P) array.
     """
     val = _product(n, alpha, x)
     return float(val[0]) if val.ndim == 1 and np.ndim(x) == 1 else val
@@ -279,8 +244,8 @@ def delta_star_hermite_1d(n: int, a: float, x) -> np.ndarray:
 
 
 def delta_hermite(n, alpha: AlphaParams, j: int, x) -> np.ndarray:
-    """(delta_j h_n^alpha)(x) at a (P, d) array of points: (P,) for a
-    MultiIndex, (K, P) for a (K, d) stack of them."""
+    """(delta_j h_n^alpha)(x) at a (P, d) array of points: (P,) for one
+    multi-index, (K, P) for a (K, d) stack of them."""
     return _product(n, alpha, x, j, delta_hermite_1d)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import AlphaParams, hermite_fn, hermite_fn_all_1d
+from .hermite import AlphaParams, _stack, hermite_fn, hermite_fn_all_1d
 from .special import log_gamma
 
 __all__ = [
@@ -228,9 +228,12 @@ class SpectralCoeffs:
 
 
 def _coeff_arrays(c: SpectralCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of ``c`` as a (K, d) stack, and their coefficients."""
-    return (np.array(list(c.coeffs), dtype=int).reshape(-1, c.dim),
-            np.array(list(c.coeffs.values()), dtype=float))
+    """The indices of ``c`` as a (K, d) stack checked by ``_stack``, and their
+    coefficients; a key that is not a sequence of d integers >= 0 raises."""
+    n, single = _stack(list(c.coeffs) or np.empty((0, c.dim), dtype=int), c.alpha)
+    if single:
+        raise ValueError(f"coefficient indices must be sequences of {c.dim} integers")
+    return n, np.array(list(c.coeffs.values()), dtype=float)
 
 
 def multi_indices_upto(dim: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import AlphaParams, MultiIndex, eigenvalue, ladder_coeff
+from .hermite import AlphaParams, _stack, eigenvalue, ladder_coeff
 from .quadrature import (QuadratureRule, SpectralCoeffs, _coeff_arrays, _gauss_nodes_logweights,
                          _graded_rule, project)
 from .special import log_gamma
@@ -176,8 +176,8 @@ def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def riesz_multiplier(n, alpha: AlphaParams, j: int):
     """m(n_j, a_j) / sqrt(lambda_n): a float for one multi-index, a (K,)
     array for a (K, d) stack, 0 where n_j = 0."""
-    n_j = np.asarray(n.entries if isinstance(n, MultiIndex) else n)[..., j]
-    out = ladder_coeff(n_j, alpha[j]) / np.sqrt(eigenvalue(n, alpha))
+    lam = eigenvalue(n, alpha)
+    out = ladder_coeff(np.asarray(n)[..., j], alpha[j]) / np.sqrt(lam)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -517,13 +517,13 @@ def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams) -> float:
     The left side uses the ladder coefficients directly; the right side
     composes the three spectral operators on the unit vector at n.
     """
-    n = MultiIndex(tuple(n))
+    n, e = tuple(_stack(n, alpha)[0][0].tolist()), np.eye(alpha.dim, dtype=int)
     lhs: dict[tuple[int, ...], float] = {}
     if n[j] >= 1:
-        down = n.shift(j, -1)
+        down = np.subtract(n, e[j])
         coeff = ladder_coeff(n[j], alpha[j]) * ladder_coeff(down[i] + 1, alpha[i])
-        lhs[down.shift(i, +1).entries] = coeff
-    scaled = SpectralCoeffs({n.entries: eigenvalue(n, alpha)}, alpha)  # L h_n = lambda_n h_n
+        lhs[tuple((down + e[i]).tolist())] = coeff
+    scaled = SpectralCoeffs({n: eigenvalue(n, alpha)}, alpha)  # L h_n = lambda_n h_n
     rhs = riesz_adjoint_spectral(riesz_apply_spectral(scaled, j), i)
     keys = set(lhs) | set(rhs.coeffs)
     return max((abs(lhs.get(k, 0.0) - rhs.coeffs.get(k, 0.0)) for k in keys), default=0.0)
@@ -531,11 +531,11 @@ def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams) -> float:
 
 def star_identity_check(f: SpectralCoeffs, n, j: int, alpha: AlphaParams) -> float:
     """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(lambda_n) <f, h_n>."""
-    n = MultiIndex(tuple(n))
+    n = tuple(_stack(n, alpha)[0][0].tolist())
     rf = riesz_apply_spectral(f, j)
     if n[j] == 0:
         # h_{n-e_j} is the null function; both sides vanish by convention.
         return 0.0
-    lhs = rf.coeffs.get(n.shift(j, -1).entries, 0.0)
-    rhs = riesz_multiplier(n.entries, alpha, j) * f.coeffs.get(n.entries, 0.0)
+    lhs = rf.coeffs.get(n[:j] + (n[j] - 1,) + n[j + 1:], 0.0)
+    rhs = riesz_multiplier(n, alpha, j) * f.coeffs.get(n, 0.0)
     return abs(lhs - rhs)

@@ -37,7 +37,8 @@ SUITES = ("basis", "heat", "riesz", "estimates", "all")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment configuration (see parse_config for defaults)."""
+    """Validated experiment configuration; its fields and defaults are a
+    config document's (parse_config)."""
 
     alpha: tuple[float, ...]
     max_degree: int = 40
@@ -66,8 +67,15 @@ class RunConfig:
         return replace(self.kernel, zeta_points=max(self.kernel.zeta_points, 192),
                        s_method="exact")
 
-    def __post_init__(self):  # refuse a grading too steep for a check's rule before any check
-        try:
+    def __post_init__(self):
+        for i, a in enumerate(self.alpha):
+            if not a >= -0.5:
+                _fail(f"alpha[{i}]", f"must be >= -0.5, got {a}")
+        if self.max_degree < 1:
+            _fail("max_degree", "must be a positive integer")
+        if not 1 <= self.quad_points <= 512:
+            _fail("quad_points", "must be an integer in [1, 512]")
+        try:  # refuse a grading too steep for a check's rule before any check
             self.route_kernel, self.scan_kernel.doubled()
         except ValueError as e:
             _fail("kernel.zeta_grading", f"{e} (a verify check runs that many zeta points)")
@@ -90,12 +98,13 @@ def _number(path: str, value, integer: bool = False):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
-    Required: "alpha" (list of finite reals >= -1/2).  Optional with defaults:
-    max_degree 40, quad_points 80, seed 1234, output null, and "kernel", an
-    object with the fields of KernelConfig, each defaulting to its value in
-    KernelConfig().  Any other field, a value of the wrong type (true is
-    not a number), a NaN or an infinity raises an error that names its path
-    (e.g. kernel.bogus).
+    Required: "alpha" (list of finite reals >= -1/2).  Optional: the other
+    fields of RunConfig, with its defaults (max_degree 40, quad_points 80,
+    seed 1234, output null), and "kernel", an object with the fields of
+    KernelConfig, each defaulting to its value in KernelConfig().  Any
+    other field, a value of the wrong type (true is not a number), a NaN
+    or an infinity raises an error that names its path (e.g. kernel.bogus);
+    RunConfig and KernelConfig check the ranges.
     """
     try:
         doc = json.loads(text)
@@ -103,7 +112,7 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"config error: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         _fail("$", "top-level value must be an object")
-    known = {"alpha", "max_degree", "quad_points", "kernel", "seed", "output"}
+    known = {f.name: f.default for f in fields(RunConfig)}
     for key in doc:
         if key not in known:
             _fail(key, "unknown field")
@@ -113,14 +122,9 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(alpha, list) or not alpha:
         _fail("alpha", "must be a nonempty list")
     for i, a in enumerate(alpha):
-        if _number(f"alpha[{i}]", a) < -0.5:
-            _fail(f"alpha[{i}]", f"must be >= -0.5, got {a}")
-    max_degree = _number("max_degree", doc.get("max_degree", 40), integer=True)
-    if max_degree < 1:
-        _fail("max_degree", "must be a positive integer")
-    quad_points = _number("quad_points", doc.get("quad_points", 80), integer=True)
-    if not 1 <= quad_points <= 512:
-        _fail("quad_points", "must be an integer in [1, 512]")
+        _number(f"alpha[{i}]", a)
+    ints = {key: _number(key, doc.get(key, known[key]), integer=True)
+            for key in ("max_degree", "quad_points", "seed")}
     kdoc = doc.get("kernel", {})
     if not isinstance(kdoc, dict):
         _fail("kernel", "must be an object")
@@ -135,12 +139,10 @@ def parse_config(text: str) -> RunConfig:
                                  for key, value in kdoc.items()})
     except ValueError as e:
         _fail("kernel", str(e))
-    seed = _number("seed", doc.get("seed", 1234), integer=True)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         _fail("output", "must be a string path")
-    return RunConfig(alpha=tuple(float(a) for a in alpha), max_degree=max_degree,
-                     quad_points=quad_points, kernel=kernel, seed=seed, output=output)
+    return RunConfig(alpha=tuple(float(a) for a in alpha), kernel=kernel, output=output, **ints)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -127,6 +127,18 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=msg):
             RunConfig((0.0,), kernel=KernelConfig(zeta_grading=grading))
 
+    def test_run_config_checks_its_ranges(self):
+        # a RunConfig built in Python is refused as a parsed one is
+        for kwargs, path in [(dict(quad_points=0), "quad_points"),
+                             (dict(quad_points=513), "quad_points"),
+                             (dict(max_degree=0), "max_degree"),
+                             (dict(alpha=(0.0, -0.6)), r"alpha\[1\]")]:
+            with pytest.raises(ValueError, match=f"config error at {path}"):
+                RunConfig(**{"alpha": (0.0,), **kwargs})
+        for doc, path in [('"quad_points": 0', "quad_points"), ('"max_degree": 0', "max_degree")]:
+            with pytest.raises(ValueError, match=f"config error at {path}"):
+                parse_config(f'{{"alpha": [0.0], {doc}}}')
+
     def test_readme_config_is_the_defaults(self):
         # the README shows its verify config as "the documented defaults"
         readme = (SRC.parent / "README.md").read_text()
@@ -188,6 +200,7 @@ class TestRunSuite:
 def workdir(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("# x1,y1\n0.5,1.5\n-1.0,0.8\n2.0,0.3\n")
+    (tmp_path / "nan.csv").write_text("# x1,y1\n0.5,1.5\n-1.0,nan\n")
     coeffs = tmp_path / "c.json"
     coeffs.write_text(json.dumps({"alpha": [0.0], "coeffs": {"0": 1.0, "2": -0.5}}))
     return tmp_path
@@ -285,6 +298,14 @@ class TestSubcommands:
                                "--seed", "3", "--s-method", "gauss-jacobi")
         assert rc == 2
         assert "--s-method" in err
+
+    @pytest.mark.parametrize("which", ["growth", "smoothness"])
+    def test_scan_rejects_s_points(self, which):
+        # exact s has no s-nodes, so the count cannot change the output
+        rc, out, err = run_cli(f"scan-{which}", "--alpha=0.0", "--j=1", "--pairs", "10",
+                               "--seed", "3", "--s-points", "8")
+        assert rc == 2
+        assert "--s-points" in err
 
     def test_kernel_flag_defaults(self):
         parser = build_parser()
@@ -391,6 +412,9 @@ class TestSubcommands:
         "heat-kernel --alpha=0 --t=0.3,0 --pairs={dir}/pairs.csv",
         "heat-apply --t=-1 --coeffs={dir}/c.json",
         "heat-apply --t=nan --coeffs={dir}/c.json",
+        "heat-kernel --alpha=0 --t=nan --pairs={dir}/pairs.csv",
+        "heat-kernel --alpha=0 --t=0.3 --pairs={dir}/nan.csv",
+        "riesz-kernel --alpha=0 --j=1 --pairs={dir}/nan.csv",
         "heat-kernel --alpha=0,0 --t=0.3 --pairs={dir}/pairs.csv",
         "riesz-kernel --alpha=0,0 --j=1 --pairs={dir}/pairs.csv",
         "pairing-check --alpha=0 --f-support=0.4,2 --g-support=1,3",

@@ -10,9 +10,10 @@ from dunklosc.heat import (_parity_sum, all_parities, heat_apply_kernel, heat_ap
                            heat_kernel, heat_kernel_column, heat_kernel_component,
                            heat_kernel_series, heat_kernel_zeta, maximal_empirical,
                            q_plus_minus)
-from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn
+from dunklosc.hermite import AlphaParams, hermite_fn
 from dunklosc.quadrature import SpectralCoeffs, default_rule, gauss_rule_1d, tensor_rule
-from dunklosc.riesz import SchlafliMeasure
+from dunklosc.riesz import (KernelConfig, SchlafliMeasure, riesz_kernel, riesz_kernel_components,
+                            riesz_kernel_direct, riesz_kernel_gradient)
 from dunklosc.suite import RunConfig, _check_contraction, _check_semigroup
 
 from conftest import ALPHA_MATRIX
@@ -136,6 +137,30 @@ class TestHeatKernel1d:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             heat_kernel(AlphaParams((0.0,)), 0.0, [1.0], [1.0])
+
+    def test_rejects_non_finite_t_and_pairs(self):
+        # unchecked, a NaN t or coordinate gives NaN values and t = inf gives 0
+        al = AlphaParams((0.0, 0.7))
+        X, Y = np.array([[0.5, 1.0], [1.2, -0.4]]), np.array([[0.2, -0.3], [0.9, 2.0]])
+        for t in (math.nan, math.inf, np.array([0.3, math.nan])):
+            with pytest.raises(ValueError, match="t must be finite and positive"):
+                heat_kernel(al, t, X, Y)
+        for t in (math.nan, math.inf):
+            for call in (lambda: heat_kernel_component(al, (0, 1), t, X, Y),
+                         lambda: heat_kernel_series(al, t, X, Y, 4)):
+                with pytest.raises(ValueError, match="t must be finite and positive"):
+                    call()
+        Ybad = Y.copy()
+        Ybad[1, 0] = math.nan
+        for call in (lambda: heat_kernel(al, 0.3, X, Ybad),
+                     lambda: heat_kernel_component(al, (0, 1), 0.3, Ybad, X),
+                     lambda: heat_kernel_series(al, 0.3, X, Ybad, 4),
+                     lambda: riesz_kernel(al, 0, X, Ybad, KernelConfig()),
+                     lambda: riesz_kernel_components(al, 0, X, Ybad, KernelConfig()),
+                     lambda: riesz_kernel_gradient(al, 0, X, Ybad, KernelConfig()),
+                     lambda: riesz_kernel_direct(al, 0, X, Ybad)):
+            with pytest.raises(ValueError, match="pair 1 has a non-finite coordinate"):
+                call()
 
     def test_array_of_t(self):
         al, ts = AlphaParams((0.7,)), np.array([0.05, 0.3, 2.0])
@@ -309,12 +334,12 @@ class TestApplyKernel:
     def test_eigenfunction_action(self, rules):
         al = AlphaParams((1.3,))
         rule = rules[(1.3,)]
-        h0 = lambda pts: hermite_fn(MultiIndex((0,)), al, pts)
+        h0 = lambda pts: hermite_fn((0,), al, pts)
         t = 0.37
         x = np.array([0.9])
         got = heat_apply_kernel(h0, t, x, rule)
         lam = 2 * al.abs_sum + 2
-        ref = math.exp(-t * lam) * hermite_fn(MultiIndex((0,)), al, np.array([[0.9]]))[0]
+        ref = math.exp(-t * lam) * hermite_fn((0,), al, np.array([[0.9]]))[0]
         assert got == pytest.approx(ref, rel=1e-10)
 
     def test_approximate_identity(self, rules):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from dunklosc.heat import heat_apply_kernel
-from dunklosc.hermite import AlphaParams, MultiIndex, hermite_fn, hermite_fn_all_1d
+from dunklosc.heat import heat_apply_kernel, heat_apply_spectral
+from dunklosc.hermite import AlphaParams, hermite_fn, hermite_fn_all_1d
 from dunklosc.quadrature import (MAX_POINTS, SpectralCoeffs, default_rule, gauss_rule_1d,
                                  inner_product, multi_indices_upto, project, synthesize,
                                  tensor_rule)
+from dunklosc.riesz import riesz_apply_spectral
 
 from conftest import ALPHA_MATRIX
 
@@ -113,7 +114,7 @@ class TestTensorRule:
     def test_h00_normalized(self):
         al = AlphaParams((-0.5, 0.7))
         rule = default_rule(al, 40)
-        h00 = lambda pts: hermite_fn(MultiIndex((0, 0)), al, pts)
+        h00 = lambda pts: hermite_fn((0, 0), al, pts)
         assert inner_product(h00, h00, rule) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -121,7 +122,7 @@ class TestInnerProduct:
     def test_orthonormality(self, rules):
         al = AlphaParams((0.0,))
         rule = rules[(0.0,)]
-        h = lambda n: (lambda pts: hermite_fn(MultiIndex((n,)), al, pts))
+        h = lambda n: (lambda pts: hermite_fn((n,), al, pts))
         assert inner_product(h(0), h(0), rule) == pytest.approx(1.0, abs=1e-10)
         assert abs(inner_product(h(3), h(5), rule)) < 1e-8
 
@@ -145,11 +146,33 @@ class TestInnerProduct:
                 call()
 
 
+class TestCoefficientKeys:
+    @pytest.mark.parametrize("coeffs,match", [
+        ({(1, 2, 3): 1.0, (4, 5, 6): -2.0}, "dimension mismatch"),
+        ({(1, 2): 1.0, (3,): -2.0}, "inhomogeneous"),
+        ({(1, -1): 1.0}, ">= 0"),
+        ({(1, 0.5): 1.0}, ">= 0"),
+        ({1: 1.0, 2: -2.0}, "sequences of 2 integers"),
+    ], ids=["wrong-length", "ragged", "negative", "non-integer", "not-a-sequence"])
+    def test_bad_keys_refused(self, coeffs, match):
+        # a reshape would turn (1, 2, 3), (4, 5, 6) into (1, 2), (3, 4),
+        # (5, 6), and R_j would drop (1, -1) silently
+        c = SpectralCoeffs(coeffs, AlphaParams((0.0, 0.7)))
+        for call in (lambda: heat_apply_spectral(c, 0.5), lambda: riesz_apply_spectral(c, 1),
+                     lambda: synthesize(c, np.zeros((3, 2)))):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_empty_coefficients(self):
+        c = SpectralCoeffs({}, AlphaParams((0.0, 0.7)))
+        assert np.array_equal(synthesize(c, np.zeros((3, 2))), np.zeros(3))
+
+
 class TestProject:
     def test_unit_vector(self, rules):
         al = AlphaParams((1.3,))
         rule = rules[(1.3,)]
-        f = lambda pts: hermite_fn(MultiIndex((4,)), al, pts)
+        f = lambda pts: hermite_fn((4,), al, pts)
         c = project(f, al, 8, rule)
         for n, v in c.coeffs.items():
             assert v == pytest.approx(1.0 if n == (4,) else 0.0, abs=1e-10)
@@ -157,8 +180,8 @@ class TestProject:
     def test_linearity(self, rules):
         al = AlphaParams((-0.5, 0.7))
         rule = rules[(-0.5, 0.7)]
-        f = lambda pts: (3.0 * hermite_fn(MultiIndex((2, 1)), al, pts)
-                         - 2.0 * hermite_fn(MultiIndex((0, 3)), al, pts))
+        f = lambda pts: (3.0 * hermite_fn((2, 1), al, pts)
+                         - 2.0 * hermite_fn((0, 3), al, pts))
         c = project(f, al, 6, rule)
         assert c.coeffs[(2, 1)] == pytest.approx(3.0, abs=1e-8)
         assert c.coeffs[(0, 3)] == pytest.approx(-2.0, abs=1e-8)

@@ -11,7 +11,7 @@ from scipy.special import roots_jacobi
 
 from dunklosc.estimates import pair_sample, reflection_distance
 from dunklosc.heat import heat_kernel, q_plus_minus
-from dunklosc.hermite import AlphaParams, MultiIndex, delta_hermite, hermite_fn, ladder_coeff
+from dunklosc.hermite import AlphaParams, delta_hermite, hermite_fn, ladder_coeff
 from dunklosc.quadrature import SpectralCoeffs, default_rule, multi_indices_upto
 from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig,
                             SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
@@ -804,10 +804,10 @@ class TestDeltaHeat:
         X = rng.uniform(-2.0, 2.0, size=(8, al.dim))
         Y = rng.uniform(-2.0, 2.0, size=(8, al.dim))
         idx = multi_indices_upto(al.dim, 44)
-        hy = np.array([hermite_fn(MultiIndex(n), al, Y) for n in idx])
+        hy = np.array([hermite_fn(n, al, Y) for n in idx])
         lam = np.array([2.0 * sum(n) + 2.0 * al.abs_sum + 2.0 * al.dim for n in idx])
         for j in range(al.dim):
-            dhx = np.array([delta_hermite(MultiIndex(n), al, j, X) for n in idx])
+            dhx = np.array([delta_hermite(n, al, j, X) for n in idx])
             for t in (0.3, 1.0, 3.0):
                 series = np.exp(-t * lam) @ (dhx * hy)
                 closed = _delta_heat(al, j, np.array([t]), X, Y)[0]
