@@ -7,9 +7,9 @@ fitted constant (the max of |R| w(B) resp. |grad R| |x-y| w(B) over a
 seeded sample) together with a refinement drift: the relative change of
 that constant when the kernel quadrature resolution is doubled (a scan
 passes at DRIFT_TOL = 5% or less), and where the maximum sits (|x-y| and
-``reflection_distance`` of the argmax pair).
-The gradient is analytic (``riesz_kernel_gradient``); central differences
-are its test oracle.  Every report is reproducible bit-for-bit from its seed.
+``reflection_distance`` of the argmax pair).  ``cz_scans`` runs both on one
+sample, with R and its analytic gradient (central differences are its test
+oracle) from one kernel pass.  Every report is reproducible bit-for-bit from its seed.
 
 Ball measures w_alpha(B(x, r)) are deterministic: a closed form in d = 1
 and, since w_alpha is a product over coordinates, a nested
@@ -27,7 +27,7 @@ import numpy as np
 
 from .hermite import AlphaParams
 from .quadrature import _graded_rule
-from .riesz import KernelConfig, riesz_kernel, riesz_kernel_gradient
+from .riesz import KernelConfig, riesz_kernel, riesz_kernel_gradient, riesz_kernel_with_gradient
 from .special import bessel_i_scaled
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "reflection_distance",
     "growth_scan",
     "smoothness_scan",
+    "cz_scans",
     "ap_power_weight",
     "soni_scan",
 ]
@@ -209,9 +210,11 @@ def reflection_distance(x, y):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: int,
-          cfg: KernelConfig, positive_orthant: bool) -> ScanReport:
-    """max over sampled pairs of per_pair(X, Y, |x-y|, cfg) w_alpha(B(x, |x-y|)).
+def _scan(checks: tuple[str, ...], kernel, alpha: AlphaParams, j: int, n_pairs: int, seed: int,
+          cfg: KernelConfig, positive_orthant: bool) -> tuple[ScanReport, ...]:
+    """Per check, the max over sampled pairs of |R_j(x,y)| ("growth") or |grad R_j|
+    |x-y| ("smoothness") times w_alpha(B(x, |x-y|)), from one ``kernel`` call
+    per resolution that returns R_j, its gradient or both (in ``checks`` order).
 
     PASS requires every value finite and the max stable (<= DRIFT_TOL)
     under a doubled-resolution rerun of the kernel quadrature.
@@ -220,38 +223,45 @@ def _scan(check: str, per_pair, alpha: AlphaParams, j: int, n_pairs: int, seed: 
     X, Y = pair_sample(alpha.dim, n_pairs, seed)
     dist = np.linalg.norm(X - Y, axis=1)
     balls = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
-    ratios = per_pair(X, Y, dist, cfg) * balls
-    finite = bool(np.all(np.isfinite(ratios)))
-    imax = int(np.argmax(ratios))
-    m1, m2 = float(ratios[imax]), float(np.max(per_pair(X, Y, dist, fine) * balls))
-    drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
-    return ScanReport(
-        max_ratio=m1,
-        argmax_pair=(tuple(X[imax]), tuple(Y[imax])),
-        sample_count=n_pairs,
-        refinement_drift=drift,
-        seed=seed,
-        passed=finite and drift <= DRIFT_TOL,
-        extra={"check": check, "alpha": list(alpha.alpha), "j": j,
-               "argmax_distance": float(dist[imax]),
-               "argmax_reflection_distance": reflection_distance(X[imax], Y[imax])},
-    )
+    measure = {"growth": np.abs, "smoothness": lambda g: np.linalg.norm(g, axis=1) * dist}
+    passes = [kernel(alpha, j, X, Y, c) for c in (cfg, fine)]
+    reports = []
+    for k, check in enumerate(checks):
+        coarse, refined = (measure[check](out[k] if len(checks) > 1 else out) * balls
+                           for out in passes)
+        imax = int(np.argmax(coarse))
+        m1, m2 = float(coarse[imax]), float(np.max(refined))
+        drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
+        reports.append(ScanReport(
+            max_ratio=m1, argmax_pair=(tuple(X[imax]), tuple(Y[imax])), sample_count=n_pairs,
+            refinement_drift=drift, seed=seed,
+            passed=bool(np.all(np.isfinite(coarse))) and drift <= DRIFT_TOL,
+            extra={"check": check, "alpha": list(alpha.alpha), "j": j,
+                   "argmax_distance": float(dist[imax]),
+                   "argmax_reflection_distance": reflection_distance(X[imax], Y[imax])}))
+    return tuple(reports)
 
 
 def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
                 cfg: KernelConfig, positive_orthant: bool = False) -> ScanReport:
     """max over sampled pairs of |R_j(x,y)| w_alpha(B(x, |x-y|)); see ``_scan``."""
-    return _scan("growth", lambda X, Y, dist, c: np.abs(riesz_kernel(alpha, j, X, Y, c)),
-                 alpha, j, n_pairs, seed, cfg, positive_orthant)
+    return _scan(("growth",), riesz_kernel, alpha, j, n_pairs, seed, cfg, positive_orthant)[0]
 
 
 def smoothness_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
                     cfg: KernelConfig, positive_orthant: bool = False) -> ScanReport:
     """max over sampled pairs of |grad R_j| |x-y| w_alpha(B(x, |x-y|)), with
     the analytic gradient over (x, y) of ``riesz_kernel_gradient``."""
-    grad = lambda X, Y, dist, c: np.linalg.norm(riesz_kernel_gradient(alpha, j, X, Y, c),
-                                                axis=1) * dist
-    return _scan("smoothness", grad, alpha, j, n_pairs, seed, cfg, positive_orthant)
+    return _scan(("smoothness",), riesz_kernel_gradient, alpha, j, n_pairs, seed, cfg,
+                 positive_orthant)[0]
+
+
+def cz_scans(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
+             cfg: KernelConfig, positive_orthant: bool = False) -> tuple[ScanReport, ScanReport]:
+    """(``growth_scan``, ``smoothness_scan``), equal to the two calls, from one sample,
+    one ball batch and one ``riesz_kernel_with_gradient`` pass per resolution."""
+    return _scan(("growth", "smoothness"), riesz_kernel_with_gradient, alpha, j, n_pairs, seed,
+                 cfg, positive_orthant)
 
 
 def ap_power_weight(alpha_j: float, p: float, r: float) -> bool:

@@ -156,6 +156,9 @@ def heat_kernel_column(t, x, rule: QuadratureRule) -> np.ndarray:
         raise ValueError(f"x must be a point in R^{rule.dim} or a stack of them, "
                          f"got shape {x.shape}")
     X = x.reshape(-1, rule.dim)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} has a non-finite coordinate: x = {X[bad[0]]}")
     cols = [_heat_values(AlphaParams((ax.alpha_j,)), t, np.repeat(xi, ax.nodes.size)[:, None],
                          np.tile(ax.nodes, xi.size)[:, None])[0].reshape(t.shape + (xi.size, -1))
             for xi, ax in zip(X.T, rule.axes)]
@@ -188,11 +191,12 @@ def heat_kernel_series(alpha: AlphaParams, t: float, x, y, max_total_degree: int
     M = max_total_degree
     # Per-coordinate products h_n(x_i) h_n(y_i), (M+1, P), folded by total
     # degree (a truncated Cauchy product over the degree axis).
-    conv = None
-    for i, a in enumerate(alpha):
-        e = hermite_fn_all_1d(M, a, X[:, i]) * hermite_fn_all_1d(M, a, Y[:, i])
-        conv = e if conv is None else np.array(
-            [sum(conv[k] * e[m - k] for k in range(m + 1)) for m in range(M + 1)])
+    conv, *rest = [hermite_fn_all_1d(M, a, X[:, i]) * hermite_fn_all_1d(M, a, Y[:, i])
+                   for i, a in enumerate(alpha)]
+    for e in rest:
+        conv, prev = np.zeros_like(e), conv
+        for k in range(M + 1):  # degree m adds its terms in the order of k
+            conv[k:] += prev[k] * e[:M + 1 - k]
     # lambda_n depends on |n| alone: take n = (m, 0, ..., 0) at degree m.
     lam = eigenvalue(np.outer(np.arange(M + 1), np.eye(1, alpha.dim, dtype=int)), alpha)
     out = np.exp(-t * lam) @ conv

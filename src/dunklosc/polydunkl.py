@@ -78,12 +78,10 @@ class Polynomial:
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(pts.shape[0])
+        powers = {(i, e): pts[:, i] ** e for n in self.terms for i, e in enumerate(n) if e}
         for n, c in self.terms.items():
-            mon = np.ones(pts.shape[0])
-            for i, e in enumerate(n):
-                if e:
-                    mon = mon * pts[:, i] ** e
-            out += c * mon
+            out += c * math.prod((powers[i, e] for i, e in enumerate(n) if e),
+                                 start=np.ones(pts.shape[0]))
         return out
 
     def constant_term(self) -> float:
@@ -230,11 +228,13 @@ def fund_identity_check(p, q, alpha: AlphaParams, rule: QuadratureRule):
         raise ValueError("rule exactness insufficient")
     c_alpha = math.exp(sum(log_gamma(a + 1.0) for a in alpha))
     gauss = np.exp(-np.sum(rule.nodes**2, axis=1))
-    vals = {id(r): exp_neg_lap_quarter(alpha, r)(rule.nodes) for r in ps + qs}
+    vals = {key: exp_neg_lap_quarter(alpha, r)(rule.nodes)
+            for key, r in {id(r): r for r in ps + qs}.items()}
     out = np.empty((len(ps), len(qs)))
     for k, pk in enumerate(ps):
+        weighted = rule.weights * vals[id(pk)]
         for m, qm in enumerate(qs):
-            integral = float(np.sum(rule.weights * vals[id(pk)] * vals[id(qm)] * gauss))
+            integral = float(np.sum(weighted * vals[id(qm)] * gauss))
             rhs = 2.0 ** ((degree(pk) + degree(qm)) / 2.0) * integral / c_alpha
             out[k, m] = abs(fischer_product(pk, qm, alpha) - rhs)
     return float(out[0, 0]) if isinstance(p, Polynomial) and isinstance(q, Polynomial) else out

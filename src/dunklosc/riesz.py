@@ -59,6 +59,7 @@ __all__ = [
     "riesz_kernel_components",
     "riesz_kernel",
     "riesz_kernel_gradient",
+    "riesz_kernel_with_gradient",
     "riesz_kernel_direct",
     "dual_pairing_check",
     "apriori_identity_check",
@@ -275,9 +276,10 @@ def _j_factor(t: np.ndarray, xj: np.ndarray, yj: np.ndarray) -> np.ndarray:
 
 
 def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray,
-                         Y: np.ndarray, factor, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k grad delta_j G_{t_k}(x, y) over the array ``t``, as
-    [d/dx_1..d, d/dy_1..d], shape (P, 2d).  Three parts are differentiated
+                         Y: np.ndarray, factor, weights: np.ndarray, value: bool = False):
+    """(sum_k weights_k delta_j G_{t_k}(x, y) if ``value`` else NaN, the same
+    sum of its gradient [d/dx_1..d, d/dy_1..d], shape (P, 2d)) over the array
+    ``t``, the first in ``_delta_heat``'s order.  Three parts are differentiated
     analytically: the prelude's exponent (d/dx_i = -tanh(t) x_i -
     b (x_i - sgn(z_i) y_i)), the j-factor (y_j - e^{-2t} x_j) b, and each
     parity factor, P_i'(z_i) b y_i, with the sign convention of P' (sgn 0 = 1).
@@ -285,7 +287,7 @@ def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarra
     never from dividing by a factor (it can underflow to 0)."""
     b, z, expo = _kernel_prelude(alpha, t, X, Y)
     t = t[:, None]
-    kj = b * _j_factor(t, X[:, j], Y[:, j])
+    kj = b * (jf := _j_factor(t, X[:, j], Y[:, j]))
     facs, slopes = zip(*(factor(a, z[..., i], slope=True) for i, a in enumerate(alpha)))
     pre = [np.exp(expo)]  # pre[i] = e^{expo} prod_{k < i} P_k
     for f in facs:
@@ -300,16 +302,16 @@ def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarra
         rest = rest * facs[i]
     out[:, j] -= weights @ (np.exp(-2.0 * t) * b * pre[-1])
     out[:, d + j] += weights @ (b * pre[-1])
-    return out
+    return (weights @ (pre[0] * np.prod(facs, axis=0) * b * jf) if value else math.nan), out
 
 
 def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
-              grad: bool = False) -> np.ndarray:
+              value: bool = True, grad: bool = False):
     """pi^{-1/2} int_0^inf delta_j G_t t^{-1/2} dt on the zeta rule of ``cfg``
     read as t = artanh zeta: sum_k w_k delta_j G_{t_k} / ((1 - zeta_k)(1 + zeta_k)
     sqrt(pi t_k)), with 2 t_k = log1p(2 zeta_k / (1 - zeta_k)) from the rule's
     complements.  The s-route only chooses the parity factor P(a, z[, slope]).
-    With ``grad`` the 2d partials [d/dx_1..d, d/dy_1..d] instead, shape (P, 2d)."""
+    With ``grad`` the partials [d/dx_1..d, d/dy_1..d], shape (P, 2d); with ``value`` too, both."""
     factor = _parity_sum
     if cfg.s_method == "gauss-jacobi":
         rules = {a: SchlafliMeasure.from_nu(a, cfg.s_points_per_dim) for a in set(alpha)}
@@ -319,12 +321,14 @@ def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: Ker
     weights = zw / (comp * (1.0 + zeta) * np.sqrt(math.pi * t))
     s_nodes = 1 if cfg.s_method == "exact" else cfg.s_points_per_dim
     chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes))
-    out = np.empty((X.shape[0], 2 * alpha.dim) if grad else X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        Xc, Yc = X[lo:lo + chunk], Y[lo:lo + chunk]
-        out[lo:lo + chunk] = (_delta_heat_gradient(alpha, j, t, Xc, Yc, factor, weights) if grad
-                              else weights @ _delta_heat(alpha, j, t, Xc, Yc, factor))
-    return out
+    vals, grads = np.empty(X.shape[0]), np.empty((X.shape[0], 2 * alpha.dim))
+    for c in (slice(lo, lo + chunk) for lo in range(0, X.shape[0], chunk)):
+        if grad:
+            vals[c], grads[c] = _delta_heat_gradient(alpha, j, t, X[c], Y[c], factor, weights,
+                                                     value)
+        else:
+            vals[c] = weights @ _delta_heat(alpha, j, t, X[c], Y[c], factor)
+    return (vals, grads) if value and grad else grads if grad else vals
 
 
 def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
@@ -357,8 +361,16 @@ def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -
     accurate as the kernel on either route (near the diagonal that takes
     exact s, see ``KernelConfig``)."""
     X, Y, scalar = _check_pairs(alpha, x, y)
-    grads = _zeta_sum(alpha, j, X, Y, cfg, grad=True)
+    grads = _zeta_sum(alpha, j, X, Y, cfg, value=False, grad=True)
     return grads[0] if scalar else grads
+
+
+def riesz_kernel_with_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
+    """(``riesz_kernel``, ``riesz_kernel_gradient``) from one zeta-rule pass, each
+    parity factor evaluated once; on the exact route bit for bit the two calls."""
+    X, Y, scalar = _check_pairs(alpha, x, y)
+    vals, grads = _zeta_sum(alpha, j, X, Y, cfg, grad=True)
+    return (float(vals[0]), grads[0]) if scalar else (vals, grads)
 
 
 def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y):

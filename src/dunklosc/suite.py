@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .estimates import (DRIFT_TOL, ap_power_weight, ball_measure, ball_measure_qmc,
-                        growth_scan, reflection_distance, smoothness_scan, soni_scan)
+from .estimates import (DRIFT_TOL, ap_power_weight, ball_measure, ball_measure_qmc, cz_scans,
+                        reflection_distance, soni_scan)
 from .heat import heat_apply_kernel, heat_kernel, heat_kernel_column, heat_kernel_series
 from .hermite import (AlphaParams, delta_hermite, delta_star_hermite, eigenvalue,
                       hermite_fn, ladder_coeff)
@@ -294,7 +294,7 @@ def _check_star(cfg: RunConfig):
     idx = multi_indices_upto(al.dim, N)
     worst = 0.0
     for _ in range(100):
-        f = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
+        f = SpectralCoeffs(dict(zip(idx, rng.normal(size=len(idx)).tolist())), al)
         n = idx[rng.integers(len(idx))]
         for j in range(al.dim):
             worst = worst_of(worst, star_identity_check(f, n, j, al))
@@ -330,15 +330,15 @@ def _check_multiplier_norm(cfg: RunConfig):
         exact = float(np.max(mul)) if mul.size else 0.0
         rng = np.random.default_rng(cfg.seed + 2)
         v = np.abs(rng.normal(size=len(idx))) + 0.1
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v @ v)
         est = prev = 0.0
         for _ in range(50000):
             w = np.zeros(len(idx))
             w[dst] = mul * v[src]
-            est = float(np.linalg.norm(w))  # Rayleigh: |R v| for unit v
+            est = math.sqrt(w @ w)  # Rayleigh: |R v| for unit v
             u = np.zeros(len(idx))
             u[src] = mul * w[dst]
-            nrm = np.linalg.norm(u)
+            nrm = math.sqrt(u @ u)
             if nrm == 0:
                 break
             v = u / nrm
@@ -401,8 +401,7 @@ def _check_ap(cfg: RunConfig):
 
 def _check_scans(cfg: RunConfig, n_pairs: int = 200):
     al = cfg.alpha_params
-    g = growth_scan(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=cfg.scan_kernel)
-    s = smoothness_scan(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=cfg.scan_kernel)
+    g, s = cz_scans(al, 0, n_pairs=n_pairs, seed=cfg.seed, cfg=cfg.scan_kernel)
     passed = g.passed and s.passed
     return _record("cz_scans", passed, DRIFT_TOL, max(g.refinement_drift, s.refinement_drift),
                    seed=cfg.seed, growth_constant=g.max_ratio, smoothness_constant=s.max_ratio)

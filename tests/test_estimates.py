@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dunklosc.estimates import (ap_power_weight, ball_measure, ball_measure_qmc, growth_scan,
-                                pair_sample, reflection_distance, smoothness_scan, soni_scan)
+import dunklosc.riesz as riesz_module
+from dunklosc.estimates import (ap_power_weight, ball_measure, ball_measure_qmc, cz_scans,
+                                growth_scan, pair_sample, reflection_distance, smoothness_scan,
+                                soni_scan)
 from dunklosc.hermite import AlphaParams
 from dunklosc.riesz import KernelConfig
+from dunklosc.suite import RunConfig, _check_scans
 
 FAST_CFG = KernelConfig(zeta_points=192, zeta_grading=3.0,
                         s_points_per_dim=48, s_method="exact")
@@ -204,6 +207,28 @@ class TestScans:
         assert rep.extra["argmax_reflection_distance"] == reflection_distance(x, y)
         X, Y = pair_sample(2, 60, seed=8)
         assert np.any(np.all(X == x, axis=1) & np.all(Y == y, axis=1))
+
+    @pytest.mark.parametrize("alpha", [(1.3,), (0.0, 0.7), (0.0, -0.5, 1.3)])
+    @pytest.mark.parametrize("positive_orthant", [False, True])
+    def test_cz_scans_equal_the_two_scans(self, alpha, positive_orthant):
+        al = AlphaParams(alpha)
+        kw = dict(n_pairs=40, seed=31, cfg=FAST_CFG, positive_orthant=positive_orthant)
+        for j in range(al.dim):
+            g, s = cz_scans(al, j, **kw)
+            assert (g, s) == (growth_scan(al, j, **kw), smoothness_scan(al, j, **kw))
+            assert (g.extra["check"], s.extra["check"]) == ("growth", "smoothness")
+
+    @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7)])
+    def test_scan_check_makes_one_kernel_pass_per_resolution(self, monkeypatch, alpha):
+        # separate growth and smoothness scans made 4 passes: R and grad R,
+        # each at the scan rule and at its doubled rule
+        calls = []
+        zeta_sum = riesz_module._zeta_sum
+        monkeypatch.setattr(riesz_module, "_zeta_sum",
+                            lambda *a, **k: calls.append(k) or zeta_sum(*a, **k))
+        rec = _check_scans(RunConfig(alpha, seed=7), n_pairs=30)
+        assert math.isfinite(rec["residual"])
+        assert calls == [{"grad": True}, {"grad": True}]
 
     def test_scaling_sanity(self):
         # doubling all coordinates keeps the growth ratio bounded

@@ -10,7 +10,7 @@ from dunklosc.heat import (_parity_sum, all_parities, heat_apply_kernel, heat_ap
                            heat_kernel, heat_kernel_column, heat_kernel_component,
                            heat_kernel_series, heat_kernel_zeta, maximal_empirical,
                            q_plus_minus)
-from dunklosc.hermite import AlphaParams, hermite_fn
+from dunklosc.hermite import AlphaParams, eigenvalue, hermite_fn, hermite_fn_all_1d
 from dunklosc.quadrature import SpectralCoeffs, default_rule, gauss_rule_1d, tensor_rule
 from dunklosc.riesz import (KernelConfig, SchlafliMeasure, riesz_kernel, riesz_kernel_components,
                             riesz_kernel_direct, riesz_kernel_gradient)
@@ -161,6 +161,38 @@ class TestHeatKernel1d:
                      lambda: riesz_kernel_direct(al, 0, X, Ybad)):
             with pytest.raises(ValueError, match="pair 1 has a non-finite coordinate"):
                 call()
+
+    def test_rejects_non_finite_points(self):
+        # the columns skip the pair check: a NaN point gave NaN columns
+        al = AlphaParams((0.0, 0.7))
+        rule, one = default_rule(al, 8), lambda p: np.ones(p.shape[0])
+        x = np.array([[0.3, 0.1], [0.2, math.nan]])
+        for call in (lambda: heat_kernel_column(0.3, x, rule),
+                     lambda: heat_apply_kernel(one, np.array([0.3, 1.0]), x, rule),
+                     lambda: maximal_empirical(one, x[1], [0.3], rule)):
+            with pytest.raises(ValueError, match=r"point \d has a non-finite coordinate: x = "):
+                call()
+        rule1 = default_rule(AlphaParams((0.0,)), 20)
+        for x in ([math.nan], [[0.5], [math.inf]]):
+            for call in (lambda: heat_kernel_column(0.3, x, rule1),
+                         lambda: heat_apply_kernel(one, 0.3, x, rule1)):
+                with pytest.raises(ValueError, match=f"point {len(x) - 1} has a non-finite"):
+                    call()
+
+    @pytest.mark.parametrize("alpha", [(-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_series_bitwise_against_the_per_degree_sum(self, alpha):
+        # the Cauchy product adds each degree's terms in the order of k, as
+        # the per-degree Python sum it replaced did
+        al, M, t = AlphaParams(alpha), 30, 0.5
+        rng = np.random.default_rng(4)
+        X, Y = rng.uniform(0.0, 2.0, (6, al.dim)), rng.uniform(0.0, 2.0, (6, al.dim))
+        conv = None
+        for i, a in enumerate(alpha):
+            e = hermite_fn_all_1d(M, a, X[:, i]) * hermite_fn_all_1d(M, a, Y[:, i])
+            conv = e if conv is None else np.array(
+                [sum(conv[k] * e[m - k] for k in range(m + 1)) for m in range(M + 1)])
+        lam = eigenvalue(np.outer(np.arange(M + 1), np.eye(1, al.dim, dtype=int)), al)
+        assert np.array_equal(heat_kernel_series(al, t, X, Y, M), np.exp(-t * lam) @ conv)
 
     def test_array_of_t(self):
         al, ts = AlphaParams((0.7,)), np.array([0.05, 0.3, 2.0])

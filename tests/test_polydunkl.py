@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import dunklosc.polydunkl as polydunkl_module
 from dunklosc.hermite import AlphaParams, a_coeff, hermite_fn_all_1d
 from dunklosc.polydunkl import (Polynomial, dunkl_T, dunkl_laplacian,
                                 exp_neg_lap_quarter, fischer_product,
                                 fund_identity_check, monomial, verify_eldwa)
 from dunklosc.quadrature import default_rule, multi_indices_upto
+from dunklosc.suite import RunConfig, _check_fischer
 
 AL1 = AlphaParams((0.7,))
 AL2 = AlphaParams((0.7, 1.2))
@@ -95,6 +97,23 @@ class TestExpSeries:
         assert p.degree == 10
 
 
+class TestEvaluation:
+    def test_call_bitwise_against_per_term_powers(self):
+        # each power x_i^e is computed once per call; the per-term products
+        # and their sum keep their order
+        p = Polynomial({(3, 0): 0.5, (1, 2): -1.25, (0, 0): 2.0, (3, 2): 0.75}, 2)
+        pts = np.random.default_rng(0).normal(size=(50, 2))
+        ref = np.zeros(50)
+        for n, c in p.terms.items():
+            mon = np.ones(50)
+            for i, e in enumerate(n):
+                if e:
+                    mon = mon * pts[:, i] ** e
+            ref += c * mon
+        assert np.array_equal(p(pts), ref)
+        assert p([0.5, -2.0]).tolist() == [2.0 + 0.0625 - 1.25 * 0.5 * 4.0 + 0.75 * 0.125 * 4.0]
+
+
 class TestFischer:
     def test_degree_mismatch_orthogonality(self):
         for m, n in [(0, 1), (1, 2), (2, 5)]:
@@ -169,6 +188,16 @@ class TestFundIdentity:
         assert resid.shape == (len(mons), 4)
         single = [[fund_identity_check(p, q, al, rule) for q in mons[:4]] for p in mons]
         assert resid.tolist() == single
+
+    def test_fischer_check_expands_each_polynomial_once(self, monkeypatch):
+        # _check_fischer pairs the 15 monomials of degree <= 4 at d = 2 with
+        # themselves; each exp(-Delta/4) expansion was made once per side
+        calls = []
+        expand = polydunkl_module.exp_neg_lap_quarter
+        monkeypatch.setattr(polydunkl_module, "exp_neg_lap_quarter",
+                            lambda *a: calls.append(1) or expand(*a))
+        assert _check_fischer(RunConfig((0.7, 1.2), quad_points=20))["passed"]
+        assert len(calls) == 15
 
     def test_degree_one_value(self):
         # [x, x]_alpha = a_{1,alpha} = 2 alpha + 2; integral route must agree

@@ -17,8 +17,8 @@ from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig,
                             SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
-                            riesz_kernel_direct, riesz_kernel_gradient, riesz_multiplier,
-                            star_identity_check, zeta_grid, _delta_heat)
+                            riesz_kernel_direct, riesz_kernel_gradient, riesz_kernel_with_gradient,
+                            riesz_multiplier, star_identity_check, zeta_grid, _delta_heat)
 from dunklosc.suite import RunConfig, _check_route_agreement
 from dunklosc.special import bessel_ratio
 
@@ -563,6 +563,25 @@ class TestKernelGradient:
                                                         s_method="gauss-jacobi"))
             gap = np.max(np.abs(jacobi - exact), axis=1) / np.linalg.norm(exact, axis=1)
             assert np.max(gap) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [(0.7,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_with_gradient_equals_the_two_calls(self, monkeypatch, alpha):
+        # one pass forms R from the gradient's parity factors in the order of
+        # _delta_heat: bit for bit on the exact route, here over three chunks
+        monkeypatch.setattr("dunklosc.riesz.ZETA_BATCH_ELEMENTS", 7 * CFG_EXACT.zeta_points)
+        al = AlphaParams(alpha)
+        X, Y = pair_sample(al.dim, 20, 3)
+        for j in range(al.dim):
+            vals, grads = riesz_kernel_with_gradient(al, j, X, Y, CFG_EXACT)
+            assert np.array_equal(vals, riesz_kernel(al, j, X, Y, CFG_EXACT))
+            assert np.array_equal(grads, riesz_kernel_gradient(al, j, X, Y, CFG_EXACT))
+            v, g = riesz_kernel_with_gradient(al, j, X[4], Y[4], CFG_EXACT)
+            assert type(v) is float and v == riesz_kernel(al, j, X[4], Y[4], CFG_EXACT)
+            assert np.array_equal(g, riesz_kernel_gradient(al, j, X[4], Y[4], CFG_EXACT))
+            # a Gauss-Jacobi factor is summed with its slope, so only close there
+            vals, grads = riesz_kernel_with_gradient(al, j, X, Y, CFG)
+            np.testing.assert_allclose(vals, riesz_kernel(al, j, X, Y, CFG), rtol=1e-13)
+            np.testing.assert_array_equal(grads, riesz_kernel_gradient(al, j, X, Y, CFG))
 
     def test_shapes_and_refusal(self):
         al = AlphaParams((0.0, 1.3))
