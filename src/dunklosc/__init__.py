@@ -13,7 +13,7 @@ from .heat import (heat_apply_kernel, heat_apply_spectral, heat_kernel,
 from .riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure, apriori_identity_check,
                     beta_weight, delta_psi, dual_pairing_check, riesz_adjoint_spectral,
                     riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
-                    riesz_kernel_direct, riesz_kernel_gradient, star_identity_check)
+                    riesz_kernel_direct, riesz_kernel_with_gradient, star_identity_check)
 from .estimates import (ScanReport, ap_power_weight, ball_measure, ball_measure_qmc,
                         growth_scan, reflection_distance, smoothness_scan, soni_scan)
 from .suite import RunConfig, parse_config, run_suite, serialize_config

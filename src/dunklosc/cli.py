@@ -82,6 +82,21 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
+def _write_csv(ns, meta: str, cols: list[str], rows) -> None:
+    """The versioned header naming the subcommand, a metadata line, the
+    column names and one row of .17g numbers per entry of ``rows``."""
+    lines = [f"# dunklosc {ns.command} {CSV_VERSION}", f"# {meta}", ",".join(cols)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", ns.output)
+
+
+def _coordinate(ns, d: int) -> int:
+    """The 0-based coordinate of the 1-based ``--j``, refused outside 1..d."""
+    if not 1 <= ns.j <= d:
+        raise ValueError(f"--j must be in 1..{d}")
+    return ns.j - 1
+
+
 def _load_coeffs(path: str) -> SpectralCoeffs:
     with open(path) as fh:  # objects as lists of pairs, so that a repeated key is seen
         doc = dict(json.load(fh, object_pairs_hook=list))
@@ -130,13 +145,9 @@ def _cmd_hermite_eval(ns) -> int:
         grids = np.meshgrid(*([axis] * al.dim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
     vals = hermite_fn(ns.n, al, pts)
-    d = al.dim
-    lines = [f"# dunklosc hermite-eval {CSV_VERSION}",
-             f"# alpha={list(al.alpha)} n={list(ns.n)}",
-             ",".join(f"x{i+1}" for i in range(d)) + ",h"]
-    for row, v in zip(pts, vals):
-        lines.append(",".join(f"{c:.17g}" for c in row) + f",{v:.17g}")
-    _write("\n".join(lines) + "\n", ns.output)
+    _write_csv(ns, f"alpha={list(al.alpha)} n={list(ns.n)}",
+               [f"x{i+1}" for i in range(al.dim)] + ["h"],
+               ([*row, v] for row, v in zip(pts, vals)))
     return 0
 
 
@@ -147,15 +158,12 @@ def _cmd_heat_kernel(ns) -> int:
     eps_list = all_parities(d)
     cols = ["t"] + [f"x{i+1}" for i in range(d)] + [f"y{i+1}" for i in range(d)] + ["G"]
     cols += [f"G_eps{_eps_label(e)}" for e in eps_list]
-    lines = [f"# dunklosc heat-kernel {CSV_VERSION}", f"# alpha={list(al.alpha)}",
-             ",".join(cols)]
+    rows = []
     for t in ns.t:
         total = heat_kernel(al, t, X, Y)
         comps = [heat_kernel_component(al, e, t, X, Y) for e in eps_list]
-        for p in range(X.shape[0]):
-            row = [t, *X[p], *Y[p], total[p], *[c[p] for c in comps]]
-            lines.append(",".join(f"{v:.17g}" for v in row))
-    _write("\n".join(lines) + "\n", ns.output)
+        rows += [[t, *X[p], *Y[p], total[p], *[c[p] for c in comps]] for p in range(X.shape[0])]
+    _write_csv(ns, f"alpha={list(al.alpha)}", cols, rows)
     return 0
 
 
@@ -166,33 +174,24 @@ def _cmd_heat_apply(ns) -> int:
 
 def _cmd_riesz_apply(ns) -> int:
     c = _load_coeffs(ns.coeffs)
-    j = ns.j - 1
-    if not 0 <= j < c.dim:
-        raise ValueError(f"--j must be in 1..{c.dim}")
-    _write(_dump_coeffs(riesz_apply_spectral(c, j)), ns.output)
+    _write(_dump_coeffs(riesz_apply_spectral(c, _coordinate(ns, c.dim))), ns.output)
     return 0
 
 
 def _cmd_riesz_kernel(ns) -> int:
     al = AlphaParams(ns.alpha)
     d = al.dim
-    j = ns.j - 1
-    if not 0 <= j < d:
-        raise ValueError(f"--j must be in 1..{d}")
+    j = _coordinate(ns, d)
     X, Y = _read_pairs(ns.pairs, d)
     cfg = _kernel_config(ns)
     total, comps = riesz_kernel_components(al, j, X, Y, cfg)
     eps_list = all_parities(d)
     cols = ([f"x{i+1}" for i in range(d)] + [f"y{i+1}" for i in range(d)] + ["R"]
             + [f"R_eps{_eps_label(e)}" for e in eps_list])
-    lines = [f"# dunklosc riesz-kernel {CSV_VERSION}",
-             f"# alpha={list(al.alpha)} j={ns.j} zeta_points={cfg.zeta_points} "
-             f"s_points={cfg.s_points_per_dim} s_method={cfg.s_method}",
-             ",".join(cols)]
-    for p in range(X.shape[0]):
-        row = [*X[p], *Y[p], total[p], *[comps[e][p] for e in eps_list]]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    _write("\n".join(lines) + "\n", ns.output)
+    _write_csv(ns, f"alpha={list(al.alpha)} j={ns.j} zeta_points={cfg.zeta_points} "
+                   f"s_points={cfg.s_points_per_dim} s_method={cfg.s_method}", cols,
+               ([*X[p], *Y[p], total[p], *[comps[e][p] for e in eps_list]]
+                for p in range(X.shape[0])))
     return 0
 
 
@@ -235,12 +234,9 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_scan(ns, which: str) -> int:
     al = AlphaParams(ns.alpha)
-    j = ns.j - 1
-    if not 0 <= j < al.dim:
-        raise ValueError(f"--j must be in 1..{al.dim}")
-    cfg = _kernel_config(ns)
+    j = _coordinate(ns, al.dim)
     fn = growth_scan if which == "growth" else smoothness_scan
-    rep = fn(al, j, n_pairs=ns.pairs, seed=ns.seed, cfg=cfg,
+    rep = fn(al, j, n_pairs=ns.pairs, seed=ns.seed, cfg=_kernel_config(ns),
              positive_orthant=ns.positive_orthant)
     doc = asdict(rep)
     doc["scan"] = which

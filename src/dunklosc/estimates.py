@@ -9,7 +9,9 @@ that constant when the kernel quadrature resolution is doubled (a scan
 passes at DRIFT_TOL = 5% or less), and where the maximum sits (|x-y| and
 ``reflection_distance`` of the argmax pair).  ``cz_scans`` runs both on one
 sample, with R and its analytic gradient (central differences are its test
-oracle) from one kernel pass.  Every report is reproducible bit-for-bit from its seed.
+oracle) from one kernel pass; ``smoothness_scan`` is its second report, and
+``growth_scan`` alone runs the value-only kernel.  Every report is
+reproducible bit-for-bit from its seed.
 
 Ball measures w_alpha(B(x, r)) are deterministic: a closed form in d = 1
 and, since w_alpha is a product over coordinates, a nested
@@ -27,7 +29,7 @@ import numpy as np
 
 from .hermite import AlphaParams
 from .quadrature import _graded_rule
-from .riesz import KernelConfig, riesz_kernel, riesz_kernel_gradient, riesz_kernel_with_gradient
+from .riesz import KernelConfig, riesz_kernel, riesz_kernel_with_gradient
 from .special import bessel_i_scaled
 
 __all__ = [
@@ -210,11 +212,11 @@ def reflection_distance(x, y):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def _scan(checks: tuple[str, ...], kernel, alpha: AlphaParams, j: int, n_pairs: int, seed: int,
-          cfg: KernelConfig, positive_orthant: bool) -> tuple[ScanReport, ...]:
-    """Per check, the max over sampled pairs of |R_j(x,y)| ("growth") or |grad R_j|
-    |x-y| ("smoothness") times w_alpha(B(x, |x-y|)), from one ``kernel`` call
-    per resolution that returns R_j, its gradient or both (in ``checks`` order).
+def _scan(kernel, alpha: AlphaParams, j: int, n_pairs: int, seed: int, cfg: KernelConfig,
+          positive_orthant: bool) -> tuple[ScanReport, ...]:
+    """The max over sampled pairs of |R_j(x,y)| ("growth") and, where ``kernel``
+    returns (R_j, grad R_j) and not (R_j,), of |grad R_j| |x-y| ("smoothness"),
+    times w_alpha(B(x, |x-y|)), from one ``kernel`` call per resolution.
 
     PASS requires every value finite and the max stable (<= DRIFT_TOL)
     under a doubled-resolution rerun of the kernel quadrature.
@@ -223,12 +225,11 @@ def _scan(checks: tuple[str, ...], kernel, alpha: AlphaParams, j: int, n_pairs: 
     X, Y = pair_sample(alpha.dim, n_pairs, seed)
     dist = np.linalg.norm(X - Y, axis=1)
     balls = ball_measure(alpha, X, dist, positive_orthant=positive_orthant)
-    measure = {"growth": np.abs, "smoothness": lambda g: np.linalg.norm(g, axis=1) * dist}
+    measures = {"growth": np.abs, "smoothness": lambda g: np.linalg.norm(g, axis=1) * dist}
     passes = [kernel(alpha, j, X, Y, c) for c in (cfg, fine)]
     reports = []
-    for k, check in enumerate(checks):
-        coarse, refined = (measure[check](out[k] if len(checks) > 1 else out) * balls
-                           for out in passes)
+    for (check, measure), *outs in zip(measures.items(), *passes):
+        coarse, refined = (measure(out) * balls for out in outs)
         imax = int(np.argmax(coarse))
         m1, m2 = float(coarse[imax]), float(np.max(refined))
         drift = abs(m1 - m2) / m2 if m2 > 0 else math.inf
@@ -244,24 +245,25 @@ def _scan(checks: tuple[str, ...], kernel, alpha: AlphaParams, j: int, n_pairs: 
 
 def growth_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
                 cfg: KernelConfig, positive_orthant: bool = False) -> ScanReport:
-    """max over sampled pairs of |R_j(x,y)| w_alpha(B(x, |x-y|)); see ``_scan``."""
-    return _scan(("growth",), riesz_kernel, alpha, j, n_pairs, seed, cfg, positive_orthant)[0]
+    """max over sampled pairs of |R_j(x,y)| w_alpha(B(x, |x-y|)) from the
+    value-only ``riesz_kernel``; see ``_scan``."""
+    return _scan(lambda *args: (riesz_kernel(*args),), alpha, j, n_pairs, seed, cfg,
+                 positive_orthant)[0]
 
 
 def smoothness_scan(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
                     cfg: KernelConfig, positive_orthant: bool = False) -> ScanReport:
     """max over sampled pairs of |grad R_j| |x-y| w_alpha(B(x, |x-y|)), with
-    the analytic gradient over (x, y) of ``riesz_kernel_gradient``."""
-    return _scan(("smoothness",), riesz_kernel_gradient, alpha, j, n_pairs, seed, cfg,
-                 positive_orthant)[0]
+    the analytic gradient over (x, y): the second report of ``cz_scans``."""
+    return cz_scans(alpha, j, n_pairs, seed, cfg=cfg, positive_orthant=positive_orthant)[1]
 
 
 def cz_scans(alpha: AlphaParams, j: int, n_pairs: int = 1000, seed: int = 1234, *,
              cfg: KernelConfig, positive_orthant: bool = False) -> tuple[ScanReport, ScanReport]:
-    """(``growth_scan``, ``smoothness_scan``), equal to the two calls, from one sample,
-    one ball batch and one ``riesz_kernel_with_gradient`` pass per resolution."""
-    return _scan(("growth", "smoothness"), riesz_kernel_with_gradient, alpha, j, n_pairs, seed,
-                 cfg, positive_orthant)
+    """(``growth_scan``, ``smoothness_scan``) from one sample, one ball batch and
+    one ``riesz_kernel_with_gradient`` pass per resolution; the growth report
+    equals ``growth_scan``'s."""
+    return _scan(riesz_kernel_with_gradient, alpha, j, n_pairs, seed, cfg, positive_orthant)
 
 
 def ap_power_weight(alpha_j: float, p: float, r: float) -> bool:

@@ -24,6 +24,7 @@ the ball quadrature of ``estimates`` is ``_graded_rule``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -238,13 +239,8 @@ def _coeff_arrays(c: SpectralCoeffs) -> tuple[np.ndarray, np.ndarray]:
 
 def multi_indices_upto(dim: int, max_degree: int) -> list[tuple[int, ...]]:
     """All n in N^dim with |n| <= max_degree, in lexicographic order."""
-    if dim == 1:
-        return [(k,) for k in range(max_degree + 1)]
-    out = []
-    for k in range(max_degree + 1):
-        for rest in multi_indices_upto(dim - 1, max_degree - k):
-            out.append((k,) + rest)
-    return sorted(out)
+    return [n for n in itertools.product(range(max_degree + 1), repeat=dim)
+            if sum(n) <= max_degree]
 
 
 def project(f, alpha: AlphaParams, max_degree: int, rule: QuadratureRule) -> SpectralCoeffs:

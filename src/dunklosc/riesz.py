@@ -14,8 +14,9 @@ Three realizations, the last two of one integrand:
   Schlafli measure Pi_a weighted by 1 + s, Rosler's positive integral for
   the rank-one Dunkl kernel.  The parity components are the Walsh-Hadamard
   transform of the kernel at the 2^d reflections of y, and the gradient in
-  (x, y) is the same integrand differentiated analytically (central
-  differences of the kernel are the test oracle).  The paper's pointwise
+  (x, y) is the same integrand differentiated analytically, formed with the
+  kernel in one pass by ``riesz_kernel_with_gradient`` (central differences
+  of the kernel are the test oracle).  The paper's pointwise
   (zeta, s) integrand of each parity component, beta_{d,alpha+eps}(zeta)
   (delta_j psi_zeta^eps)(x,y,s) against Pi_{alpha+eps}(ds) (``beta_weight``,
   ``delta_psi``), is kept as an oracle for this route;
@@ -24,9 +25,11 @@ Three realizations, the last two of one integrand:
   else it raises.
 
 Both kernel routes refuse near-diagonal arguments (|x - y| < 1e-3); the
-values there would be dominated by quadrature error.  The parity
-components are additionally singular on the reflected diagonals
-(|x_i| = |y_i| with sign flips), where only their sum is small; expect
+values there would be dominated by quadrature error.  R_j is also
+infinite on the reflected diagonal y = sigma_j x (x_j negated) when
+a_j > -1/2, and a pair exactly on it is refused.  The parity components
+are additionally singular on the other reflected diagonals (|x_i| = |y_i|
+with sign flips), where only their sum is small; expect
 cancellation-limited accuracy very close to those sets.
 """
 
@@ -58,7 +61,6 @@ __all__ = [
     "delta_psi",
     "riesz_kernel_components",
     "riesz_kernel",
-    "riesz_kernel_gradient",
     "riesz_kernel_with_gradient",
     "riesz_kernel_direct",
     "dual_pairing_check",
@@ -245,11 +247,20 @@ def delta_psi(alpha: AlphaParams, eps, j: int, zeta: float, x, y, s):
     return out
 
 
-def _check_pairs(alpha: AlphaParams, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
+def _check_pairs(alpha: AlphaParams, j: int, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The (P, d) stacks of a kernel call, refused near the diagonal and, where
+    a_j > -1/2, on the reflected diagonal y = sigma_j x (x with x_j negated),
+    where R_j is infinite and every rule returns a resolution-dependent number."""
     X, Y, scalar = _prepare_pairs(alpha, x, y)
     dist = np.sqrt(np.sum((X - Y) ** 2, axis=1))
     if np.any(dist < NEAR_DIAGONAL):
         raise ValueError(f"kernel evaluation refused for |x-y| < {NEAR_DIAGONAL}")
+    on = (Y[:, j] == -X[:, j]) & np.all((Y == X) | (np.arange(alpha.dim) == j), axis=1)
+    if alpha[j] > -0.5 and on.any():
+        k = int(np.argmax(on))
+        raise ValueError(f"kernel evaluation refused at pair {k}: y = {Y[k]} is x = {X[k]} "
+                         f"with coordinate {j + 1} negated, where R_j is singular "
+                         f"(a_j = {alpha[j]} > -1/2)")
     return X, Y, scalar
 
 
@@ -276,10 +287,10 @@ def _j_factor(t: np.ndarray, xj: np.ndarray, yj: np.ndarray) -> np.ndarray:
 
 
 def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray,
-                         Y: np.ndarray, factor, weights: np.ndarray, value: bool = False):
-    """(sum_k weights_k delta_j G_{t_k}(x, y) if ``value`` else NaN, the same
-    sum of its gradient [d/dx_1..d, d/dy_1..d], shape (P, 2d)) over the array
-    ``t``, the first in ``_delta_heat``'s order.  Three parts are differentiated
+                         Y: np.ndarray, factor, weights: np.ndarray):
+    """(sum_k weights_k delta_j G_{t_k}(x, y), the same sum of its gradient
+    [d/dx_1..d, d/dy_1..d], shape (P, 2d)) over the array ``t``, the first in
+    ``_delta_heat``'s order.  Three parts are differentiated
     analytically: the prelude's exponent (d/dx_i = -tanh(t) x_i -
     b (x_i - sgn(z_i) y_i)), the j-factor (y_j - e^{-2t} x_j) b, and each
     parity factor, P_i'(z_i) b y_i, with the sign convention of P' (sgn 0 = 1).
@@ -302,16 +313,16 @@ def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarra
         rest = rest * facs[i]
     out[:, j] -= weights @ (np.exp(-2.0 * t) * b * pre[-1])
     out[:, d + j] += weights @ (b * pre[-1])
-    return (weights @ (pre[0] * np.prod(facs, axis=0) * b * jf) if value else math.nan), out
+    return weights @ (pre[0] * np.prod(facs, axis=0) * b * jf), out
 
 
 def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
-              value: bool = True, grad: bool = False):
+              grad: bool = False):
     """pi^{-1/2} int_0^inf delta_j G_t t^{-1/2} dt on the zeta rule of ``cfg``
     read as t = artanh zeta: sum_k w_k delta_j G_{t_k} / ((1 - zeta_k)(1 + zeta_k)
     sqrt(pi t_k)), with 2 t_k = log1p(2 zeta_k / (1 - zeta_k)) from the rule's
     complements.  The s-route only chooses the parity factor P(a, z[, slope]).
-    With ``grad`` the partials [d/dx_1..d, d/dy_1..d], shape (P, 2d); with ``value`` too, both."""
+    With ``grad`` also the partials [d/dx_1..d, d/dy_1..d], shape (P, 2d)."""
     factor = _parity_sum
     if cfg.s_method == "gauss-jacobi":
         rules = {a: SchlafliMeasure.from_nu(a, cfg.s_points_per_dim) for a in set(alpha)}
@@ -324,11 +335,10 @@ def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: Ker
     vals, grads = np.empty(X.shape[0]), np.empty((X.shape[0], 2 * alpha.dim))
     for c in (slice(lo, lo + chunk) for lo in range(0, X.shape[0], chunk)):
         if grad:
-            vals[c], grads[c] = _delta_heat_gradient(alpha, j, t, X[c], Y[c], factor, weights,
-                                                     value)
+            vals[c], grads[c] = _delta_heat_gradient(alpha, j, t, X[c], Y[c], factor, weights)
         else:
             vals[c] = weights @ _delta_heat(alpha, j, t, X[c], Y[c], factor)
-    return (vals, grads) if value and grad else grads if grad else vals
+    return (vals, grads) if grad else vals
 
 
 def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
@@ -338,7 +348,7 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig)
     per sign vector sigma.  The kernel is the sigma = 1 pass itself, not
     the sum of the components, which near a reflected diagonal differs
     from it by the rounding of the larger R_j(x, sigma y)."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
+    X, Y, scalar = _check_pairs(alpha, j, x, y)
     parities = np.array(all_parities(alpha.dim))
     passes = np.array([_zeta_sum(alpha, j, X, (1 - 2 * p) * Y, cfg) for p in parities])
     comps = (-1.0) ** (parities @ parities.T) @ passes / 2**alpha.dim
@@ -349,26 +359,20 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig)
 
 def riesz_kernel(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
     """Full kernel R_j^alpha(x, y): delta_j G_t summed on the zeta rule."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
+    X, Y, scalar = _check_pairs(alpha, j, x, y)
     vals = _zeta_sum(alpha, j, X, Y, cfg)
     return float(vals[0]) if scalar else vals
 
 
-def riesz_kernel_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig) -> np.ndarray:
-    """[dR_j/dx_1..d, dR_j/dy_1..d] of the full kernel, shape (P, 2d) or (2d,)
-    for a point pair: ``riesz_kernel``'s integrand differentiated analytically
-    (``_delta_heat_gradient``) on the same zeta rule and s-route, so as
-    accurate as the kernel on either route (near the diagonal that takes
-    exact s, see ``KernelConfig``)."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
-    grads = _zeta_sum(alpha, j, X, Y, cfg, value=False, grad=True)
-    return grads[0] if scalar else grads
-
-
 def riesz_kernel_with_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
-    """(``riesz_kernel``, ``riesz_kernel_gradient``) from one zeta-rule pass, each
-    parity factor evaluated once; on the exact route bit for bit the two calls."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
+    """(R_j, [dR_j/dx_1..d, dR_j/dy_1..d]) of the full kernel from one zeta-rule
+    pass, each parity factor evaluated once: (P,) and (P, 2d) arrays, or a
+    float and a (2d,) array for a point pair.  The gradient is ``riesz_kernel``'s
+    integrand differentiated analytically (``_delta_heat_gradient``) on the
+    same zeta rule and s-route, so as accurate as the kernel on either route
+    (near the diagonal that takes exact s, see ``KernelConfig``); on the exact
+    route the value is ``riesz_kernel`` bit for bit."""
+    X, Y, scalar = _check_pairs(alpha, j, x, y)
     vals, grads = _zeta_sum(alpha, j, X, Y, cfg, grad=True)
     return (float(vals[0]), grads[0]) if scalar else (vals, grads)
 
@@ -385,7 +389,7 @@ def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y):
     in one call, until each pair's sum moves by at most 1e-10 of its own
     h sum |f|.  RuntimeError, naming the batch, if it has not converged
     after 10 halvings or its integrand does not vanish at the ends."""
-    X, Y, scalar = _check_pairs(alpha, x, y)
+    X, Y, scalar = _check_pairs(alpha, j, x, y)
     gap = np.where(np.array(alpha.alpha) > -0.5, np.abs(X) - np.abs(Y), X - Y)
     t_lo = min(max(float(np.min(np.sum(gap * gap, axis=1))) / 400.0, 1e-12), 1.0)
     n = math.ceil(math.log(40.0 / t_lo))  # the first step is at most 1

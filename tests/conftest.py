@@ -19,7 +19,7 @@ def rules():
 def fd_gradient(alpha, j, X, Y, cfg, rel_step):
     """Central differences of riesz_kernel in each of the 2d coordinates of
     (x, y), step rel_step |x - y| per pair, ordered [x_1..x_d, y_1..y_d]:
-    the oracle for riesz_kernel_gradient."""
+    the oracle for riesz_kernel_with_gradient's gradient."""
     d = alpha.dim
     Z = np.hstack([X, Y])
     h = rel_step * np.linalg.norm(X - Y, axis=1)

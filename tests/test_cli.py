@@ -262,6 +262,13 @@ class TestSubcommands:
         assert row[6] == want
         assert abs(sum(row[7:]) - want) <= 1e-12 * sum(abs(v) for v in row[7:])
 
+    def test_riesz_kernel_refuses_the_reflected_diagonal(self, tmp_path, capsys):
+        # R_1 is infinite at y = -x for a_1 > -1/2: exit 2, naming the pair
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("0.5,1.5\n0.8,-0.8\n")
+        assert main(["riesz-kernel", "--alpha=0.7", "--j=1", "--pairs", str(pairs)]) == 2
+        assert capsys.readouterr().err.startswith("error: kernel evaluation refused at pair 1: ")
+
     def test_riesz_apply_round_trip(self, workdir):
         rc, out, err = run_cli("riesz-apply", "--j=1", "--coeffs", str(workdir / "c.json"))
         assert rc == 0
@@ -445,15 +452,29 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err
 
-    @pytest.mark.parametrize("argv", ["riesz-apply --j=1", "riesz-apply --j=2",
-                                      "heat-apply --t=0.3", "heat-apply --t=2.5"])
-    def test_spectral_apply_bytes_pinned(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        "riesz-apply --j=1", "riesz-apply --j=2", "heat-apply --t=0.3", "heat-apply --t=2.5",
+        "scan-growth --alpha=-0.5,0.7 --j=1 --pairs=8 --seed=2021",
+        "scan-smoothness --alpha=-0.5,0.7 --j=2 --pairs=8 --seed=2022",
+        "scan-growth --alpha=0,-0.5,1.3 --j=3 --pairs=8 --seed=2023",
+        "scan-smoothness --alpha=0,-0.5,1.3 --j=1 --pairs=8 --seed=2024",
+        "riesz-kernel --alpha=-0.5,0.7 --j=1 --pairs=pairs.csv --s-method=exact",
+        "riesz-kernel --alpha=-0.5,0.7 --j=2 --pairs=pairs.csv --s-method=gauss-jacobi",
+        "heat-kernel --alpha=-0.5,0.7 --t=0.05,1.0 --pairs=pairs.csv",
+        "hermite-eval --alpha=-0.5,0.7 --n=2,3 --points=points.csv",
+    ])
+    def test_spectral_apply_bytes_pinned(self, argv, tmp_path, capsys, monkeypatch):
         # d = 2 coefficients with a -0.0, a 1e-300 and a -3.5e10 entry; a
-        # -0.0 moved by R_j is written as 0.0
+        # -0.0 moved by R_j is written as 0.0.  The scans (the (alpha, j) of
+        # the benchmark's cz_scan workload) and the CSV tables (pairs clear of
+        # the reflected diagonals) are pinned to the same bytes
         pinned = json.loads(Path(__file__).with_name("spectral_apply_pinned.json").read_text())
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(pinned["input"]))
-        assert main([*argv.split(), "--coeffs", str(path)]) == 0
+        (tmp_path / "c.json").write_text(json.dumps(pinned["input"]))
+        (tmp_path / "pairs.csv").write_text(pinned["pairs"])
+        (tmp_path / "points.csv").write_text(pinned["points"])
+        monkeypatch.chdir(tmp_path)
+        coeffs = ["--coeffs", "c.json"] if "-apply" in argv else []
+        assert main([*argv.split(), *coeffs]) == 0
         assert capsys.readouterr().out == pinned["outputs"][argv]
 
     def test_pairing_check_small(self, workdir):

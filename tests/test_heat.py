@@ -13,7 +13,7 @@ from dunklosc.heat import (_parity_sum, all_parities, heat_apply_kernel, heat_ap
 from dunklosc.hermite import AlphaParams, eigenvalue, hermite_fn, hermite_fn_all_1d
 from dunklosc.quadrature import SpectralCoeffs, default_rule, gauss_rule_1d, tensor_rule
 from dunklosc.riesz import (KernelConfig, SchlafliMeasure, riesz_kernel, riesz_kernel_components,
-                            riesz_kernel_direct, riesz_kernel_gradient)
+                            riesz_kernel_direct, riesz_kernel_with_gradient)
 from dunklosc.suite import RunConfig, _check_contraction, _check_semigroup
 
 from conftest import ALPHA_MATRIX
@@ -157,7 +157,7 @@ class TestHeatKernel1d:
                      lambda: heat_kernel_series(al, 0.3, X, Ybad, 4),
                      lambda: riesz_kernel(al, 0, X, Ybad, KernelConfig()),
                      lambda: riesz_kernel_components(al, 0, X, Ybad, KernelConfig()),
-                     lambda: riesz_kernel_gradient(al, 0, X, Ybad, KernelConfig()),
+                     lambda: riesz_kernel_with_gradient(al, 0, X, Ybad, KernelConfig()),
                      lambda: riesz_kernel_direct(al, 0, X, Ybad)):
             with pytest.raises(ValueError, match="pair 1 has a non-finite coordinate"):
                 call()

@@ -17,7 +17,7 @@ from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig,
                             SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
-                            riesz_kernel_direct, riesz_kernel_gradient, riesz_kernel_with_gradient,
+                            riesz_kernel_direct, riesz_kernel_with_gradient,
                             riesz_multiplier, star_identity_check, zeta_grid, _delta_heat)
 from dunklosc.suite import RunConfig, _check_route_agreement
 from dunklosc.special import bessel_ratio
@@ -484,6 +484,38 @@ class TestKernelComponents:
         with pytest.raises(ValueError):
             riesz_kernel_direct(al, 0, np.array([1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("alpha,j,x,y", [((0.7,), 0, [1.0], [-1.0]),
+                                             ((0.0, 0.7), 1, [1.0, 0.5], [1.0, -0.5])])
+    def test_sigma_j_reflected_diagonal_refused(self, alpha, j, x, y):
+        # R_j is infinite at y = sigma_j x (x_j negated) when a_j > -1/2: the
+        # zeta rules read -4.917 (96 nodes) and -6.033 (256) at d = 1 and
+        # -4.3e5 at d = 2, and the direct route did not converge.  Every
+        # route refuses the pair and names it (pair 1 of the batch)
+        al = AlphaParams(alpha)
+        X = np.array([[2.0] * al.dim, x])
+        Y = np.array([[-0.5] * al.dim, y])
+        calls = [lambda: riesz_kernel(al, j, X, Y, CFG_EXACT),
+                 lambda: riesz_kernel(al, j, X, Y, CFG),
+                 lambda: riesz_kernel_with_gradient(al, j, X, Y, CFG_EXACT),
+                 lambda: riesz_kernel_components(al, j, X, Y, CFG_EXACT),
+                 lambda: riesz_kernel_components(al, j, X, Y, CFG),
+                 lambda: riesz_kernel_direct(al, j, X, Y)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"refused at pair 1: .* coordinate {j + 1} "
+                                                 f"negated"):
+                call()
+
+    @pytest.mark.parametrize("alpha,j,x,y", [((-0.5, 0.7), 0, [1.0, 0.5], [-1.0, 0.5]),
+                                             ((0.0, 0.7), 0, [1.0, 0.5], [1.0, -0.5]),
+                                             ((0.7, 0.7), 0, [1.0, 0.5], [-1.0, -0.5])])
+    def test_other_reflections_are_evaluated(self, alpha, j, x, y):
+        # sigma_j x with a_j = -1/2, and a flip that is not sigma_j alone: the
+        # zeta rule converges there (96 and 1024 nodes agree within 4e-6)
+        al = AlphaParams(alpha)
+        x, y = np.array(x), np.array(y)
+        vals = [riesz_kernel(al, j, x, y, KernelConfig(zeta_points=n)) for n in (96, 1024)]
+        assert math.isfinite(vals[0]) and vals[0] == pytest.approx(vals[1], rel=1e-5)
+
 
 def riesz_classical(x, y):
     """Independent oracle for alpha = -1/2: the Mehler kernel differentiated
@@ -509,7 +541,7 @@ class TestKernelGradient:
         keep = reflection_distance(X, Y) >= 0.1
         X, Y = X[keep], Y[keep]
         for j in range(al.dim):
-            got = riesz_kernel_gradient(al, j, X, Y, CFG_EXACT)
+            got = riesz_kernel_with_gradient(al, j, X, Y, CFG_EXACT)[1]
             ref = richardson_gradient(al, j, X, Y, CFG_EXACT)
             gap = np.max(np.abs(got - ref), axis=1) / np.linalg.norm(ref, axis=1)
             assert np.max(gap) <= 1e-6
@@ -521,7 +553,7 @@ class TestKernelGradient:
         cfg = KernelConfig(s_method=s_method)
         for alpha, j, x, y, ref in MPMATH["riesz_gradient"]:
             ref = np.array([float(v) for v in ref])
-            got = riesz_kernel_gradient(AlphaParams(tuple(alpha)), j, x, y, cfg)
+            got = riesz_kernel_with_gradient(AlphaParams(tuple(alpha)), j, x, y, cfg)[1]
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.linalg.norm(ref)
 
     def test_pinned_pair_where_coarse_fd_is_off(self):
@@ -533,7 +565,7 @@ class TestKernelGradient:
         X, Y = pair_sample(1, 1000, seed=111)
         X, Y = X[297:298], Y[297:298]
         np.testing.assert_allclose([X[0, 0], Y[0, 0]], [1.33649855, -1.34842482], atol=5e-9)
-        got = riesz_kernel_gradient(al, 0, X, Y, CFG_EXACT)
+        got = riesz_kernel_with_gradient(al, 0, X, Y, CFG_EXACT)[1]
         np.testing.assert_allclose(got[0], [-7.0893061, -7.6920708], atol=1e-7)
         norm = np.linalg.norm(got)
         fine = fd_gradient(al, 0, X, Y, CFG_EXACT, 1e-6)
@@ -556,44 +588,44 @@ class TestKernelGradient:
                 ys.append(y)
         X, Y = np.array(xs), np.array(ys)
         for j in range(al.dim):
-            exact = riesz_kernel_gradient(al, j, X, Y,
-                                          KernelConfig(zeta_points=128, s_method="exact"))
-            jacobi = riesz_kernel_gradient(al, j, X, Y,
-                                           KernelConfig(zeta_points=128, s_points_per_dim=96,
-                                                        s_method="gauss-jacobi"))
+            exact = riesz_kernel_with_gradient(al, j, X, Y,
+                                               KernelConfig(zeta_points=128, s_method="exact"))[1]
+            jacobi = riesz_kernel_with_gradient(al, j, X, Y,
+                                                KernelConfig(zeta_points=128, s_points_per_dim=96,
+                                                             s_method="gauss-jacobi"))[1]
             gap = np.max(np.abs(jacobi - exact), axis=1) / np.linalg.norm(exact, axis=1)
             assert np.max(gap) <= 1e-6
 
     @pytest.mark.parametrize("alpha", [(0.7,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
     def test_with_gradient_equals_the_two_calls(self, monkeypatch, alpha):
         # one pass forms R from the gradient's parity factors in the order of
-        # _delta_heat: bit for bit on the exact route, here over three chunks
+        # _delta_heat: bit for bit riesz_kernel on the exact route, here over
+        # three chunks
         monkeypatch.setattr("dunklosc.riesz.ZETA_BATCH_ELEMENTS", 7 * CFG_EXACT.zeta_points)
         al = AlphaParams(alpha)
         X, Y = pair_sample(al.dim, 20, 3)
         for j in range(al.dim):
             vals, grads = riesz_kernel_with_gradient(al, j, X, Y, CFG_EXACT)
             assert np.array_equal(vals, riesz_kernel(al, j, X, Y, CFG_EXACT))
-            assert np.array_equal(grads, riesz_kernel_gradient(al, j, X, Y, CFG_EXACT))
+            assert grads.shape == (20, 2 * al.dim)
             v, g = riesz_kernel_with_gradient(al, j, X[4], Y[4], CFG_EXACT)
             assert type(v) is float and v == riesz_kernel(al, j, X[4], Y[4], CFG_EXACT)
-            assert np.array_equal(g, riesz_kernel_gradient(al, j, X[4], Y[4], CFG_EXACT))
+            assert g.shape == (2 * al.dim,)
             # a Gauss-Jacobi factor is summed with its slope, so only close there
-            vals, grads = riesz_kernel_with_gradient(al, j, X, Y, CFG)
+            vals, _ = riesz_kernel_with_gradient(al, j, X, Y, CFG)
             np.testing.assert_allclose(vals, riesz_kernel(al, j, X, Y, CFG), rtol=1e-13)
-            np.testing.assert_array_equal(grads, riesz_kernel_gradient(al, j, X, Y, CFG))
 
     def test_shapes_and_refusal(self):
         al = AlphaParams((0.0, 1.3))
-        g = riesz_kernel_gradient(al, 1, [1.0, 0.5], [-0.3, 1.2], CFG_EXACT)
+        g = riesz_kernel_with_gradient(al, 1, [1.0, 0.5], [-0.3, 1.2], CFG_EXACT)[1]
         assert g.shape == (4,)
         X = np.array([[1.0, 0.5], [0.2, -1.0]])
         Y = np.array([[-0.3, 1.2], [1.1, 0.4]])
-        G = riesz_kernel_gradient(al, 1, X, Y, CFG_EXACT)
+        G = riesz_kernel_with_gradient(al, 1, X, Y, CFG_EXACT)[1]
         assert G.shape == (2, 4)
         np.testing.assert_allclose(G[0], g, rtol=1e-12)
         with pytest.raises(ValueError):
-            riesz_kernel_gradient(al, 0, [1.0, 0.5], [1.0, 0.5 + 1e-4], CFG_EXACT)
+            riesz_kernel_with_gradient(al, 0, [1.0, 0.5], [1.0, 0.5 + 1e-4], CFG_EXACT)
 
 
 class TestKernelRoutes:
@@ -747,11 +779,13 @@ class TestDirectOracle:
                                                r"pairs x = \[\["):
             riesz_kernel_direct(al, 1, X, Y)
 
-    @pytest.mark.parametrize("alpha,x,y", [((0.7,), [1.0], [-1.0]),
+    @pytest.mark.parametrize("alpha,x,y", [((0.7,), [1.0], [-1.0 + 1e-12]),
                                            ((0.0, 0.7), [1.0, 0.5], [1.0, -0.5])])
     def test_reflected_diagonal_refused(self, alpha, x, y):
-        # on a reflected diagonal of a coordinate with a_i > -1/2 the
-        # integrand does not decay as t -> 0: refused, not truncated
+        # on (d = 1: 1e-12 from) a reflected diagonal of a coordinate with
+        # a_i > -1/2 the integrand does not decay as t -> 0: refused, not
+        # truncated.  y = sigma_j x itself is refused before any work (see
+        # test_sigma_j_reflected_diagonal_refused)
         with pytest.raises(RuntimeError, match="integrand does not vanish at the ends"):
             riesz_kernel_direct(AlphaParams(alpha), 0, np.array(x), np.array(y))
 
