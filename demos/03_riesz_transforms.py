@@ -16,11 +16,11 @@ al = AlphaParams((0.7,))
 
 # Spectral route: the multiplier m(n_j, a_j)/sqrt(2|n| + 2|alpha| + 2d)
 # shifts each index down by one.
-c = SpectralCoeffs({(3,): 1.0, (6,): -0.25}, al)
+c = SpectralCoeffs(np.array([[3], [6]]), np.array([1.0, -0.25]), al)
 rc = riesz_apply_spectral(c, 0)
 print("R applied to coefficients {3: 1, 6: -0.25}:")
-for n, v in sorted(rc.coeffs.items()):
-    print("  %s -> %.6f (multiplier %.6f)" % (n, v, riesz_multiplier((n[0] + 1,), al, 0)))
+for n, v in zip(rc.n.tolist(), rc.values):
+    print("  %s -> %.6f (multiplier %.6f)" % (tuple(n), v, riesz_multiplier((n[0] + 1,), al, 0)))
 
 # Kernel route vs the direct t-integral oracle.
 cfg = KernelConfig(zeta_points=256, s_points_per_dim=64, s_method="gauss-jacobi")

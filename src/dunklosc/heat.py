@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .hermite import AlphaParams, eigenvalue, hermite_fn_all_1d
-from .quadrature import QuadratureRule, SpectralCoeffs, _coeff_arrays, _evaluate
+from .quadrature import QuadratureRule, SpectralCoeffs, _evaluate
 from .special import _kummer_scaled, bessel_ratio_scaled
 
 __all__ = [
@@ -229,9 +229,9 @@ def heat_apply_spectral(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
     """Scale each coefficient c_n by e^{-t lambda_n}, lambda_n = ``eigenvalue``."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    lam = eigenvalue(_coeff_arrays(c)[0], c.alpha)
-    out = {n: v * math.exp(-t * lam_n) for (n, v), lam_n in zip(c.coeffs.items(), lam)}
-    return SpectralCoeffs(out, c.alpha)
+    lam = eigenvalue(c.n, c.alpha).tolist()
+    scaled = [v * math.exp(-t * lam_n) for v, lam_n in zip(c.values.tolist(), lam)]
+    return SpectralCoeffs(c.n, scaled, c.alpha)
 
 
 def heat_apply_kernel(f, t, x, rule: QuadratureRule):

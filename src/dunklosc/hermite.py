@@ -155,6 +155,11 @@ def _stack(n, alpha: AlphaParams) -> tuple[np.ndarray, bool]:
     return ent.reshape(-1, alpha.dim), ent.ndim == 1
 
 
+def _check_j(j: int, alpha: AlphaParams) -> None:
+    if not 0 <= j < alpha.dim:  # the one check of j; a negative j would wrap round
+        raise ValueError(f"coordinate j must be in 0..{alpha.dim - 1}, got {j}")
+
+
 def _product(n, alpha: AlphaParams, x, j: int | None = None, op_1d=None) -> np.ndarray:
     """Products over coordinates at P points: (K, P) for a stack, (P,) for one index.
 
@@ -169,8 +174,7 @@ def _product(n, alpha: AlphaParams, x, j: int | None = None, op_1d=None) -> np.n
         raise ValueError(f"points have dimension {pts.shape[-1]}, expected {alpha.dim}")
     val = None
     if j is not None:
-        if not 0 <= j < alpha.dim:
-            raise ValueError(f"coordinate j must be in 0..{alpha.dim - 1}, got {j}")
+        _check_j(j, alpha)
         degs, inv = np.unique(stack[:, j], return_inverse=True)
         rows = [op_1d(int(k), alpha[j], pts[:, j]) for k in degs]
         val = np.reshape(rows, (degs.size, pts.shape[0]))[inv]

@@ -173,10 +173,7 @@ def tensor_rule(rules: list[Rule1D] | tuple[Rule1D, ...]) -> QuadratureRule:
     axes = tuple(rules)
     grids = np.meshgrid(*[r.nodes for r in axes], indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[r.weights for r in axes], indexing="ij")
-    weights = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        weights = weights * wg
+    weights = functools.reduce(np.multiply, np.meshgrid(*[r.weights for r in axes], indexing="ij"))
     alpha = AlphaParams(tuple(r.alpha_j for r in axes))
     return QuadratureRule(
         axes=axes,
@@ -215,26 +212,32 @@ def inner_product(f, g, rule: QuadratureRule) -> float:
 
 @dataclass
 class SpectralCoeffs:
-    """Truncated expansion f = sum_{|n| <= N} coeffs[n] h_n^alpha."""
+    """Truncated expansion f = sum_k values[k] h_{n[k]}^alpha on a (K, d) stack
+    ``n`` of multi-indices, checked by ``_stack``; a repeated index adds up."""
 
-    coeffs: dict[tuple[int, ...], float]
+    n: np.ndarray
+    values: np.ndarray
     alpha: AlphaParams
+
+    def __post_init__(self):
+        n, single = _stack(self.n, self.alpha)
+        values = np.asarray(self.values, dtype=float)
+        if single or values.shape != (len(n),):
+            raise ValueError(f"need a (K, {self.dim}) stack of sequences of {self.dim} integers "
+                             f"and K values, got shapes {np.shape(self.n)} and {values.shape}")
+        self.n, self.values = n.astype(int), values
+
+    def __getitem__(self, n) -> float:
+        """The coefficient of h_n: the sum of the values stored at n, 0.0 if none."""
+        (n,), _ = _stack([n], self.alpha)
+        return float(self.values[(self.n == n).all(axis=1)].sum())
 
     @property
     def dim(self) -> int:
         return self.alpha.dim
 
     def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs.values()))
-
-
-def _coeff_arrays(c: SpectralCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of ``c`` as a (K, d) stack checked by ``_stack``, and their
-    coefficients; a key that is not a sequence of d integers >= 0 raises."""
-    n, single = _stack(list(c.coeffs) or np.empty((0, c.dim), dtype=int), c.alpha)
-    if single:
-        raise ValueError(f"coefficient indices must be sequences of {c.dim} integers")
-    return n, np.array(list(c.coeffs.values()), dtype=float)
+        return math.sqrt(sum(c * c for c in self.values.tolist()))
 
 
 def multi_indices_upto(dim: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -265,14 +268,13 @@ def project(f, alpha: AlphaParams, max_degree: int, rule: QuadratureRule) -> Spe
         # so the next coordinate's point axis is leading again.
         tensor = np.tensordot(table, tensor, axes=([1], [0]))
         tensor = np.moveaxis(tensor, 0, len(shape) - 1)
-    return SpectralCoeffs({n: float(tensor[n]) for n in multi_indices_upto(rule.dim, max_degree)},
-                          alpha)
+    n = np.array(multi_indices_upto(rule.dim, max_degree))
+    return SpectralCoeffs(n, tensor[tuple(n.T)], alpha)
 
 
 def synthesize(c: SpectralCoeffs, points) -> np.ndarray:
-    """Evaluate sum_n coeffs[n] h_n^alpha at an (npoints, d) array."""
+    """Evaluate sum_k values[k] h_{n[k]}^alpha at an (npoints, d) array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != c.dim:
         raise ValueError("point dimension mismatch")
-    n, v = _coeff_arrays(c)
-    return v @ hermite_fn(n, c.alpha, pts)
+    return c.values @ hermite_fn(c.n, c.alpha, pts)

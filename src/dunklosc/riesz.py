@@ -24,13 +24,12 @@ Three realizations, the last two of one integrand:
   zeta rule: over a batch of pairs, refined until each pair converges,
   else it raises.
 
-Both kernel routes refuse near-diagonal arguments (|x - y| < 1e-3); the
-values there would be dominated by quadrature error.  R_j is also
-infinite on the reflected diagonal y = sigma_j x (x_j negated) when
-a_j > -1/2, and a pair exactly on it is refused.  The parity components
-are additionally singular on the other reflected diagonals (|x_i| = |y_i|
-with sign flips), where only their sum is small; expect
-cancellation-limited accuracy very close to those sets.
+Every kernel route refuses a pair with |x - y| < 1e-3, where quadrature
+error would dominate, and, when a_j > -1/2, a pair on the reflected
+diagonal y = sigma_j x (x_j negated), where R_j is infinite.  The parity
+components come from the passes (x, sigma y), each refused likewise; near
+the other reflected diagonals only their sum is small, so expect
+cancellation-limited accuracy there.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import AlphaParams, _stack, eigenvalue, ladder_coeff
-from .quadrature import (QuadratureRule, SpectralCoeffs, _coeff_arrays, _gauss_nodes_logweights,
-                         _graded_rule, project)
+from .hermite import AlphaParams, _check_j, _stack, eigenvalue, ladder_coeff
+from .quadrature import (QuadratureRule, SpectralCoeffs, _gauss_nodes_logweights, _graded_rule,
+                         project)
 from .special import log_gamma
 from .heat import _heat_values, _kernel_prelude, _parity_sum, _prepare_pairs, all_parities, psi_zeta
 
@@ -179,6 +178,7 @@ def zeta_grid(cfg: KernelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def riesz_multiplier(n, alpha: AlphaParams, j: int):
     """m(n_j, a_j) / sqrt(lambda_n): a float for one multi-index, a (K,)
     array for a (K, d) stack, 0 where n_j = 0."""
+    _check_j(j, alpha)
     lam = eigenvalue(n, alpha)
     out = ladder_coeff(np.asarray(n)[..., j], alpha[j]) / np.sqrt(lam)
     return float(out) if np.ndim(out) == 0 else out
@@ -186,14 +186,12 @@ def riesz_multiplier(n, alpha: AlphaParams, j: int):
 
 def _shifted(c: SpectralCoeffs, j: int, step: int, multiplier) -> SpectralCoeffs:
     """c_n multiplier(n) moved to n + step e_j where n_j + step >= 0; the
-    0.0 + turns a -0.0 into 0.0, as a sum into an empty slot does."""
-    if not 0 <= j < c.dim:
-        raise ValueError("coordinate j out of range")
-    n, v = _coeff_arrays(c)
-    keep = n[:, j] + step >= 0
-    n, v = n[keep], v[keep]
-    moved = map(tuple, (n + step * np.eye(c.dim, dtype=int)[j]).tolist())
-    return SpectralCoeffs(dict(zip(moved, (0.0 + multiplier(n) * v).tolist())), c.alpha)
+    0.0 + turns a -0.0 into 0.0, as a sum into an empty slot does; rows keep order."""
+    _check_j(j, c.alpha)
+    keep = c.n[:, j] + step >= 0
+    n = c.n[keep]
+    return SpectralCoeffs(n + step * np.eye(c.dim, dtype=int)[j],
+                          0.0 + multiplier(n) * c.values[keep], c.alpha)
 
 
 def riesz_apply_spectral(c: SpectralCoeffs, j: int) -> SpectralCoeffs:
@@ -247,20 +245,22 @@ def delta_psi(alpha: AlphaParams, eps, j: int, zeta: float, x, y, s):
     return out
 
 
-def _check_pairs(alpha: AlphaParams, j: int, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
+def _check_pairs(alpha: AlphaParams, j: int, x, y, where="") -> tuple[np.ndarray, np.ndarray, bool]:
     """The (P, d) stacks of a kernel call, refused near the diagonal and, where
     a_j > -1/2, on the reflected diagonal y = sigma_j x (x with x_j negated),
-    where R_j is infinite and every rule returns a resolution-dependent number."""
+    where R_j is infinite and every rule returns a resolution-dependent number;
+    the refusal names the pair, and ``where`` the pass it belongs to."""
+    _check_j(j, alpha)
     X, Y, scalar = _prepare_pairs(alpha, x, y)
-    dist = np.sqrt(np.sum((X - Y) ** 2, axis=1))
-    if np.any(dist < NEAR_DIAGONAL):
-        raise ValueError(f"kernel evaluation refused for |x-y| < {NEAR_DIAGONAL}")
-    on = (Y[:, j] == -X[:, j]) & np.all((Y == X) | (np.arange(alpha.dim) == j), axis=1)
-    if alpha[j] > -0.5 and on.any():
-        k = int(np.argmax(on))
-        raise ValueError(f"kernel evaluation refused at pair {k}: y = {Y[k]} is x = {X[k]} "
-                         f"with coordinate {j + 1} negated, where R_j is singular "
-                         f"(a_j = {alpha[j]} > -1/2)")
+    near = np.sqrt(np.sum((X - Y) ** 2, axis=1)) < NEAR_DIAGONAL
+    on = ((alpha[j] > -0.5) & (Y[:, j] == -X[:, j])
+          & np.all((Y == X) | (np.arange(alpha.dim) == j), axis=1))
+    if (near | on).any():
+        k = int(np.argmax(near | on))
+        why = (f"|x-y| < {NEAR_DIAGONAL}" if near[k] else f"y is x with coordinate {j + 1} "
+               f"negated, where R_j is singular (a_j = {alpha[j]} > -1/2)")
+        raise ValueError(f"kernel evaluation refused at pair {k}{where}: x = {X[k]}, "
+                         f"y = {Y[k]}, {why}")
     return X, Y, scalar
 
 
@@ -347,9 +347,12 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig)
     (prod_i sigma_i^{eps_i}) R_j(x, sigma y) of 2^d full-kernel passes, one
     per sign vector sigma.  The kernel is the sigma = 1 pass itself, not
     the sum of the components, which near a reflected diagonal differs
-    from it by the rounding of the larger R_j(x, sigma y)."""
+    from it by the rounding of the larger R_j(x, sigma y).  Each pass is
+    refused as a kernel call would be, naming sigma."""
     X, Y, scalar = _check_pairs(alpha, j, x, y)
     parities = np.array(all_parities(alpha.dim))
+    for sigma in 1 - 2 * parities[1:]:
+        _check_pairs(alpha, j, X, sigma * Y, f" in the pass (x, sigma y), sigma = {sigma.tolist()}")
     passes = np.array([_zeta_sum(alpha, j, X, (1 - 2 * p) * Y, cfg) for p in parities])
     comps = (-1.0) ** (parities @ parities.T) @ passes / 2**alpha.dim
     value = (lambda v: float(v[0])) if scalar else (lambda v: v)
@@ -421,7 +424,6 @@ def _bump_profile(r: np.ndarray, lo: float, hi: float, amplitude: float) -> np.n
     inside = np.abs(u) < 1.0
     out[inside] = amplitude * math.e * np.exp(-1.0 / (1.0 - u[inside] ** 2))
     return out
-
 
 
 @dataclass(frozen=True)
@@ -503,11 +505,10 @@ def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
         raise NotImplementedError("the dual-pairing harness is one-dimensional")
     if f.overlaps(g):
         raise ValueError("bumps must have disjoint supports")
-    cf = project(f, alpha, max_degree, rule)
+    rcf = riesz_apply_spectral(project(f, alpha, max_degree, rule), j)
     cg = project(g, alpha, max_degree, rule)
-    rcf = riesz_apply_spectral(cf, j)
-    spectral = sum(v * cg.coeffs.get(n, 0.0) * math.exp(-36.0 * (sum(n) / max_degree) ** 8)
-                   for n, v in rcf.coeffs.items())
+    spectral = sum(v * cg[n] * math.exp(-36.0 * (sum(n) / max_degree) ** 8)
+                   for n, v in zip(rcf.n.tolist(), rcf.values.tolist()))
 
     sx, wx = leggauss(leg_points)
     a = alpha[0]
@@ -527,31 +528,30 @@ def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
     return abs(spectral - integral), float(spectral), integral
 
 
-def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams) -> float:
-    """Residual of delta_i^* delta_j h_n = R^_i R_j L h_n at coefficient level.
-
-    The left side uses the ladder coefficients directly; the right side
-    composes the three spectral operators on the unit vector at n.
-    """
-    n, e = tuple(_stack(n, alpha)[0][0].tolist()), np.eye(alpha.dim, dtype=int)
-    lhs: dict[tuple[int, ...], float] = {}
-    if n[j] >= 1:
-        down = np.subtract(n, e[j])
-        coeff = ladder_coeff(n[j], alpha[j]) * ladder_coeff(down[i] + 1, alpha[i])
-        lhs[tuple((down + e[i]).tolist())] = coeff
-    scaled = SpectralCoeffs({n: eigenvalue(n, alpha)}, alpha)  # L h_n = lambda_n h_n
-    rhs = riesz_adjoint_spectral(riesz_apply_spectral(scaled, j), i)
-    keys = set(lhs) | set(rhs.coeffs)
-    return max((abs(lhs.get(k, 0.0) - rhs.coeffs.get(k, 0.0)) for k in keys), default=0.0)
+def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams):
+    """Residual of delta_i^* delta_j h_n = R^_i R_j L h_n at coefficient level:
+    a float for one multi-index, a (K,) array for each row of a (K, d) stack.
+    The left side is the ladder coefficients; the right side composes the
+    spectral operators on lambda_n at n, on all rows at once (they keep the
+    rows' order).  A coefficient at another index than the left side's counts
+    in full."""
+    stack, single = _stack(n, alpha)
+    rhs = riesz_adjoint_spectral(riesz_apply_spectral(
+        SpectralCoeffs(stack, eigenvalue(stack, alpha), alpha), j), i)
+    keep, e = stack[:, j] >= 1, np.eye(alpha.dim, dtype=int)
+    down = stack[keep] - e[j]
+    lhs = ladder_coeff(stack[keep, j], alpha[j]) * ladder_coeff(down[:, i] + 1, alpha[i])
+    out = np.zeros(stack.shape[0])
+    out[keep] = np.where(np.all(rhs.n == down + e[i], axis=1), np.abs(lhs - rhs.values),
+                         np.maximum(np.abs(lhs), np.abs(rhs.values)))
+    return float(out[0]) if single else out
 
 
 def star_identity_check(f: SpectralCoeffs, n, j: int, alpha: AlphaParams) -> float:
     """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(lambda_n) <f, h_n>."""
-    n = tuple(_stack(n, alpha)[0][0].tolist())
+    n = _stack(n, alpha)[0][0]
     rf = riesz_apply_spectral(f, j)
     if n[j] == 0:
         # h_{n-e_j} is the null function; both sides vanish by convention.
         return 0.0
-    lhs = rf.coeffs.get(n[:j] + (n[j] - 1,) + n[j + 1:], 0.0)
-    rhs = riesz_multiplier(n, alpha, j) * f.coeffs.get(n, 0.0)
-    return abs(lhs - rhs)
+    return abs(rf[n - np.eye(alpha.dim, dtype=int)[j]] - riesz_multiplier(n, alpha, j) * f[n])

@@ -269,6 +269,18 @@ class TestSubcommands:
         assert main(["riesz-kernel", "--alpha=0.7", "--j=1", "--pairs", str(pairs)]) == 2
         assert capsys.readouterr().err.startswith("error: kernel evaluation refused at pair 1: ")
 
+    def test_riesz_kernel_refuses_a_component_pass_on_the_diagonal(self, tmp_path, capsys):
+        # the R_eps columns are the 2^d passes R_j(x, sigma y): at y = (1, -0.5)
+        # the pass sigma = (1, -1) sits on the diagonal, so exit 2, naming it
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("2,2,-0.5,-0.5\n1,0.5,1,-0.5\n")
+        for method in ("exact", "gauss-jacobi"):
+            assert main(["riesz-kernel", "--alpha=0,0.7", "--j=1", "--pairs", str(pairs),
+                         "--s-method", method]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: kernel evaluation refused at pair 1 in the pass (x, sigma y), "
+                "sigma = [1, -1]: x = [1.  0.5], y = [1.  0.5], |x-y| < 0.001")
+
     def test_riesz_apply_round_trip(self, workdir):
         rc, out, err = run_cli("riesz-apply", "--j=1", "--coeffs", str(workdir / "c.json"))
         assert rc == 0

@@ -74,30 +74,31 @@ class TestQPlusMinus:
 
 class TestHeatSpectral:
     def test_identity_at_zero(self):
-        c = SpectralCoeffs({(0,): 1.0, (3,): -2.0}, AlphaParams((0.7,)))
+        c = SpectralCoeffs([(0,), (3,)], [1.0, -2.0], AlphaParams((0.7,)))
         out = heat_apply_spectral(c, 0.0)
-        assert out.coeffs == c.coeffs
+        assert np.array_equal(out.n, c.n) and np.array_equal(out.values, c.values)
 
     def test_ground_state_decay(self):
-        c = SpectralCoeffs({(0,): 1.0}, AlphaParams((-0.5,)))
+        c = SpectralCoeffs([(0,)], [1.0], AlphaParams((-0.5,)))
         out = heat_apply_spectral(c, 1.0)
-        assert out.coeffs[(0,)] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert out[(0,)] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_norm_monotone(self):
         rng = np.random.default_rng(1)
-        c = SpectralCoeffs({(n,): float(rng.normal()) for n in range(10)}, AlphaParams((0.0,)))
+        c = SpectralCoeffs([(n,) for n in range(10)], [float(rng.normal()) for n in range(10)],
+                           AlphaParams((0.0,)))
         norms = [heat_apply_spectral(c, t).norm() for t in (0.0, 0.2, 0.5, 1.0, 3.0)]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_negative_t_rejected(self):
-        c = SpectralCoeffs({(0,): 1.0}, AlphaParams((0.0,)))
+        c = SpectralCoeffs([(0,)], [1.0], AlphaParams((0.0,)))
         with pytest.raises(ValueError):
             heat_apply_spectral(c, -0.1)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_t_rejected(self, t):
         # a NaN t would scale every coefficient to NaN
-        c = SpectralCoeffs({(0,): 1.0}, AlphaParams((0.0,)))
+        c = SpectralCoeffs([(0,)], [1.0], AlphaParams((0.0,)))
         with pytest.raises(ValueError, match="t must be finite"):
             heat_apply_spectral(c, t)
 
@@ -417,12 +418,13 @@ class TestApplyKernel:
         al = AlphaParams((0.0,))
         rule = rules[(0.0,)]
         rng = np.random.default_rng(5)
-        coeff = {(n,): float(rng.normal()) for n in range(8)}
-        f = lambda pts: synthesize(SpectralCoeffs(coeff, al), pts)
+        coeff = SpectralCoeffs([(n,) for n in range(8)], [float(rng.normal()) for n in range(8)],
+                               al)
+        f = lambda pts: synthesize(coeff, pts)
         t = 0.4
         x = np.array([0.7])
         kernel_route = heat_apply_kernel(f, t, x, rule)
-        spec = heat_apply_spectral(SpectralCoeffs(coeff, al), t)
+        spec = heat_apply_spectral(coeff, t)
         spectral_route = synthesize(spec, x[None, :])[0]
         assert kernel_route == pytest.approx(spectral_route, rel=1e-6)
 

@@ -147,25 +147,45 @@ class TestInnerProduct:
 
 
 class TestCoefficientKeys:
-    @pytest.mark.parametrize("coeffs,match", [
-        ({(1, 2, 3): 1.0, (4, 5, 6): -2.0}, "dimension mismatch"),
-        ({(1, 2): 1.0, (3,): -2.0}, "inhomogeneous"),
-        ({(1, -1): 1.0}, ">= 0"),
-        ({(1, 0.5): 1.0}, ">= 0"),
-        ({1: 1.0, 2: -2.0}, "sequences of 2 integers"),
+    @pytest.mark.parametrize("n,values,match", [
+        ([(1, 2, 3), (4, 5, 6)], [1.0, -2.0], "dimension mismatch"),
+        ([(1, 2), (3,)], [1.0, -2.0], "inhomogeneous"),
+        ([(1, -1)], [1.0], ">= 0"),
+        ([(1, 0.5)], [1.0], ">= 0"),
+        ([1, 2], [1.0, -2.0], "sequences of 2 integers"),
     ], ids=["wrong-length", "ragged", "negative", "non-integer", "not-a-sequence"])
-    def test_bad_keys_refused(self, coeffs, match):
+    def test_bad_keys_refused(self, n, values, match):
         # a reshape would turn (1, 2, 3), (4, 5, 6) into (1, 2), (3, 4),
-        # (5, 6), and R_j would drop (1, -1) silently
-        c = SpectralCoeffs(coeffs, AlphaParams((0.0, 0.7)))
-        for call in (lambda: heat_apply_spectral(c, 0.5), lambda: riesz_apply_spectral(c, 1),
-                     lambda: synthesize(c, np.zeros((3, 2)))):
-            with pytest.raises(ValueError, match=match):
-                call()
+        # (5, 6), and R_j would drop (1, -1) silently: refused when built,
+        # before any operator sees the stack
+        with pytest.raises(ValueError, match=match):
+            SpectralCoeffs(n, values, AlphaParams((0.0, 0.7)))
+
+    def test_values_must_match_the_stack(self):
+        for values in ([1.0], [[1.0, 2.0]], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match=r"and K values, got shapes \(2, 2\) and"):
+                SpectralCoeffs([(1, 2), (0, 0)], values, AlphaParams((0.0, 0.7)))
 
     def test_empty_coefficients(self):
-        c = SpectralCoeffs({}, AlphaParams((0.0, 0.7)))
+        al = AlphaParams((0.0, 0.7))
+        c = SpectralCoeffs(np.empty((0, 2), dtype=int), [], al)
         assert np.array_equal(synthesize(c, np.zeros((3, 2))), np.zeros(3))
+        assert c[(0, 0)] == 0.0 and c.norm() == 0.0
+        for out in (heat_apply_spectral(c, 0.5), riesz_apply_spectral(c, 1)):
+            assert out.n.shape == (0, 2) and out.values.shape == (0,)
+
+    def test_coefficient_lookup(self):
+        # c[n] is the coefficient of h_n: the values stored at n summed, as
+        # synthesize sums their terms, and 0.0 where nothing is stored
+        al = AlphaParams((0.0, 0.7))
+        c = SpectralCoeffs([(1, 2), (0, 3), (1, 2)], [0.5, -2.0, 0.25], al)
+        assert c[(1, 2)] == 0.75 and c[np.array([0, 3])] == -2.0 and c[(2, 1)] == 0.0
+        merged = SpectralCoeffs([(1, 2), (0, 3)], [0.75, -2.0], al)
+        pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=(5, 2))
+        np.testing.assert_allclose(synthesize(c, pts), synthesize(merged, pts), rtol=1e-14)
+        for bad in ((1,), (1, -2), [(1, 2)]):
+            with pytest.raises(ValueError):
+                c[bad]
 
 
 class TestProject:
@@ -174,8 +194,9 @@ class TestProject:
         rule = rules[(1.3,)]
         f = lambda pts: hermite_fn((4,), al, pts)
         c = project(f, al, 8, rule)
-        for n, v in c.coeffs.items():
-            assert v == pytest.approx(1.0 if n == (4,) else 0.0, abs=1e-10)
+        assert c.n.tolist() == [[k] for k in range(9)]
+        for n, v in zip(c.n.tolist(), c.values):
+            assert v == pytest.approx(1.0 if n == [4] else 0.0, abs=1e-10)
 
     def test_linearity(self, rules):
         al = AlphaParams((-0.5, 0.7))
@@ -183,9 +204,10 @@ class TestProject:
         f = lambda pts: (3.0 * hermite_fn((2, 1), al, pts)
                          - 2.0 * hermite_fn((0, 3), al, pts))
         c = project(f, al, 6, rule)
-        assert c.coeffs[(2, 1)] == pytest.approx(3.0, abs=1e-8)
-        assert c.coeffs[(0, 3)] == pytest.approx(-2.0, abs=1e-8)
-        others = [v for n, v in c.coeffs.items() if n not in ((2, 1), (0, 3))]
+        assert c.n.tolist() == [list(n) for n in multi_indices_upto(2, 6)]
+        assert c[(2, 1)] == pytest.approx(3.0, abs=1e-8)
+        assert c[(0, 3)] == pytest.approx(-2.0, abs=1e-8)
+        others = [v for n, v in zip(c.n.tolist(), c.values) if n not in ([2, 1], [0, 3])]
         assert max(abs(v) for v in others) < 1e-8
 
     def test_gaussian_bump_residual_monotone(self):
@@ -206,8 +228,8 @@ class TestProject:
             rule = rules[alpha]
             rng = np.random.default_rng(3)
             idx = multi_indices_upto(al.dim, 6)
-            coeff = {n: float(rng.normal()) for n in idx}
-            f = lambda pts: synthesize(SpectralCoeffs(coeff, al), pts)
+            coeff = SpectralCoeffs(np.array(idx), [float(rng.normal()) for n in idx], al)
+            f = lambda pts: synthesize(coeff, pts)
             c = project(f, al, 6, rule)
             l2 = math.sqrt(inner_product(f, f, rule))
             assert c.norm() == pytest.approx(l2, abs=1e-9)

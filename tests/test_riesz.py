@@ -36,59 +36,65 @@ CFG_EXACT = KernelConfig(zeta_points=256, zeta_grading=3.0, s_points_per_dim=48,
                          s_method="exact")
 
 
+def random_coeffs(rng, idx, al) -> SpectralCoeffs:
+    return SpectralCoeffs(np.array(idx), [float(rng.normal()) for n in idx], al)
+
+
 class TestSpectral:
     def test_ground_state_annihilated(self):
-        c = SpectralCoeffs({(0,): 1.0}, AlphaParams((0.7,)))
-        assert riesz_apply_spectral(c, 0).coeffs == {}
+        c = SpectralCoeffs([(0,)], [1.0], AlphaParams((0.7,)))
+        out = riesz_apply_spectral(c, 0)
+        assert out.n.shape == (0, 1) and out.values.shape == (0,)
 
     def test_multiplier_value(self):
         # n = 2 e_j, d = 1, alpha = 0: m(2,0)/sqrt(2*2 + 0 + 2) = 2/sqrt(6)
-        c = SpectralCoeffs({(2,): 1.0}, AlphaParams((0.0,)))
+        c = SpectralCoeffs([(2,)], [1.0], AlphaParams((0.0,)))
         out = riesz_apply_spectral(c, 0)
-        assert out.coeffs[(1,)] == pytest.approx(2.0 / math.sqrt(6.0), rel=1e-15)
+        assert out.n.tolist() == [[1]]
+        assert out[(1,)] == pytest.approx(2.0 / math.sqrt(6.0), rel=1e-15)
 
     def test_linearity(self):
         al = AlphaParams((0.0, 1.3))
         rng = np.random.default_rng(0)
         idx = multi_indices_upto(2, 6)
-        c1 = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
-        c2 = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
+        c1 = random_coeffs(rng, idx, al)
+        c2 = random_coeffs(rng, idx, al)
         lam = 0.37
-        mixed = SpectralCoeffs({n: c1.coeffs[n] + lam * c2.coeffs[n] for n in idx}, al)
-        r_mixed = riesz_apply_spectral(mixed, 1).coeffs
-        r1 = riesz_apply_spectral(c1, 1).coeffs
-        r2 = riesz_apply_spectral(c2, 1).coeffs
-        for n in r_mixed:
-            assert r_mixed[n] == pytest.approx(r1.get(n, 0) + lam * r2.get(n, 0), rel=1e-13)
+        mixed = SpectralCoeffs(c1.n, c1.values + lam * c2.values, al)
+        r_mixed = riesz_apply_spectral(mixed, 1)
+        r1 = riesz_apply_spectral(c1, 1)
+        r2 = riesz_apply_spectral(c2, 1)
+        for n, v in zip(r_mixed.n, r_mixed.values):
+            assert v == pytest.approx(r1[n] + lam * r2[n], rel=1e-13)
 
     def test_adjointness_exact(self):
         al = AlphaParams((0.7, 0.0))
         rng = np.random.default_rng(1)
         idx = multi_indices_upto(2, 8)
-        c1 = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
-        c2 = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
+        c1 = random_coeffs(rng, idx, al)
+        c2 = random_coeffs(rng, idx, al)
         for j in (0, 1):
-            lhs = sum(v * c2.coeffs.get(n, 0.0)
-                      for n, v in riesz_apply_spectral(c1, j).coeffs.items())
-            rhs = sum(v * c1.coeffs.get(n, 0.0)
-                      for n, v in riesz_adjoint_spectral(c2, j).coeffs.items())
+            r1, r2 = riesz_apply_spectral(c1, j), riesz_adjoint_spectral(c2, j)
+            lhs = sum(v * c2[n] for n, v in zip(r1.n, r1.values))
+            rhs = sum(v * c1[n] for n, v in zip(r2.n, r2.values))
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_adjoint_ground_state(self):
         al = AlphaParams((0.7,))
-        c = SpectralCoeffs({(0,): 1.0}, al)
+        c = SpectralCoeffs([(0,)], [1.0], al)
         out = riesz_adjoint_spectral(c, 0)
         ref = ladder_coeff(1, 0.7) / math.sqrt(2 * 0.7 + 2 + 2)
-        assert out.coeffs[(1,)] == pytest.approx(ref, rel=1e-15)
+        assert out.n.tolist() == [[1]]
+        assert out[(1,)] == pytest.approx(ref, rel=1e-15)
 
     def test_composition_diagonal(self):
         # R^_j R_j maps n to n with coefficient multiplier(n)^2
         al = AlphaParams((0.0,))
         for n in (1, 2, 5):
-            c = SpectralCoeffs({(n,): 1.0}, al)
+            c = SpectralCoeffs([(n,)], [1.0], al)
             out = riesz_adjoint_spectral(riesz_apply_spectral(c, 0), 0)
-            assert set(out.coeffs) == {(n,)}
-            assert out.coeffs[(n,)] == pytest.approx(riesz_multiplier((n,), al, 0) ** 2)
+            assert out.n.tolist() == [[n]]
+            assert out[(n,)] == pytest.approx(riesz_multiplier((n,), al, 0) ** 2)
 
     def test_operator_norm_is_max_multiplier(self):
         # diagonal-after-shift: the truncated operator norm equals the largest
@@ -504,6 +510,47 @@ class TestKernelComponents:
             with pytest.raises(ValueError, match=f"refused at pair 1: .* coordinate {j + 1} "
                                                  f"negated"):
                 call()
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_coordinate_out_of_range_refused(self, j):
+        # j = -1 used to wrap round to R_2 (-0.1609 here), and j = d raised
+        # IndexError; every kernel route and spectral operator names j
+        al = AlphaParams((0.0, 0.7))
+        x, y = np.array([1.0, 0.5]), np.array([0.2, 0.3])
+        c = SpectralCoeffs([(1, 2)], [1.0], al)
+        calls = [lambda: riesz_kernel(al, j, x, y, CFG_EXACT),
+                 lambda: riesz_kernel(al, j, x, y, CFG),
+                 lambda: riesz_kernel_with_gradient(al, j, x, y, CFG_EXACT),
+                 lambda: riesz_kernel_with_gradient(al, j, x, y, CFG),
+                 lambda: riesz_kernel_components(al, j, x, y, CFG_EXACT),
+                 lambda: riesz_kernel_components(al, j, x, y, CFG),
+                 lambda: riesz_kernel_direct(al, j, x, y),
+                 lambda: riesz_multiplier((1, 2), al, j),
+                 lambda: riesz_multiplier(np.array([[1, 2], [0, 1]]), al, j),
+                 lambda: riesz_apply_spectral(c, j),
+                 lambda: riesz_adjoint_spectral(c, j)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"coordinate j must be in 0\.\.1, got {j}"):
+                call()
+
+    @pytest.mark.parametrize("cfg", [CFG_EXACT, CFG], ids=["exact", "gauss-jacobi"])
+    @pytest.mark.parametrize("y,sigma,why", [
+        ([1.0, -0.5], "1, -1", r"\|x-y\| < 0.001"),
+        ([1.0 + 5e-4, -0.5], "1, -1", r"\|x-y\| < 0.001"),
+        ([-1.0, -0.5], "1, -1", "coordinate 1 negated"),
+    ], ids=["on-diagonal", "near-diagonal", "on-sigma-j"])
+    def test_components_refuse_a_pass_on_a_singular_set(self, cfg, y, sigma, why):
+        # x = (1, 0.5), y = (1, -0.5): the kernel is finite (0.69727), but the
+        # pass sigma = (1, -1) puts (x, sigma y) on the diagonal, and the
+        # (1, 0) component read 6.6e4, 1.2e6 and 7.8e7 at 96, 256 and 1024
+        # zeta-nodes; at y = -x that pass lands on sigma_0 x
+        al = AlphaParams((0.0, 0.7))
+        X = np.array([[2.0, 2.0], [1.0, 0.5]])
+        Y = np.array([[-0.5, -0.5], y])
+        assert np.all(np.isfinite(riesz_kernel(al, 0, X, Y, cfg)))
+        with pytest.raises(ValueError, match=rf"refused at pair 1 in the pass \(x, sigma y\), "
+                                             rf"sigma = \[{sigma}\]: .*{why}"):
+            riesz_kernel_components(al, 0, X, Y, cfg)
 
     @pytest.mark.parametrize("alpha,j,x,y", [((-0.5, 0.7), 0, [1.0, 0.5], [-1.0, 0.5]),
                                              ((0.0, 0.7), 0, [1.0, 0.5], [1.0, -0.5]),
@@ -952,11 +999,45 @@ class TestIdentities:
             j = int(rng.integers(al.dim))
             assert apriori_identity_check(n, i, j, al) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_apriori_stack_equals_single_calls(self, alpha):
+        # repeated rows, rows with n_j = 0 and every (i, j), i = j included:
+        # each row's residual is the single-index call's, bit for bit
+        al = AlphaParams(alpha)
+        draws = np.random.default_rng(8).integers(0, 9, size=(30, al.dim))
+        stack = np.vstack([draws, draws[:6], np.zeros((2, al.dim), dtype=int), draws[:3]])
+        for i, j in itertools.product(range(al.dim), repeat=2):
+            assert (stack[:, j] == 0).any()
+            got = apriori_identity_check(stack, i, j, al)
+            assert got.shape == (len(stack),)
+            assert np.array_equal(got, [apriori_identity_check(n, i, j, al) for n in stack])
+            assert np.all(got <= 1e-12)
+
+    @pytest.mark.parametrize("fault", ["wrong-coordinate", "right-values-wrong-index"])
+    def test_apriori_sees_a_coefficient_at_the_wrong_index(self, monkeypatch, fault):
+        # an adjoint that shifts the wrong coordinate puts R^_i R_j L h_n at
+        # n - e_j + e_k, k != i, and one that moves the right values by e_1
+        # + e_2 misplaces them: either way the residual is the full coefficient
+        import dunklosc.riesz as riesz
+        al = AlphaParams((0.0, 0.7))
+        stack = np.array([[2, 3], [1, 1], [4, 2], [3, 0]])
+        adjoint = riesz.riesz_adjoint_spectral
+        if fault == "wrong-coordinate":
+            mutant = lambda c, i: adjoint(c, 1 - i)
+        else:
+            mutant = lambda c, i: SpectralCoeffs(adjoint(c, i).n + 1, adjoint(c, i).values, al)
+        monkeypatch.setattr(riesz, "riesz_adjoint_spectral", mutant)
+        for i, j in itertools.product(range(2), repeat=2):
+            moved = stack[:, j] >= 1
+            got = apriori_identity_check(stack, i, j, al)
+            assert np.all(got[moved] > 1e-12) and np.all(got[~moved] == 0.0)
+            assert apriori_identity_check(stack[0], i, j, al) > 1e-12
+
     def test_star_basis_and_orthogonal(self):
         al = AlphaParams((0.7,))
-        f = SpectralCoeffs({(4,): 1.0}, al)
+        f = SpectralCoeffs([(4,)], [1.0], al)
         assert star_identity_check(f, (4,), 0, al) == 0.0
-        g = SpectralCoeffs({(2,): 1.0}, al)  # orthogonal to h_4
+        g = SpectralCoeffs([(2,)], [1.0], al)  # orthogonal to h_4
         assert star_identity_check(g, (4,), 0, al) == 0.0
 
     def test_star_fuzz(self):
@@ -964,7 +1045,7 @@ class TestIdentities:
         rng = np.random.default_rng(7)
         idx = multi_indices_upto(2, 10)
         for _ in range(100):
-            f = SpectralCoeffs({n: float(rng.normal()) for n in idx}, al)
+            f = random_coeffs(rng, idx, al)
             n = idx[rng.integers(len(idx))]
             for j in (0, 1):
                 assert star_identity_check(f, n, j, al) <= 1e-9
