@@ -547,11 +547,19 @@ def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams):
     return float(out[0]) if single else out
 
 
-def star_identity_check(f: SpectralCoeffs, n, j: int, alpha: AlphaParams) -> float:
-    """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(lambda_n) <f, h_n>."""
-    n = _stack(n, alpha)[0][0]
+def star_identity_check(f: SpectralCoeffs, n, j: int, alpha: AlphaParams):
+    """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(lambda_n) <f, h_n>: a
+    float for one multi-index, a (B,) array for a (B, d) stack, row b against
+    block b of f, which stacks B copies of one index stack (one R_j call)."""
+    stack, single = _stack(n, alpha)
+    B = len(stack)
+    if B == 0 or len(f.n) % B or not (f.n.reshape(B, -1, alpha.dim) == f.n[:len(f.n) // B]).all():
+        raise ValueError(f"f must stack {B} copies of one index stack, got {len(f.n)} rows")
     rf = riesz_apply_spectral(f, j)
-    if n[j] == 0:
-        # h_{n-e_j} is the null function; both sides vanish by convention.
-        return 0.0
-    return abs(rf[n - np.eye(alpha.dim, dtype=int)[j]] - riesz_multiplier(n, alpha, j) * f[n])
+    down = stack - np.eye(alpha.dim, dtype=int)[j]
+    at = lambda c, m: np.sum(c.values.reshape(B, -1), axis=1,
+                             where=(c.n.reshape(B, -1, alpha.dim) == m[:, None]).all(axis=2))
+    # h_{n-e_j} is the null function where n_j = 0; both sides vanish by convention.
+    out = np.where(stack[:, j] == 0, 0.0,
+                   np.abs(at(rf, down) - riesz_multiplier(stack, alpha, j) * at(f, stack)))
+    return float(out[0]) if single else out

@@ -132,8 +132,8 @@ def test_10_fischer_layer():
     worst = 0.0
     for alpha in ALPHA_MATRIX:
         # verify_eldwa to degree 6, and every pair of monomials of degree <= 4
-        # on the 40-point rule
-        rec = _check_fischer(RunConfig(alpha, quad_points=40))
+        # on the 3-point rule, exact to degree 11 >= 4 + 4 + 2
+        rec = _check_fischer(RunConfig(alpha))
         passed = passed and rec["passed"]
         worst = worst_of(worst, rec["residual"])
     report(10, "fischer_layer", passed and worst <= 1e-8,

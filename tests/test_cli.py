@@ -190,6 +190,32 @@ class TestRunSuite:
         names = {c["name"] for c in report["checks"]}
         assert "orthonormality" in names and "ladder_identities" in names
 
+    def test_one_rule_per_config(self, monkeypatch):
+        # orthonormality and the heat checks share cfg.rule; fischer_layer
+        # takes the 3-point rule its degree-4 monomials need
+        import dunklosc.suite as suite
+        built = []
+        build = suite.default_rule
+        monkeypatch.setattr(suite, "default_rule", lambda al, n: built.append(n) or build(al, n))
+        run_suite(RunConfig((0.0,)), "all")
+        assert sorted(built) == [3, RunConfig((0.0,)).quad_points]
+
+    @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_multiplier_norm_refuses_misaligned_rows(self, monkeypatch, alpha):
+        # The hand shift pairs row k of {n_j > 0} with row k of {|n| < N}.
+        # Any order kept by n -> n - e_j lines them up, the reversed
+        # lexicographic one too; one rotated by a row does not, and the check
+        # then fails with a NaN instead of comparing a different operator.
+        import dunklosc.suite as suite
+        from dunklosc.suite import _check_multiplier_norm
+        indices = suite.multi_indices_upto
+        monkeypatch.setattr(suite, "multi_indices_upto", lambda d, N: indices(d, N)[::-1])
+        assert _check_multiplier_norm(RunConfig(alpha))["passed"]
+        monkeypatch.setattr(suite, "multi_indices_upto",
+                            lambda d, N: indices(d, N)[1:] + indices(d, N)[:1])
+        rec = _check_multiplier_norm(RunConfig(alpha))
+        assert not rec["passed"] and math.isnan(rec["residual"])
+
     def test_unknown_suite(self):
         cfg = parse_config('{"alpha": [0.0]}')
         with pytest.raises(ValueError):

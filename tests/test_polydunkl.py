@@ -199,6 +199,16 @@ class TestFundIdentity:
         assert _check_fischer(RunConfig((0.7, 1.2), quad_points=20))["passed"]
         assert len(calls) == 15
 
+    @pytest.mark.parametrize("alpha", [(0.0,), (0.7,), (-0.5, 0.7), (0.7, 1.2)])
+    def test_three_points_are_the_least_rule_for_degree_four(self, alpha):
+        # _check_fischer's need: exactness 4 + 4 + 2 = 10; n nodes per
+        # half-axis are exact to 4n - 1, so 2 is refused and 3 suffices
+        al = AlphaParams(alpha)
+        mons = [monomial(n) for n in multi_indices_upto(al.dim, 4)]
+        with pytest.raises(ValueError, match="exactness"):
+            fund_identity_check(mons, mons, al, default_rule(al, 2))
+        assert np.max(fund_identity_check(mons, mons, al, default_rule(al, 3))) <= 1e-12
+
     def test_degree_one_value(self):
         # [x, x]_alpha = a_{1,alpha} = 2 alpha + 2; integral route must agree
         rule = default_rule(AL1, 20)

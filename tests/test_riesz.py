@@ -1050,6 +1050,59 @@ class TestIdentities:
             for j in (0, 1):
                 assert star_identity_check(f, n, j, al) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [(0.7,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_star_stack_equals_single_calls_bitwise(self, alpha):
+        # B draws, n repeated and n_j = 0 among them, in one call per j; the
+        # reference is the one-draw identity read through c[n]
+        al = AlphaParams(alpha)
+        rng = np.random.default_rng(11)
+        idx = np.array(multi_indices_upto(al.dim, 6))
+        n = np.concatenate([idx[[0, 0, 1]], idx[rng.integers(len(idx), size=17)], idx[[-1, -1]]])
+        values = rng.normal(size=(len(n), len(idx)))
+        f = SpectralCoeffs(np.tile(idx, (len(n), 1)), values.ravel(), al)
+        for j, e_j in enumerate(np.eye(al.dim, dtype=int)):
+            assert (n[:, j] == 0).any() and (n[:, j] > 0).any()
+            got = star_identity_check(f, n, j, al)
+            singles, oracle = [], []
+            for nb, vb in zip(n, values):
+                fb = SpectralCoeffs(idx, vb, al)
+                singles.append(star_identity_check(fb, nb, j, al))
+                oracle.append(0.0 if nb[j] == 0 else abs(
+                    riesz_apply_spectral(fb, j)[nb - e_j] - riesz_multiplier(nb, al, j) * fb[nb]))
+            assert got.shape == (len(n),) and got.tolist() == singles == oracle
+
+    def test_star_stack_refuses_unequal_blocks(self):
+        al = AlphaParams((0.0, 0.7))
+        idx = np.array(multi_indices_upto(2, 4))
+        n = idx[[3, 5]]
+        for rows in (np.concatenate([idx, idx[::-1]]), np.concatenate([idx, idx[:-1]]), idx):
+            f = SpectralCoeffs(rows, np.ones(len(rows)), al)
+            with pytest.raises(ValueError, match="copies of one index stack"):
+                star_identity_check(f, n, 0, al)
+
+    @pytest.mark.parametrize("fault, alpha", [("next-coordinate", (-0.5, 0.7)),
+                                              ("next-coordinate", (0.0, -0.5, 1.3)),
+                                              ("rolled-rows", (0.0,)),
+                                              ("rolled-rows", (-0.5, 0.7)),
+                                              ("scaled", (0.0,)),
+                                              ("scaled", (-0.5, 0.7))])
+    def test_star_check_fails_a_mutated_operator(self, monkeypatch, fault, alpha):
+        # measured at the default seed: 4.06 and 3.16, 3.14 and 2.93, 2.8e-6 and 2.3e-6
+        import dunklosc.riesz as riesz
+        from dunklosc.suite import _check_star
+        apply = riesz.riesz_apply_spectral
+        mutants = {
+            "next-coordinate": lambda c, j: riesz._shifted(
+                c, (j + 1) % c.dim, -1, lambda n: riesz_multiplier(n, c.alpha, j)),
+            "rolled-rows": lambda c, j: SpectralCoeffs(apply(c, j).n,
+                                                       np.roll(apply(c, j).values, 1), c.alpha),
+            "scaled": lambda c, j: SpectralCoeffs(apply(c, j).n, apply(c, j).values * (1 + 1e-6),
+                                                  c.alpha)}
+        assert _check_star(RunConfig(alpha))["passed"]
+        monkeypatch.setattr(riesz, "riesz_apply_spectral", mutants[fault])
+        rec = _check_star(RunConfig(alpha))
+        assert not rec["passed"] and rec["residual"] > 1e-9
+
 
 class TestDualPairing:
     def test_overlap_rejected(self):
