@@ -35,7 +35,7 @@ from .hermite import AlphaParams, hermite_fn
 from .quadrature import SpectralCoeffs, default_rule
 from .riesz import (IntervalBump, KernelConfig, dual_pairing_check,
                     riesz_apply_spectral, riesz_kernel_components)
-from .suite import _grid_points, parse_config, run_suite
+from .suite import SUITES, _grid_points, parse_config, run_suite
 
 CSV_VERSION = "v1"
 # The kernel flags' defaults: a verify config's, at the subcommands' own zeta count.
@@ -296,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--suite", default="all",
-                   choices=["basis", "heat", "riesz", "estimates", "all"])
+    p.add_argument("--suite", default="all", choices=SUITES)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(fn=_cmd_verify)
 

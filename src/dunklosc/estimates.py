@@ -130,6 +130,10 @@ def _balls(alpha: AlphaParams, x, r) -> tuple[np.ndarray, np.ndarray, bool]:
     R = R.reshape(-1)
     if X.shape != (R.size, alpha.dim):
         raise ValueError("center dimension mismatch")
+    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(R))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"ball {k} is not finite: centre {X[k].tolist()}, radius {R[k]}")
     if not np.all(R > 0):
         raise ValueError("radius must be positive")
     return X, R, scalar

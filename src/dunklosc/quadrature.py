@@ -227,10 +227,14 @@ class SpectralCoeffs:
                              f"and K values, got shapes {np.shape(self.n)} and {values.shape}")
         self.n, self.values = n.astype(int), values
 
-    def __getitem__(self, n) -> float:
-        """The coefficient of h_n: the sum of the values stored at n, 0.0 if none."""
-        (n,), _ = _stack([n], self.alpha)
-        return float(self.values[(self.n == n).all(axis=1)].sum())
+    def __getitem__(self, n):
+        """The coefficient of h_n, the sum of the values stored at n (0.0 if
+        none): a float for one multi-index, a (B,) array for a (B, d) stack."""
+        stack, single = _stack(n, self.alpha)
+        keys, at = np.unique(np.concatenate([self.n, stack]), axis=0, return_inverse=True)
+        at, K = at.ravel(), len(self.n)  # each key's values summed in their order, once
+        out = np.bincount(at[:K], self.values, len(keys))[at[K:]]
+        return float(out[0]) if single else out
 
     @property
     def dim(self) -> int:

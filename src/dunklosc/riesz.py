@@ -507,8 +507,8 @@ def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
         raise ValueError("bumps must have disjoint supports")
     rcf = riesz_apply_spectral(project(f, alpha, max_degree, rule), j)
     cg = project(g, alpha, max_degree, rule)
-    spectral = sum(v * cg[n] * math.exp(-36.0 * (sum(n) / max_degree) ** 8)
-                   for n, v in zip(rcf.n.tolist(), rcf.values.tolist()))
+    spectral = sum(v * c * math.exp(-36.0 * (sum(n) / max_degree) ** 8)
+                   for n, v, c in zip(rcf.n.tolist(), rcf.values.tolist(), cg[rcf.n].tolist()))
 
     sx, wx = leggauss(leg_points)
     a = alpha[0]
@@ -548,18 +548,15 @@ def apriori_identity_check(n, i: int, j: int, alpha: AlphaParams):
 
 
 def star_identity_check(f: SpectralCoeffs, n, j: int, alpha: AlphaParams):
-    """Residual of <R_j f, h_{n-e_j}> = m(n_j,a_j)/sqrt(lambda_n) <f, h_n>: a
-    float for one multi-index, a (B,) array for a (B, d) stack, row b against
-    block b of f, which stacks B copies of one index stack (one R_j call)."""
+    """Residual of <R_j f, h_{n-e_j}> = <f, R^_j h_{n-e_j}>: a float for one
+    multi-index, a (B,) array for a (B, d) stack, from one R_j and one R^_j
+    call.  f is read at the index R^_j puts its coefficient, so a misplaced
+    row counts; where n_j = 0, h_{n-e_j} is the null function and the residual 0."""
+    _check_j(j, alpha)
     stack, single = _stack(n, alpha)
-    B = len(stack)
-    if B == 0 or len(f.n) % B or not (f.n.reshape(B, -1, alpha.dim) == f.n[:len(f.n) // B]).all():
-        raise ValueError(f"f must stack {B} copies of one index stack, got {len(f.n)} rows")
-    rf = riesz_apply_spectral(f, j)
-    down = stack - np.eye(alpha.dim, dtype=int)[j]
-    at = lambda c, m: np.sum(c.values.reshape(B, -1), axis=1,
-                             where=(c.n.reshape(B, -1, alpha.dim) == m[:, None]).all(axis=2))
-    # h_{n-e_j} is the null function where n_j = 0; both sides vanish by convention.
-    out = np.where(stack[:, j] == 0, 0.0,
-                   np.abs(at(rf, down) - riesz_multiplier(stack, alpha, j) * at(f, stack)))
+    keep = stack[:, j] > 0
+    down = stack[keep] - np.eye(alpha.dim, dtype=int)[j]
+    adj = riesz_adjoint_spectral(SpectralCoeffs(down, np.ones(len(down)), alpha), j)
+    out = np.zeros(len(stack))
+    out[keep] = np.abs(riesz_apply_spectral(f, j)[down] - adj.values * f[adj.n])
     return float(out[0]) if single else out

@@ -26,13 +26,11 @@ from .hermite import (AlphaParams, delta_hermite, delta_star_hermite, eigenvalue
 from .polydunkl import fund_identity_check, monomial, verify_eldwa
 from .quadrature import SpectralCoeffs, default_rule, multi_indices_upto
 from .riesz import (KernelConfig, SchlafliMeasure, apriori_identity_check,
-                    riesz_kernel, riesz_kernel_direct, riesz_multiplier,
-                    star_identity_check)
+                    riesz_adjoint_spectral, riesz_apply_spectral, riesz_kernel,
+                    riesz_kernel_direct, star_identity_check)
 from .special import bessel_ratio
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run_suite", "worst_of", "SUITES"]
-
-SUITES = ("basis", "heat", "riesz", "estimates", "all")
 
 
 @dataclass(frozen=True)
@@ -46,10 +44,6 @@ class RunConfig:
     kernel: KernelConfig = field(default_factory=KernelConfig)
     seed: int = 1234
     output: str | None = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.alpha)
 
     @property
     def alpha_params(self) -> AlphaParams:
@@ -291,14 +285,11 @@ def _check_schlafli(cfg: RunConfig):
 
 def _check_star(cfg: RunConfig):
     al = cfg.alpha_params
-    rng = np.random.default_rng(cfg.seed)
-    N = min(cfg.max_degree, 10)
-    idx = np.array(multi_indices_upto(al.dim, N))
-    values, n = zip(*[(rng.normal(size=len(idx)), idx[rng.integers(len(idx))]) for _ in range(100)])
-    f = SpectralCoeffs(np.tile(idx, (len(n), 1)), np.concatenate(values), al)  # a block a draw
+    idx = np.array(multi_indices_upto(al.dim, min(cfg.max_degree, 10)))
+    f = SpectralCoeffs(idx, np.random.default_rng(cfg.seed).normal(size=len(idx)), al)
     worst = 0.0
-    for j in range(al.dim):
-        worst = worst_of(worst, star_identity_check(f, n, j, al))
+    for j in range(al.dim):  # every n of f's stack in one call
+        worst = worst_of(worst, star_identity_check(f, idx, j, al))
     return _record("star_identity", worst <= 1e-9, 1e-9, worst, seed=cfg.seed)
 
 
@@ -315,41 +306,31 @@ def _check_apriori(cfg: RunConfig, max_index: int = 8):
 
 
 def _check_multiplier_norm(cfg: RunConfig):
-    # On the truncation the L2 operator norm of R_j equals the largest
-    # multiplier (diagonal-after-shift structure); confirm with a power
-    # iteration on R^T R run to convergence of the Rayleigh quotient.  The
-    # shift n -> n - e_j maps the indices with n_j > 0 onto those with |n| < N,
-    # row for row in the lexicographic order; each j checks that (else NaN).
+    # On the truncation the L2 operator norm of R_j is its largest multiplier,
+    # R^_j R_j being diagonal; confirm with a power iteration on R^_j R_j, the
+    # product of R_j's multipliers at n and R^_j's at n - e_j, run to
+    # convergence of the Rayleigh quotient.  R^_j must take R_j's output back
+    # onto the indices with n_j > 0 row for row, else the check fails (NaN).
     al = cfg.alpha_params
-    N = min(cfg.max_degree, 12)
-    idx = np.array(multi_indices_upto(al.dim, N))
-    dst = idx.sum(axis=1) < N
+    idx = np.array(multi_indices_upto(al.dim, min(cfg.max_degree, 12)))
     worst = 0.0
-    for j, e_j in enumerate(np.eye(al.dim, dtype=int)):
-        src = idx[:, j] > 0
-        if not np.array_equal(idx[src] - e_j, idx[dst]):
+    for j in range(al.dim):
+        r = riesz_apply_spectral(SpectralCoeffs(idx, np.ones(len(idx)), al), j)
+        adj = riesz_adjoint_spectral(SpectralCoeffs(r.n, np.ones(len(r.n)), al), j)
+        if not np.array_equal(adj.n, idx[idx[:, j] > 0]):
             worst = math.nan
             break
-        mul = riesz_multiplier(idx[src], al, j)
-        exact = float(np.max(mul)) if mul.size else 0.0
-        rng = np.random.default_rng(cfg.seed + 2)
-        v = np.abs(rng.normal(size=len(idx))) + 0.1
+        prod = r.values * adj.values
+        v = np.abs(np.random.default_rng(cfg.seed + 2).normal(size=len(prod))) + 0.1
         v /= math.sqrt(v @ v)
         est = prev = 0.0
         for _ in range(50000):
-            w = np.zeros(len(idx))
-            w[dst] = mul * v[src]
-            est = math.sqrt(w @ w)  # Rayleigh: |R v| for unit v
-            u = np.zeros(len(idx))
-            u[src] = mul * w[dst]
-            nrm = math.sqrt(u @ u)
-            if nrm == 0:
-                break
-            v = u / nrm
+            u = prod * v
+            est = math.sqrt(v @ u)  # the Rayleigh quotient <v, R^_j R_j v> of unit v, rooted
             if abs(est - prev) <= 1e-15 * max(est, 1.0):
                 break
-            prev = est
-        worst = worst_of(worst, abs(est - exact))
+            v, prev = u / math.sqrt(u @ u), est
+        worst = worst_of(worst, abs(est - float(np.max(r.values))))
     return _record("multiplier_norm", worst <= 1e-12, 1e-12, worst, seed=cfg.seed + 2)
 
 
@@ -439,13 +420,14 @@ _SUITE_CHECKS = {
               _check_route_agreement],
     "estimates": [_check_soni, _check_ap, _check_ball, _check_scans],
 }
+SUITES = (*_SUITE_CHECKS, "all")
 
 
 def run_suite(cfg: RunConfig, suite: str = "all") -> tuple[int, dict]:
     """Run the named check suite; returns (exit_status, report)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    names = ["basis", "heat", "riesz", "estimates"] if suite == "all" else [suite]
+    names = list(_SUITE_CHECKS) if suite == "all" else [suite]
     checks = []
     timings = {}
     for sname in names:

@@ -114,7 +114,7 @@ def test_08_star_identity():
     for alpha in ALPHA_MATRIX:
         worst = worst_of(worst, _check_star(RunConfig(alpha, seed=80))["residual"])
     report(8, "star_identity", worst <= 1e-9,
-           f"max residual over 100 random spectral f per config = {worst:.3g} <= 1e-9")
+           f"max residual over every n with |n| <= 10 of one random f per config = {worst:.3g} <= 1e-9")
 
 
 def test_09_apriori_identity():

@@ -201,20 +201,28 @@ class TestRunSuite:
         assert sorted(built) == [3, RunConfig((0.0,)).quad_points]
 
     @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
-    def test_multiplier_norm_refuses_misaligned_rows(self, monkeypatch, alpha):
-        # The hand shift pairs row k of {n_j > 0} with row k of {|n| < N}.
-        # Any order kept by n -> n - e_j lines them up, the reversed
-        # lexicographic one too; one rotated by a row does not, and the check
-        # then fails with a NaN instead of comparing a different operator.
+    def test_multiplier_norm_refuses_a_misplaced_adjoint(self, monkeypatch, alpha):
+        # R_j and R^_j take the index stack in any order, reversed or rotated
+        # by a row.  An adjoint that moves its rows by e_1, or shifts
+        # coordinate (j + 1) mod d, does not take R_j's output back onto the
+        # indices with n_j > 0, and the check then fails with a NaN instead
+        # of comparing a different operator.
         import dunklosc.suite as suite
+        from dunklosc.quadrature import SpectralCoeffs
         from dunklosc.suite import _check_multiplier_norm
-        indices = suite.multi_indices_upto
-        monkeypatch.setattr(suite, "multi_indices_upto", lambda d, N: indices(d, N)[::-1])
-        assert _check_multiplier_norm(RunConfig(alpha))["passed"]
-        monkeypatch.setattr(suite, "multi_indices_upto",
-                            lambda d, N: indices(d, N)[1:] + indices(d, N)[:1])
-        rec = _check_multiplier_norm(RunConfig(alpha))
-        assert not rec["passed"] and math.isnan(rec["residual"])
+        indices, adjoint, d = suite.multi_indices_upto, suite.riesz_adjoint_spectral, len(alpha)
+        for order in (lambda n: n[::-1], lambda n: n[1:] + n[:1]):
+            monkeypatch.setattr(suite, "multi_indices_upto", lambda d, N: order(indices(d, N)))
+            assert _check_multiplier_norm(RunConfig(alpha))["passed"]
+        monkeypatch.setattr(suite, "multi_indices_upto", indices)
+        mutants = [lambda c, j: SpectralCoeffs(adjoint(c, j).n + np.eye(d, dtype=int)[0],
+                                               adjoint(c, j).values, c.alpha)]
+        if d > 1:
+            mutants.append(lambda c, j: adjoint(c, (j + 1) % d))
+        for mutant in mutants:
+            monkeypatch.setattr(suite, "riesz_adjoint_spectral", mutant)
+            rec = _check_multiplier_norm(RunConfig(alpha))
+            assert not rec["passed"] and math.isnan(rec["residual"])
 
     def test_unknown_suite(self):
         cfg = parse_config('{"alpha": [0.0]}')

@@ -169,6 +169,18 @@ class TestBallMeasure:
         with pytest.raises(ValueError):
             ball_measure(AlphaParams((0.0,)), [0.0], 0.0)
 
+    @pytest.mark.parametrize("x, r", [([np.nan], 1.0), ([-np.inf], 1.0), ([0.3], np.inf),
+                                      ([0.3], np.nan), ([np.nan, 0.0], 1.0),
+                                      ([0.0, 0.0], np.inf), ([0.0, np.inf], 0.5)])
+    def test_non_finite_ball_refused(self, x, r):
+        # either route returned nan or inf here with no error; a batch names the ball
+        al = AlphaParams((0.0,) * len(x))
+        for measure in (ball_measure, lambda *ball: ball_measure_qmc(*ball, npoints=64, seed=1)):
+            with pytest.raises(ValueError, match=r"ball 0 is not finite: centre \["):
+                measure(al, x, r)
+            with pytest.raises(ValueError, match=r"ball 1 is not finite: centre \["):
+                measure(al, [[0.1] * len(x), x], [1.0, r])
+
 
 class TestPairSampler:
     def test_distance_range_and_determinism(self):

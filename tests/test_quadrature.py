@@ -176,14 +176,21 @@ class TestCoefficientKeys:
 
     def test_coefficient_lookup(self):
         # c[n] is the coefficient of h_n: the values stored at n summed, as
-        # synthesize sums their terms, and 0.0 where nothing is stored
+        # synthesize sums their terms, and 0.0 where nothing is stored; a
+        # float for one multi-index, a (B,) array for a (B, d) stack
         al = AlphaParams((0.0, 0.7))
         c = SpectralCoeffs([(1, 2), (0, 3), (1, 2)], [0.5, -2.0, 0.25], al)
         assert c[(1, 2)] == 0.75 and c[np.array([0, 3])] == -2.0 and c[(2, 1)] == 0.0
+        assert isinstance(c[(1, 2)], float)
+        one = c[[(1, 2)]]
+        assert isinstance(one, np.ndarray) and one.tolist() == [0.75]
+        rows = [(2, 1), (1, 2), (0, 3), (1, 2), (5, 5), (0, 3)]
+        assert c[rows].tolist() == [0.0, 0.75, -2.0, 0.75, 0.0, -2.0] == [c[n] for n in rows]
+        assert c[np.empty((0, 2), dtype=int)].shape == (0,)
         merged = SpectralCoeffs([(1, 2), (0, 3)], [0.75, -2.0], al)
         pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=(5, 2))
         np.testing.assert_allclose(synthesize(c, pts), synthesize(merged, pts), rtol=1e-14)
-        for bad in ((1,), (1, -2), [(1, 2)]):
+        for bad in ((1,), (1, -2), [(1, 2, 3)], [(1, 2), (0, -1)]):
             with pytest.raises(ValueError):
                 c[bad]
 
