@@ -17,14 +17,14 @@ scan_cfg = KernelConfig(zeta_points=256, s_method="exact")
 
 # Ball measures of the weight w_alpha: closed form in d = 1, nested
 # one-dimensional quadrature in higher dimension, checked against the
-# scrambled-Sobol oracle.
+# randomly shifted Kronecker (quasi-Monte Carlo) oracle.
 v = ball_measure(al, [0.5], 1.2)
 print("w_alpha(B(0.5, 1.2)) =", v, "(closed form)")
 al2 = AlphaParams((0.7, 0.0))
 v2 = ball_measure(al2, [0.5, -0.3], 1.2)
 mc, se2 = ball_measure_qmc(al2, [0.5, -0.3], 1.2, npoints=1 << 17, seed=7)
 print("w_alpha(B((0.5,-0.3), 1.2)) =", v2, "(nested quadrature)")
-print("                             ", mc, "+-", se2, "(scrambled Sobol)")
+print("                             ", mc, "+-", se2, "(shifted Kronecker)")
 
 # Growth scan: max |R| w(B) over 300 seeded pairs, drift under refinement.
 rep = growth_scan(al, 0, n_pairs=300, seed=42, cfg=scan_cfg)

@@ -98,8 +98,12 @@ def _coordinate(ns, d: int) -> int:
 
 
 def _load_coeffs(path: str) -> SpectralCoeffs:
-    with open(path) as fh:  # objects as lists of pairs, so that a repeated key is seen
-        doc = dict(json.load(fh, object_pairs_hook=list))
+    with open(path) as fh:  # objects as tuples of pairs, so that a repeated key is seen
+        doc = json.load(fh, object_pairs_hook=tuple)
+    doc = dict(doc) if isinstance(doc, tuple) else {}
+    for key, kind, what in (("alpha", list, "an array"), ("coeffs", tuple, "an object")):
+        if type(doc.get(key)) is not kind:
+            raise ValueError(f"coefficient file field {key!r} must be present and {what}")
     alpha = AlphaParams(tuple(doc["alpha"]))
     coeffs = {}
     for key, val in doc["coeffs"]:
@@ -200,7 +204,7 @@ def _cmd_pairing_check(ns) -> int:
     rule = default_rule(al, ns.quad_points)
     cfg = _kernel_config(ns)
     resid, spectral, integral = dual_pairing_check(
-        f, g, ns.j - 1, al, rule, cfg, max_degree=ns.max_degree)
+        f, g, _coordinate(ns, al.dim), al, rule, cfg, max_degree=ns.max_degree)
     rel = resid / max(abs(spectral), 1e-300)
     report = {
         "alpha": list(al.alpha), "j": ns.j,

@@ -15,8 +15,8 @@ reproducible bit-for-bit from its seed.
 
 Ball measures w_alpha(B(x, r)) are deterministic: a closed form in d = 1
 and, since w_alpha is a product over coordinates, a nested
-one-dimensional quadrature in d >= 2, batched over balls.  Scrambled-Sobol
-quasi-Monte Carlo (``ball_measure_qmc``) is their independent oracle.
+one-dimensional quadrature in d >= 2, batched over balls.  Randomly shifted
+Kronecker quasi-Monte Carlo (``ball_measure_qmc``) is their independent oracle.
 """
 
 from __future__ import annotations
@@ -130,12 +130,11 @@ def _balls(alpha: AlphaParams, x, r) -> tuple[np.ndarray, np.ndarray, bool]:
     R = R.reshape(-1)
     if X.shape != (R.size, alpha.dim):
         raise ValueError("center dimension mismatch")
-    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(R))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"ball {k} is not finite: centre {X[k].tolist()}, radius {R[k]}")
-    if not np.all(R > 0):
-        raise ValueError("radius must be positive")
+    for bad, what in ((~(np.isfinite(X).all(axis=1) & np.isfinite(R)), "is not finite"),
+                      (~(R > 0), "has a non-positive radius")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"ball {k} {what}: centre {X[k].tolist()}, radius {R[k]}")
     return X, R, scalar
 
 
@@ -169,25 +168,29 @@ def ball_measure(alpha: AlphaParams, x, r, positive_orthant: bool = False):
 
 def ball_measure_qmc(alpha: AlphaParams, x, r, npoints: int, seed: int,
                      positive_orthant: bool = False):
-    """w_alpha(B(x, r)) and its standard error by scrambled-Sobol
+    """w_alpha(B(x, r)) and its standard error by randomly shifted
     quasi-Monte Carlo: the weight times the indicator, averaged over
     ``npoints`` points of the bounding box, with the standard error taken
-    across 8 independently scrambled replicates (seeds ``seed``,
-    ``seed`` + 1000, ...).  Balls and ``positive_orthant`` as in
+    across 8 replicates, each the Kronecker points frac(n g^-(1..d) + shift),
+    g^(d+1) = g + 1, under its own uniform shift from ``default_rng(seed)``
+    (Sloan and Joe 1994).  Balls and ``positive_orthant`` as in
     ``ball_measure``, of which it is the independent oracle."""
-    from scipy.stats import qmc  # deferred: a heavy import only this oracle needs
     X, R, scalar = _balls(alpha, x, r)
     d, reps = alpha.dim, 8
-    ex = np.array(list(alpha))
+    g = 2.0
+    for _ in range(64):  # a contraction: converged to rounding long before 64 steps
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    # The points are the columns of (d, n) arrays, so reductions over coordinates run on whole rows.
+    steps = g ** -np.arange(1.0, d + 1)[:, None] * np.arange(1, max(npoints // reps, 1) + 1)
+    ex = np.array(list(alpha))[:, None]
     means = np.empty((R.size, reps))
-    for k in range(reps):
-        u = qmc.Sobol(d=d, scramble=True, seed=seed + 1000 * k).random(max(npoints // reps, 1))
+    for k, shift in enumerate(np.random.default_rng(seed).random((reps, d, 1))):
+        v = 2.0 * np.modf(steps + shift)[0] - 1.0  # mapped to [-1, 1)^d
+        inside = np.einsum("dn,dn->n", v, v) < 1.0
         for i, (x, r) in enumerate(zip(X, R)):
-            pts = x + (2.0 * u - 1.0) * r
-            inside = np.sum((pts - x) ** 2, axis=1) < r * r
-            if positive_orthant:
-                inside &= np.all(pts > 0.0, axis=1)
-            vals = np.prod(np.abs(pts) ** (2.0 * ex + 1.0), axis=1) * inside
+            pts = x[:, None] + v * r
+            keep = inside & np.all(pts > 0.0, axis=0) if positive_orthant else inside
+            vals = np.prod(np.abs(pts) ** (2.0 * ex + 1.0), axis=0) * keep
             means[i, k] = np.mean(vals) * (2.0 * r) ** d
     vals, ses = np.mean(means, axis=1), np.std(means, axis=1, ddof=1) / math.sqrt(reps)
     return (float(vals[0]), float(ses[0])) if scalar else (vals, ses)

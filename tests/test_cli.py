@@ -35,7 +35,7 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_defers_oracle_modules():
-    # Only the QMC ball-measure oracle needs scipy; the CLI must start without it.
+    # The package runs on numpy alone, so the CLI starts without scipy.
     code = f"import sys, dunklosc.cli; print({SCIPY_LOADED})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
@@ -50,12 +50,14 @@ def test_cli_import_defers_oracle_modules():
     "riesz-kernel --alpha=-0.5,0.7 --j=2 --pairs={dir}/pairs.csv --s-method=exact",
     "heat-kernel --alpha=-0.5,0.7 --t=0.3,2 --pairs={dir}/pairs.csv",
     "verify --config={dir}/cfg.json --suite=all",
+    "verify --config={dir}/cfg-d2.json --suite=all",
 ])
 def test_default_paths_load_no_scipy(argv, tmp_path):
-    # Each command runs through cli.main in a fresh interpreter; at d = 1
-    # verify's ball-measure check uses the closed form, not the QMC oracle.
+    # Each command runs through cli.main in a fresh interpreter; at d = 2
+    # verify's ball-measure check runs the quasi-Monte Carlo oracle.
     (tmp_path / "pairs.csv").write_text("0.5,1.0,0.2,-0.3\n-1.2,0.4,0.9,2.0\n")
     (tmp_path / "cfg.json").write_text('{"alpha": [0.0]}')
+    (tmp_path / "cfg-d2.json").write_text('{"alpha": [-0.5, 0.7]}')
     code = (f"import sys; from dunklosc.cli import main; "
             f"rc = main(sys.argv[1:]); print(rc, {SCIPY_LOADED})")
     argv = argv.format(dir=tmp_path).split() + ["-o", str(tmp_path / "out")]
@@ -497,6 +499,28 @@ class TestSubcommands:
             assert main([*argv, "--coeffs", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("doc,named", [
+        ('{"coeffs": {"1": 2.0}}', "'alpha'"),
+        ('{"alpha": [0.0]}', "'coeffs'"),
+        ('{"alpha": [0.0], "coeffs": [1, 2]}', "'coeffs'"),
+        ('{"alpha": {"0": 0.0}, "coeffs": {"1": 2.0}}', "'alpha'"),
+    ], ids=["no-alpha", "no-coeffs", "coeffs-array", "alpha-object"])
+    def test_bad_coefficient_file_names_the_field(self, doc, named, tmp_path, capsys):
+        # these raised KeyError or TypeError with a traceback and exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        for argv in (["heat-apply", "--t=1"], ["riesz-apply", "--j=1"]):
+            assert main([*argv, "--coeffs", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_pairing_check_j_is_one_based(self, j, capsys):
+        # --j=0 was reported as "coordinate j must be in 0..0, got -1"
+        assert main(["pairing-check", "--alpha=0", f"--j={j}", "--max-degree=8",
+                     "--quad-points=16"]) == 2
+        assert capsys.readouterr().err == "error: --j must be in 1..1\n"
 
     @pytest.mark.parametrize("argv", [
         "riesz-apply --j=1", "riesz-apply --j=2", "heat-apply --t=0.3", "heat-apply --t=2.5",

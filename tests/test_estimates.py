@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ class TestBallMeasure:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             ball_measure(AlphaParams((0.0,)), [0.0], 0.0)
+
+    @pytest.mark.parametrize("x, r", [([0.3], 0.0), ([0.3], -1.0), ([0.0, 0.2], 0.0),
+                                      ([0.0, 0.2], -0.5)])
+    def test_non_positive_radius_names_the_ball(self, x, r):
+        # the refusal read only "radius must be positive"
+        al = AlphaParams((0.0,) * len(x))
+        for measure in (ball_measure, lambda *ball: ball_measure_qmc(*ball, npoints=64, seed=1)):
+            for k, balls in ((0, (x, r)), (1, ([[0.1] * len(x), x], [1.0, r]))):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"ball {k} has a non-positive radius: centre {x}, radius {r}")):
+                    measure(al, *balls)
 
     @pytest.mark.parametrize("x, r", [([np.nan], 1.0), ([-np.inf], 1.0), ([0.3], np.inf),
                                       ([0.3], np.nan), ([np.nan, 0.0], 1.0),

@@ -38,33 +38,28 @@ def test_no_unused_imports():
     assert {path: names for path, names in found.items() if names} == {}
 
 
-def module_level_imports(source: str) -> list[str]:
-    """Modules imported by statements that run when the module is
-    imported: everything outside a function body."""
+def imported_modules(source: str) -> list[str]:
+    """Modules named by every absolute import statement, at module level
+    or inside a function body."""
     found = []
-    stack = list(ast.parse(source).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module)
-        stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
-def test_module_level_import_detected():
+def test_imported_modules_detected():
     src = "import numpy as np\nfrom scipy.special import xlogy\nif True:\n    import scipy\n" \
           "from . import riesz\nclass A:\n    import os\n" \
           "def f():\n    from scipy.stats import qmc\n"
-    assert module_level_imports(src) == ["numpy", "os", "scipy", "scipy.special"]
+    assert imported_modules(src) == ["numpy", "os", "scipy", "scipy.special", "scipy.stats"]
 
 
-def test_src_imports_scipy_only_inside_functions():
-    # the package runs on numpy alone; only a deferred oracle may load scipy
-    found = {str(p.relative_to(ROOT)): [m for m in module_level_imports(p.read_text())
+def test_src_imports_no_scipy():
+    # the package runs on numpy alone; scipy is a test dependency
+    found = {str(p.relative_to(ROOT)): [m for m in imported_modules(p.read_text())
                                         if m.split(".")[0] == "scipy"]
              for p in (ROOT / "src").rglob("*.py")}
     assert {path: mods for path, mods in found.items() if mods} == {}
