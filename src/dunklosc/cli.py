@@ -222,8 +222,7 @@ def _cmd_verify(ns) -> int:
     with open(ns.config) as fh:
         cfg = parse_config(fh.read())
     status, report = run_suite(cfg, ns.suite)
-    out = ns.output or cfg.output
-    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", ns.output)
     for check in report["checks"]:
         line = "PASS" if check["passed"] else "FAIL"
         sys.stderr.write(f"{line} {check['name']} residual={check['residual']:.3g}\n")

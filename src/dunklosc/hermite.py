@@ -21,6 +21,7 @@ stack of multi-indices; its products come from one 1-d table per axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Multiplicity parameters alpha in [-1/2, inf)^d."""
+    """Multiplicity parameters alpha in [-1/2, inf)^d; every entry point's check
+    of alpha, refusing a bool or non-real entry and naming it alpha[i]."""
 
     alpha: tuple[float, ...]
 
     def __post_init__(self):
-        al = tuple(float(a) for a in self.alpha)
-        if not all(-0.5 <= a < math.inf for a in al):
-            raise ValueError(f"every alpha_j must be finite and >= -1/2, got {al}")
-        object.__setattr__(self, "alpha", al)
+        for i, a in enumerate(self.alpha):
+            if isinstance(a, bool) or not isinstance(a, numbers.Real) or not -0.5 <= a < math.inf:
+                raise ValueError(f"alpha[{i}] = {a!r}: every alpha_j must be a finite real >= -0.5")
+        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
 
     @property
     def dim(self) -> int:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import AlphaParams
-from .quadrature import QuadratureRule
+from .hermite import AlphaParams, a_coeff
+from .quadrature import QuadratureRule, multi_indices_upto
 from .special import log_gamma
 
 __all__ = [
@@ -156,9 +156,6 @@ class EldwaReport:
 
 
 def _phi_basis(alpha: AlphaParams, max_degree: int) -> list[tuple[tuple[int, ...], Polynomial]]:
-    from .quadrature import multi_indices_upto
-    from .hermite import a_coeff
-
     basis = []
     for n in multi_indices_upto(alpha.dim, max_degree):
         norm = math.prod(a_coeff(ni, alpha[i]) for i, ni in enumerate(n))

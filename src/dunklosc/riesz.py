@@ -82,8 +82,6 @@ class SchlafliMeasure:
     ``quadrature``; for nu = -1/2 two atoms at -+1 of mass 1/sqrt(2 pi).
     """
 
-    nu: float
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -93,8 +91,7 @@ class SchlafliMeasure:
             raise ValueError("nu must be >= -1/2")
         if nu == -0.5:
             c = 1.0 / math.sqrt(2.0 * math.pi)
-            return cls(nu=nu, kind="atomic",
-                       nodes=np.array([-1.0, 1.0]), weights=np.array([c, c]))
+            return cls(nodes=np.array([-1.0, 1.0]), weights=np.array([c, c]))
         lam = nu - 0.5
         k = np.arange(1.0, npoints)
         with np.errstate(invalid="ignore"):  # 0/0 at k = 1, l = -1/2; the limit is 1/2
@@ -102,7 +99,7 @@ class SchlafliMeasure:
                             k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0))
         s, logw = _gauss_nodes_logweights(np.zeros(npoints), np.sqrt(off2),
                                           -nu * math.log(2.0) - log_gamma(nu + 1.0), polish=True)
-        return cls(nu=nu, kind="density", nodes=s, weights=np.exp(logw))
+        return cls(nodes=s, weights=np.exp(logw))
 
     def laplace(self, z: float) -> float:
         """int e^{-z s} Pi_nu(ds); equals I_nu(z)/z^nu for every z."""

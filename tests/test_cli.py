@@ -153,6 +153,8 @@ class TestParseConfig:
             parse_config('{"alpha": [0.0], "bogus": 1}')
         with pytest.raises(ValueError, match="kernel.bad"):
             parse_config('{"alpha": [0.0], "kernel": {"bad": 1}}')
+        with pytest.raises(ValueError, match="config error at output: unknown field"):
+            parse_config('{"alpha": [0.0], "output": "report.json"}')
 
     def test_atomic_threshold_rejected(self):
         with pytest.raises(ValueError, match=r"kernel\.atomic_threshold"):
@@ -225,6 +227,27 @@ class TestRunSuite:
             monkeypatch.setattr(suite, "riesz_adjoint_spectral", mutant)
             rec = _check_multiplier_norm(RunConfig(alpha))
             assert not rec["passed"] and math.isnan(rec["residual"])
+
+    @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7), (1.3,)])
+    def test_multiplier_norm_sees_every_row(self, monkeypatch, alpha):
+        # R^_j's multiplier scaled by 1 + 1e-6 at the row of its smallest
+        # value only, which the largest entry does not show: the check reads
+        # every row (measured: 6.7e-7, 1.4e-7 and 4.7e-7)
+        import dunklosc.suite as suite
+        from dunklosc.quadrature import SpectralCoeffs
+        from dunklosc.suite import _check_multiplier_norm
+        adjoint = suite.riesz_adjoint_spectral
+
+        def scaled(c, j):
+            adj = adjoint(c, j)
+            values = adj.values.copy()
+            values[np.argmin(values)] *= 1 + 1e-6
+            return SpectralCoeffs(adj.n, values, c.alpha)
+
+        assert _check_multiplier_norm(RunConfig(alpha))["passed"]
+        monkeypatch.setattr(suite, "riesz_adjoint_spectral", scaled)
+        rec = _check_multiplier_norm(RunConfig(alpha))
+        assert not rec["passed"] and rec["residual"] > 1e-7
 
     def test_unknown_suite(self):
         cfg = parse_config('{"alpha": [0.0]}')
@@ -505,9 +528,15 @@ class TestSubcommands:
         ('{"alpha": [0.0]}', "'coeffs'"),
         ('{"alpha": [0.0], "coeffs": [1, 2]}', "'coeffs'"),
         ('{"alpha": {"0": 0.0}, "coeffs": {"1": 2.0}}', "'alpha'"),
-    ], ids=["no-alpha", "no-coeffs", "coeffs-array", "alpha-object"])
+        ('{"alpha": [[0]], "coeffs": {"1": 2.0}}', "alpha[0]"),
+        ('{"alpha": [null], "coeffs": {"1": 2.0}}', "alpha[0]"),
+        ('{"alpha": [0.0, "0.5"], "coeffs": {"1,0": 2.0}}', "alpha[1]"),
+        ('{"alpha": [true], "coeffs": {"1": 2.0}}', "alpha[0]"),
+    ], ids=["no-alpha", "no-coeffs", "coeffs-array", "alpha-object", "alpha-entry-array",
+            "alpha-entry-null", "alpha-entry-string", "alpha-entry-bool"])
     def test_bad_coefficient_file_names_the_field(self, doc, named, tmp_path, capsys):
-        # these raised KeyError or TypeError with a traceback and exit 1
+        # these raised KeyError or TypeError with a traceback and exit 1, or
+        # took "0.5" and true as 0.5 and 1.0
         path = tmp_path / "bad.json"
         path.write_text(doc)
         for argv in (["heat-apply", "--t=1"], ["riesz-apply", "--j=1"]):

@@ -57,6 +57,32 @@ def test_imported_modules_detected():
     assert imported_modules(src) == ["numpy", "os", "scipy", "scipy.special", "scipy.stats"]
 
 
+def function_imports(source: str) -> list[str]:
+    """Line and module of every import statement inside a function body,
+    nested functions included, in line order."""
+    nodes = {node for fn in ast.walk(ast.parse(source))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"line {node.lineno}: "
+            + (node.module if isinstance(node, ast.ImportFrom) else node.names[0].name)
+            for node in sorted(nodes, key=lambda node: node.lineno)]
+
+
+def test_function_imports_detected():
+    src = "import os\nclass A:\n    import sys\n    def m(self):\n        import json\n" \
+          "def f():\n    from .quadrature import multi_indices_upto\n    def g():\n" \
+          "        import re\n"
+    assert function_imports(src) == ["line 5: json", "line 7: quadrature", "line 9: re"]
+
+
+def test_src_imports_at_module_level():
+    # a module's dependencies are read in its header; an import inside a
+    # function hides one, or repeats one the header already has
+    found = {str(p.relative_to(ROOT)): function_imports(p.read_text())
+             for p in (ROOT / "src").rglob("*.py")}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
 def test_src_imports_no_scipy():
     # the package runs on numpy alone; scipy is a test dependency
     found = {str(p.relative_to(ROOT)): [m for m in imported_modules(p.read_text())

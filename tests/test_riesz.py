@@ -115,8 +115,7 @@ class TestSpectral:
 
 class TestSchlafli:
     def test_atomic_structure(self):
-        m = SchlafliMeasure.from_nu(-0.5, 99)
-        assert m.kind == "atomic"
+        m = SchlafliMeasure.from_nu(-0.5, 99)  # two atoms whatever the point count
         np.testing.assert_allclose(m.nodes, [-1.0, 1.0])
         np.testing.assert_allclose(m.weights, 1.0 / math.sqrt(2 * math.pi))
 
@@ -148,7 +147,7 @@ class TestSchlafli:
         # 0.64 at nu = 0.2, n = 256 before the nodes' Newton step); scipy's
         # rule misses the same moments by up to 6e-11.
         m = SchlafliMeasure.from_nu(nu, n)
-        assert m.kind == "density" and np.all(m.weights > 0)
+        assert m.nodes.size == n and np.all(np.abs(m.nodes) < 1) and np.all(m.weights > 0)
         ref_nodes, _ = roots_jacobi(n, nu - 0.5, nu - 0.5)
         assert np.max(np.abs(m.nodes - ref_nodes)) <= 2e-15
         with mp.workdps(30):
@@ -1033,6 +1032,26 @@ class TestIdentities:
             assert np.all(got[moved] > 1e-12) and np.all(got[~moved] == 0.0)
             assert apriori_identity_check(stack[0], i, j, al) > 1e-12
 
+    @pytest.mark.parametrize("seed", [1234, 1, 90])
+    def test_apriori_check_sees_one_faulty_index(self, monkeypatch, seed):
+        # R^_i scaled by 1 + 1e-6 where it puts a coefficient at n = (7, 6)
+        # only: the check covers the whole box [0, 8]^2, so it fails whatever
+        # the config seed (measured: 1.6e-5)
+        import dunklosc.riesz as riesz
+        from dunklosc.suite import _check_apriori
+        adjoint = riesz.riesz_adjoint_spectral
+
+        def scaled(c, i):
+            adj = adjoint(c, i)
+            at = np.all(adj.n == (7, 6), axis=1)
+            return SpectralCoeffs(adj.n, np.where(at, 1 + 1e-6, 1.0) * adj.values, c.alpha)
+
+        cfg = RunConfig((-0.5, 0.7), seed=seed)
+        assert _check_apriori(cfg)["passed"]
+        monkeypatch.setattr(riesz, "riesz_adjoint_spectral", scaled)
+        rec = _check_apriori(cfg)
+        assert not rec["passed"] and rec["residual"] > 1e-6
+
     def test_star_basis_and_orthogonal(self):
         al = AlphaParams((0.7,))
         f = SpectralCoeffs([(4,)], [1.0], al)
@@ -1071,8 +1090,8 @@ class TestIdentities:
     @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7)])
     def test_star_and_norm_see_a_scaled_multiplier(self, monkeypatch, alpha):
         # R_j's multiplier m(n_j, a_j)/sqrt(lambda_n) against R^_j's independent
-        # formula: scaled by 1 + 1e-6, both checks fail (measured at the default
-        # seed: 2.9e-6 and 5.0e-7 at (0), 3.0e-6 and 5.2e-7 at (-1/2, 0.7))
+        # formula: scaled by 1 + 1e-6, both checks fail (measured: 1.0e-5 and
+        # 1.0e-6 at (0), 6.0e-5 and 1.1e-6 at (-1/2, 0.7))
         import dunklosc.riesz as riesz
         from dunklosc.suite import _check_multiplier_norm, _check_star
         checks, multiplier = (_check_star, _check_multiplier_norm), riesz.riesz_multiplier
@@ -1090,7 +1109,7 @@ class TestIdentities:
                                               ("scaled", (0.0,)),
                                               ("scaled", (-0.5, 0.7))])
     def test_star_check_fails_a_mutated_operator(self, monkeypatch, fault, alpha):
-        # measured at the default seed: 4.06 and 3.16, 3.14 and 2.93, 2.8e-6 and 2.3e-6
+        # measured with f = 1, ..., K: 34.3 and 167, 8.49 and 53.0, 1.1e-5 and 6.0e-5
         import dunklosc.riesz as riesz
         from dunklosc.suite import _check_star
         apply = riesz.riesz_apply_spectral
