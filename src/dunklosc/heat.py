@@ -17,11 +17,11 @@ so the evaluation cannot overflow for small t or large arguments.  Where
 z_i < 0 the bracket's two Bessel terms cancel, and it is Kummer's function
 instead, summed by the same series core in ``special``.  The prelude and
 this parity factor, with its derivative, are also every Riesz kernel
-route's (``riesz._delta_heat``).  On a tensor rule a kernel column is an
-outer product of 1-d columns, d n pairs instead of n^d, and a stack of
-points and times is one call per axis: ``verify``'s heat checks use it.
-The parity components G^{alpha,eps} (eps in {0,1}^d) and the paper's
-(zeta, s) integrand, an oracle for the closed form, live here as well.
+route's (``riesz._delta_heat``).  A kernel column on a tensor rule is an
+outer product of 1-d columns (d n pairs, not n^d), with stacks of points
+and times in one call per axis; ``verify``'s heat checks call it per axis
+on 1-d rules.  The parity components G^{alpha,eps} (eps in {0,1}^d) and
+the paper's (zeta, s) integrand, an oracle for the closed form, live here.
 """
 
 from __future__ import annotations

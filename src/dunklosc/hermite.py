@@ -45,12 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Multiplicity parameters alpha in [-1/2, inf)^d; every entry point's check
-    of alpha, refusing a bool or non-real entry and naming it alpha[i]."""
+    """Multiplicity parameters alpha in [-1/2, inf)^d, d >= 1; every entry point's
+    check of alpha, refusing a bool or non-real entry and naming it alpha[i]."""
 
     alpha: tuple[float, ...]
 
     def __post_init__(self):
+        if not len(self.alpha):
+            raise ValueError("alpha: must be nonempty, one alpha_j per coordinate")
         for i, a in enumerate(self.alpha):
             if isinstance(a, bool) or not isinstance(a, numbers.Real) or not -0.5 <= a < math.inf:
                 raise ValueError(f"alpha[{i}] = {a!r}: every alpha_j must be a finite real >= -0.5")

@@ -35,8 +35,8 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "run_suite", "worst_
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment configuration; its fields and defaults are a
-    config document's (parse_config)."""
+    """Validated experiment configuration, with a config document's fields and
+    defaults (parse_config); the checks' Gauss rules are per axis (``rule``)."""
 
     alpha: tuple[float, ...]
     max_degree: int = 40
@@ -49,9 +49,10 @@ class RunConfig:
         return AlphaParams(self.alpha)
 
     @functools.cached_property
-    def rule(self):
-        """orthonormality's and the heat checks' rule, built on first use (4.1M nodes at d = 3)."""
-        return default_rule(self.alpha_params, self.quad_points)
+    def rule(self) -> tuple:
+        """orthonormality's and the heat checks' rules, one 1-d rule per axis
+        (never their n^d tensor product), built on first use."""
+        return tuple(default_rule(AlphaParams((a,)), self.quad_points) for a in self.alpha)
 
     @functools.cached_property
     def route_kernel(self) -> KernelConfig:
@@ -167,12 +168,18 @@ def _record(name, passed, tolerance, residual, seed=None, **extra):
 
 # --- basis suite -----------------------------------------------------------
 
+def _axis_product(cfg: RunConfig, factor):
+    """prod_i factor(i, rule_i) over cfg.rule: a product over coordinates, axis by axis."""
+    return functools.reduce(np.multiply, (factor(i, rule) for i, rule in enumerate(cfg.rule)))
+
+
 def _check_orthonormality(cfg: RunConfig):
-    al, rule = cfg.alpha_params, cfg.rule
-    B = hermite_fn(np.array(multi_indices_upto(al.dim, min(cfg.max_degree, 8))), al, rule.nodes)
-    G = (B * rule.weights) @ B.T
-    resid = float(np.max(np.abs(G - np.eye(len(B)))))
-    return _record("orthonormality", resid <= 1e-8, 1e-8, resid, basis_size=len(B))
+    # G[n, m] = prod_i G_i[n_i, m_i], G_i from one hermite_fn table on axis i's rule
+    n = np.array(multi_indices_upto(len(cfg.alpha), min(cfg.max_degree, 8)))
+    B = [hermite_fn(np.arange(n.max() + 1)[:, None], r.alpha, r.nodes) for r in cfg.rule]
+    G = _axis_product(cfg, lambda i, r: ((B[i] * r.weights) @ B[i].T)[n[:, i, None], n[:, i]])
+    resid = float(np.max(np.abs(G - np.eye(len(n)))))
+    return _record("orthonormality", resid <= 1e-8, 1e-8, resid, basis_size=len(n))
 
 
 def _grid_points(dim: int, lo=-4.0, hi=4.0, npts=21) -> np.ndarray:
@@ -239,28 +246,28 @@ def _check_series_vs_kernel(cfg: RunConfig):
 
 
 def _check_semigroup(cfg: RunConfig):
-    al, rule = cfg.alpha_params, cfg.rule
+    al = cfg.alpha_params
     rng = np.random.default_rng(cfg.seed)
-    X = rng.uniform(-2, 2, size=(25, al.dim))
-    Y = rng.uniform(-2, 2, size=(25, al.dim))
+    X, Y = rng.uniform(-2, 2, size=(2, 25, al.dim))  # X's draws, then Y's
     taus = np.array([0.3, 0.7])
     lhs = heat_kernel(al, taus[:, None] + taus, X, Y)
-    # sum_k w_k G_t(x_p, y_k) G_s(y_k, y_p) at every (t, s, p), from one column
-    # call per point stack: G_s(., y) is the column at y, the kernel being
-    # symmetric in (x, y).  einsum forms no (t, s, p, k) temporary.
-    rhs = np.einsum("k,tpk,spk->tsp", rule.weights, heat_kernel_column(taus, X, rule),
-                    heat_kernel_column(taus, Y, rule))
+    # per axis, sum_k w_k G_t(x_p, y_k) G_s(y_k, y_p) at every (t, s, p) from one column
+    # call per point stack (G_s(., y) is the column at y); einsum forms no (t, s, p, k) array.
+    rhs = _axis_product(cfg, lambda i, rule: np.einsum(
+        "k,tpk,spk->tsp", rule.weights, heat_kernel_column(taus, X[:, i, None], rule),
+        heat_kernel_column(taus, Y[:, i, None], rule)))
     worst = worst_of(0.0, np.abs(lhs - rhs) / np.abs(lhs))
     return _record("heat_semigroup", worst <= 1e-6, 1e-6, worst, seed=cfg.seed)
 
 
 def _check_contraction(cfg: RunConfig):
-    al, rule = cfg.alpha_params, cfg.rule
     rng = np.random.default_rng(cfg.seed)
-    freqs = rng.uniform(0.3, 2.0, size=(10, al.dim))
-    xs = rng.uniform(-2, 2, size=(5, al.dim))
-    fs = [lambda pts, w=w: np.cos(pts @ w) for w in freqs]
-    vals = heat_apply_kernel(fs, np.array([0.1, 1.0]), xs, rule)  # every (t, x, f) at once
+    freqs = rng.uniform(0.3, 2.0, size=(10, len(cfg.alpha)))
+    xs = rng.uniform(-2, 2, size=(5, len(cfg.alpha)))
+    # f = prod_i cos(w_i x_i), so P_t f is a product of 1-d sums, each axis one call
+    vals = _axis_product(cfg, lambda i, rule: heat_apply_kernel(
+        [lambda y, w=w: np.cos(w * y[:, 0]) for w in freqs[:, i]], np.array([0.1, 1.0]),
+        xs[:, i, None], rule))
     worst = worst_of(-math.inf, np.abs(vals) - 1.0)
     return _record("heat_contraction", worst <= 1e-10, 1e-10, worst_of(worst, 0.0),
                    seed=cfg.seed)
@@ -323,13 +330,9 @@ def _check_route_agreement(cfg: RunConfig, n_pairs: int = 8):
     rng = np.random.default_rng(cfg.seed + 3)
     pairs = []
     while len(pairs) < n_pairs:
-        x = rng.uniform(-2.5, 2.5, size=al.dim)
-        y = rng.uniform(-2.5, 2.5, size=al.dim)
-        if not 0.5 <= np.linalg.norm(x - y) <= 5.0:
-            continue
-        if reflection_distance(x, y) < 0.4:
-            continue
-        pairs.append((x, y, int(rng.integers(al.dim))))
+        x, y = rng.uniform(-2.5, 2.5, size=(2, al.dim))
+        if 0.5 <= np.linalg.norm(x - y) <= 5.0 and reflection_distance(x, y) >= 0.4:
+            pairs.append((x, y, int(rng.integers(al.dim))))
     X, Y, J = (np.array(v) for v in zip(*pairs))
     worst, refused = 0.0, []
     for j in np.unique(J):

@@ -1,7 +1,7 @@
 """Write tests/verify_pinned.json: the `verify --suite all` records of four
 configs, which tests/test_verify_pinned.py holds the suite to.
 
-    python tests/make_verify_pinned.py      # a few seconds
+    PYTHONPATH=src python tests/make_verify_pinned.py      # a few seconds
 
 The configs are d = 1 and d = 2 on the documented defaults, perfbench's
 Gauss-Jacobi DEFAULT_CONFIG at alpha = (-1/2, 0.7), and alpha = (0) at
@@ -23,6 +23,8 @@ import json
 import math
 import pathlib
 import sys
+
+from dunklosc.suite import parse_config, run_suite
 
 HERE = pathlib.Path(__file__).resolve().parent
 OUT = HERE / "verify_pinned.json"
@@ -52,7 +54,6 @@ def configs() -> dict:
 
 
 def records(config: dict) -> list[dict]:
-    from dunklosc.suite import parse_config, run_suite
     # through JSON, so that a record compares with its stored copy
     return json.loads(json.dumps(run_suite(parse_config(json.dumps(config)), "all")[1]["checks"]))
 

@@ -195,14 +195,34 @@ class TestRunSuite:
         assert "orthonormality" in names and "ladder_identities" in names
 
     def test_one_rule_per_config(self, monkeypatch):
-        # orthonormality and the heat checks share cfg.rule; fischer_layer
-        # takes the 3-point rule its degree-4 monomials need
+        # orthonormality and the heat checks share cfg.rule, one 1-d rule per
+        # axis; the only rule of dimension > 1 is fischer_layer's 3-point rule,
+        # which its degree-4 monomials need.  No check builds the n^d tensor rule.
         import dunklosc.suite as suite
         built = []
         build = suite.default_rule
-        monkeypatch.setattr(suite, "default_rule", lambda al, n: built.append(n) or build(al, n))
-        run_suite(RunConfig((0.0,)), "all")
-        assert sorted(built) == [3, RunConfig((0.0,)).quad_points]
+        monkeypatch.setattr(suite, "default_rule",
+                            lambda al, n: built.append((al.alpha, n)) or build(al, n))
+        cfg = RunConfig((-0.5, 0.7))
+        run_suite(cfg, "all")
+        assert sorted(built) == [((-0.5,), cfg.quad_points), ((-0.5, 0.7), 3),
+                                 ((0.7,), cfg.quad_points)]
+
+    def test_d3_runs_in_one_gib_of_address_space(self, tmp_path):
+        # The tensor rule has 160^3 nodes at d = 3 on the documented defaults,
+        # and a basis matrix on it asked for 5 GiB; per-axis rules need
+        # megabytes (measured: a 56 MB peak in 0.4 s).  One BLAS thread, so
+        # that its buffers do not count against the limit on a wide machine.
+        import resource
+        limit = 1 << 30
+        (tmp_path / "cfg.json").write_text('{"alpha": [0.0, -0.5, 1.3]}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklosc.cli", "verify", "--config", str(tmp_path / "cfg.json"),
+             "--suite", "all", "-o", str(tmp_path / "report.json")],
+            capture_output=True, text=True, env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["all_passed"]
 
     @pytest.mark.parametrize("alpha", [(0.0,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
     def test_multiplier_norm_refuses_a_misplaced_adjoint(self, monkeypatch, alpha):
@@ -532,11 +552,13 @@ class TestSubcommands:
         ('{"alpha": [null], "coeffs": {"1": 2.0}}', "alpha[0]"),
         ('{"alpha": [0.0, "0.5"], "coeffs": {"1,0": 2.0}}', "alpha[1]"),
         ('{"alpha": [true], "coeffs": {"1": 2.0}}', "alpha[0]"),
+        ('{"alpha": [], "coeffs": {}}', "alpha: must be nonempty"),
     ], ids=["no-alpha", "no-coeffs", "coeffs-array", "alpha-object", "alpha-entry-array",
-            "alpha-entry-null", "alpha-entry-string", "alpha-entry-bool"])
+            "alpha-entry-null", "alpha-entry-string", "alpha-entry-bool", "alpha-empty"])
     def test_bad_coefficient_file_names_the_field(self, doc, named, tmp_path, capsys):
         # these raised KeyError or TypeError with a traceback and exit 1, or
-        # took "0.5" and true as 0.5 and 1.0
+        # took "0.5" and true as 0.5 and 1.0; an empty alpha met a numpy
+        # reshape error that named no field
         path = tmp_path / "bad.json"
         path.write_text(doc)
         for argv in (["heat-apply", "--t=1"], ["riesz-apply", "--j=1"]):
