@@ -10,8 +10,8 @@ from .polydunkl import (Polynomial, dunkl_T, dunkl_laplacian, exp_neg_lap_quarte
 from .heat import (heat_apply_kernel, heat_apply_spectral, heat_kernel,
                    heat_kernel_column, heat_kernel_component, heat_kernel_series,
                    heat_kernel_zeta, maximal_empirical, q_plus_minus)
-from .riesz import (AnnularBump, IntervalBump, KernelConfig, SchlafliMeasure, apriori_identity_check,
-                    beta_weight, delta_psi, dual_pairing_check, riesz_adjoint_spectral,
+from .riesz import (KernelConfig, SchlafliMeasure, apriori_identity_check, beta_weight,
+                    delta_psi, dual_pairing_check, riesz_adjoint_spectral,
                     riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
                     riesz_kernel_direct, riesz_kernel_with_gradient, star_identity_check)
 from .estimates import (ScanReport, ap_power_weight, ball_measure, ball_measure_qmc,

@@ -33,8 +33,8 @@ from .estimates import growth_scan, smoothness_scan
 from .heat import all_parities, heat_apply_spectral, heat_kernel, heat_kernel_component
 from .hermite import AlphaParams, hermite_fn
 from .quadrature import SpectralCoeffs, default_rule
-from .riesz import (IntervalBump, KernelConfig, dual_pairing_check,
-                    riesz_apply_spectral, riesz_kernel_components)
+from .riesz import (KernelConfig, _orbit_gap, dual_pairing_check, riesz_apply_spectral,
+                    riesz_kernel_components)
 from .suite import SUITES, _grid_points, parse_config, run_suite
 
 CSV_VERSION = "v1"
@@ -48,6 +48,13 @@ def _parse_tuple(text: str, kind=float) -> tuple:
     except ValueError:
         what = "integers" if kind is int else "numbers"
         raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+
+
+def _support(values: tuple, flag: str) -> tuple[tuple[float, float]]:
+    """The one interval (LO, HI) of a support flag, refused unless 0 < LO < HI."""
+    if len(values) != 2 or not 0.0 < values[0] < values[1] < np.inf:
+        raise ValueError(f"{flag} must be LO,HI with 0 < LO < HI, got {list(values)}")
+    return (values,)
 
 
 def _kernel_config(ns) -> KernelConfig:
@@ -142,6 +149,9 @@ def _cmd_hermite_eval(ns) -> int:
         if pts.shape[1] != al.dim:
             raise ValueError(f"point file must have {al.dim} columns")
     else:
+        if len(ns.grid) != 3 or not (ns.grid[2] >= 1 and ns.grid[2].is_integer()):
+            raise ValueError(f"--grid must be LO,HI,COUNT with COUNT a positive integer, "
+                             f"got {list(ns.grid)}")
         lo, hi, cnt = ns.grid
         pts = _grid_points(al.dim, lo, hi, int(cnt))
     vals = hermite_fn(ns.n, al, pts)
@@ -197,19 +207,16 @@ def _cmd_riesz_kernel(ns) -> int:
 
 def _cmd_pairing_check(ns) -> int:
     al = AlphaParams(ns.alpha)
-    if al.dim != 1:
-        raise ValueError("pairing-check is one-dimensional")
-    f = IntervalBump(*ns.f_support)
-    g = IntervalBump(*ns.g_support)
-    rule = default_rule(al, ns.quad_points)
-    cfg = _kernel_config(ns)
+    f, g = _support(ns.f_support, "--f-support"), _support(ns.g_support, "--g-support")
+    # the first axis's rule only, so that d > 1 is refused before a d-dimensional rule is built
+    rule = default_rule(AlphaParams(al.alpha[:1]), ns.quad_points)
     resid, spectral, integral = dual_pairing_check(
-        f, g, _coordinate(ns, al.dim), al, rule, cfg, max_degree=ns.max_degree)
+        f, g, _coordinate(ns, al.dim), al, rule, _kernel_config(ns), max_degree=ns.max_degree)
     rel = resid / max(abs(spectral), 1e-300)
     report = {
         "alpha": list(al.alpha), "j": ns.j,
         "f_support": list(ns.f_support), "g_support": list(ns.g_support),
-        "separation": f.separation(g),
+        "separation": _orbit_gap(f, g),
         "spectral": spectral, "integral": integral,
         "residual": resid, "relative_residual": rel,
         "passed": rel <= 1e-3,
@@ -289,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--f-support", type=_parse_tuple, default=(0.4, 2.0),
-                   metavar="RLO,RHI")
+                   metavar="LO,HI")
     p.add_argument("--g-support", type=_parse_tuple, default=(3.0, 5.0),
-                   metavar="RLO,RHI")
+                   metavar="LO,HI")
     p.add_argument("--max-degree", type=int, default=900)
     p.add_argument("--quad-points", type=int, default=512)
     _add_kernel_flags(p)

@@ -199,6 +199,8 @@ def ball_measure_qmc(alpha: AlphaParams, x, r, npoints: int, seed: int,
 def pair_sample(d: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded pair sampler: base point uniform in [-3, 3]^d, offset
     log-uniform in |x - y| over [1e-2, 10] with uniform direction."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, size=(n_pairs, d))
     dist = np.exp(rng.uniform(math.log(1e-2), math.log(10.0), size=n_pairs))

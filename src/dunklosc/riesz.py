@@ -49,8 +49,6 @@ from .heat import _heat_values, _kernel_prelude, _parity_sum, _prepare_pairs, al
 __all__ = [
     "SchlafliMeasure",
     "KernelConfig",
-    "AnnularBump",
-    "IntervalBump",
     "zeta_grid",
     "riesz_multiplier",
     "riesz_apply_spectral",
@@ -413,115 +411,68 @@ def riesz_kernel_direct(alpha: AlphaParams, j: int, x, y):
                        f"x = {X.tolist()}, y = {Y.tolist()}")
 
 
-def _bump_profile(r: np.ndarray, lo: float, hi: float, amplitude: float) -> np.ndarray:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    u = (r - mid) / half
-    out = np.zeros_like(r)
-    inside = np.abs(u) < 1.0
-    out[inside] = amplitude * math.e * np.exp(-1.0 / (1.0 - u[inside] ** 2))
+def _bumps(x: np.ndarray, supports) -> np.ndarray:
+    """The sum over the (lo, hi) intervals of ``supports`` of the standard
+    bump e exp(-1/(1 - u^2)), height 1, u the position of x in (lo, hi)
+    rescaled onto (-1, 1)."""
+    out = np.zeros_like(x)
+    for lo, hi in supports:
+        u = (x - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        inside = np.abs(u) < 1.0
+        out[inside] += math.e * np.exp(-1.0 / (1.0 - u[inside] ** 2))
     return out
 
 
-@dataclass(frozen=True)
-class _Bump:
-    """Smooth bump of height ``amplitude`` on [r_lo, r_hi] in a radial
-    variable; a subclass maps its support onto ``support_intervals``."""
-
-    r_lo: float
-    r_hi: float
-    amplitude: float = 1.0
-
-    def separation(self, other) -> float:
-        """Smallest gap between the two supports, negative if they overlap."""
-        return min(max(c - b, a - d) for a, b in self.support_intervals
-                   for c, d in other.support_intervals)
-
-    def overlaps(self, other) -> bool:
-        return self.separation(other) < 0.0
+def _orbit_gap(f_supports, g_supports) -> float:
+    """The smallest gap between an interval of f and one of g or of -g,
+    negative if they overlap, inf if either tuple is empty."""
+    return min((max(c - b, a - d) for a, b in f_supports for lo, hi in g_supports
+                for c, d in ((lo, hi), (-hi, -lo))), default=math.inf)
 
 
-@dataclass(frozen=True)
-class IntervalBump(_Bump):
-    """Smooth bump supported on [r_lo, r_hi] with 0 < r_lo: compactly
-    supported away from the reflection hyperplane, the one-dimensional
-    instance of the class the dual-pairing identity is stated for."""
-
-    def __post_init__(self):
-        if not 0.0 < self.r_lo < self.r_hi:
-            raise ValueError("need 0 < r_lo < r_hi")
-
-    @property
-    def support_intervals(self) -> tuple[tuple[float, float], ...]:
-        return ((self.r_lo, self.r_hi),)
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _bump_profile(pts[:, 0], self.r_lo, self.r_hi, self.amplitude)
-
-
-@dataclass(frozen=True)
-class AnnularBump(_Bump):
-    """Smooth Z2^d-invariant bump supported on the annulus r_lo <= |x| <= r_hi.
-
-    Radial (hence invariant under every coordinate sign flip) and C^inf.
-    Note that R_j maps invariant functions to functions odd in x_j, so the
-    dual pairing of two such bumps vanishes identically; the substantive
-    two-route comparison uses IntervalBump instead.
-    """
-
-    def __post_init__(self):
-        if not 0.0 <= self.r_lo < self.r_hi:
-            raise ValueError("need 0 <= r_lo < r_hi")
-
-    @property
-    def support_intervals(self) -> tuple[tuple[float, float], ...]:
-        return ((-self.r_hi, -self.r_lo), (self.r_lo, self.r_hi))
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.sqrt(np.sum(pts * pts, axis=1))
-        return _bump_profile(r, self.r_lo, self.r_hi, self.amplitude)
-
-def dual_pairing_check(f, g, j: int, alpha: AlphaParams,
+def dual_pairing_check(f_supports, g_supports, j: int, alpha: AlphaParams,
                        rule: QuadratureRule, cfg: KernelConfig,
                        max_degree: int = 900, leg_points: int = 48) -> tuple[float, float, float]:
     """Compare <R_j f, g>_alpha computed spectrally against the double
-    integral of the kernel over the (disjoint) supports.
+    integral of the kernel over the supports; returns (residual, spectral,
+    integral).
 
-    One-dimensional harness; ``f`` and ``g`` are smooth compactly
-    supported bumps exposing ``support_intervals`` (IntervalBump for the
-    one-sided class the identity is stated for, AnnularBump for invariant
-    bumps, whose pairing vanishes by parity).  The spectral series gets a
-    smooth high-order cutoff (exp(-36 u^8) in u = |n|/max_degree): the
-    bumps' coefficients decay only like exp(-c n^{1/4}), and a sharp
+    One-dimensional harness.  f and g are the ``_bumps`` on the (lo, hi)
+    intervals of ``f_supports`` and ``g_supports``: ((lo, hi),) with 0 < lo
+    is the one-sided class the identity is stated for, ((-hi, -lo), (lo, hi))
+    the invariant class, whose pairing vanishes by parity.  The supports
+    must be apart in the orbit sense (``_orbit_gap`` >= 0): the reflection
+    of g must not overlap f either, or R_j(x, y) is singular in the integral.
+    The spectral series gets a smooth cutoff exp(-36 u^8), u = |n|/max_degree:
+    the bumps' coefficients decay only like exp(-c n^{1/4}), and a sharp
     truncation would oscillate around the limit at the 1e-3 level.
-    Returns (residual, spectral, integral).
     """
     if alpha.dim != 1:
-        raise NotImplementedError("the dual-pairing harness is one-dimensional")
-    if f.overlaps(g):
-        raise ValueError("bumps must have disjoint supports")
-    rcf = riesz_apply_spectral(project(f, alpha, max_degree, rule), j)
-    cg = project(g, alpha, max_degree, rule)
+        raise ValueError(f"the dual-pairing harness is one-dimensional, got d = {alpha.dim}")
+    for lo, hi in (*f_supports, *g_supports):
+        if not lo < hi:
+            raise ValueError(f"a support interval needs lo < hi, got ({lo}, {hi})")
+    if _orbit_gap(f_supports, g_supports) < 0.0:
+        raise ValueError("the supports of f and g must not overlap, also after reflecting g")
+    rcf = riesz_apply_spectral(project(lambda p: _bumps(p[:, 0], f_supports), alpha,
+                                       max_degree, rule), j)
+    cg = project(lambda p: _bumps(p[:, 0], g_supports), alpha, max_degree, rule)
     spectral = sum(v * c * math.exp(-36.0 * (sum(n) / max_degree) ** 8)
                    for n, v, c in zip(rcf.n.tolist(), rcf.values.tolist(), cg[rcf.n].tolist()))
 
     sx, wx = leggauss(leg_points)
-    a = alpha[0]
+
+    def nodes(supports):  # Gauss-Legendre nodes per interval, weights times w_alpha f
+        for lo, hi in supports:
+            x = 0.5 * (hi - lo) * sx + 0.5 * (hi + lo)
+            yield x, 0.5 * (hi - lo) * wx * _bumps(x, supports) * np.abs(x) ** (2 * alpha[0] + 1)
+
     integral = 0.0
-    for (glo, ghi) in g.support_intervals:
-        xg = 0.5 * (ghi - glo) * sx + 0.5 * (ghi + glo)
-        wxg = 0.5 * (ghi - glo) * wx
-        for (flo, fhi) in f.support_intervals:
-            yg = 0.5 * (fhi - flo) * sx + 0.5 * (fhi + flo)
-            wyg = 0.5 * (fhi - flo) * wx
-            XX, YY = np.meshgrid(xg, yg, indexing="ij")
-            ker = riesz_kernel(alpha, j, XX.ravel()[:, None], YY.ravel()[:, None], cfg)
-            ker = ker.reshape(XX.shape)
-            wy_full = wyg * f(yg[:, None]) * np.abs(yg) ** (2 * a + 1)
-            wx_full = wxg * g(xg[:, None]) * np.abs(xg) ** (2 * a + 1)
-            integral += float(wx_full @ ker @ wy_full)
+    for x, wgx in nodes(g_supports):
+        for y, wfy in nodes(f_supports):
+            X, Y = np.meshgrid(x, y, indexing="ij")
+            ker = riesz_kernel(alpha, j, X.ravel()[:, None], Y.ravel()[:, None], cfg)
+            integral += float(wgx @ ker.reshape(X.shape) @ wfy)
     return abs(spectral - integral), float(spectral), integral
 
 

@@ -31,6 +31,24 @@ def run_cli(*args, cwd=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# Malformed fixed-arity or counted inputs, each with the flag or field its error
+# names: the one-number support crashed with a TypeError, a third support number
+# was taken as the bump's amplitude, a two-number grid named no flag, and a
+# fractional or zero COUNT wrote 2 rows or none.
+NAMED_IN_ERROR = {
+    "pairing-check --alpha=0 --f-support=0.4": "--f-support",
+    "pairing-check --alpha=0 --f-support=0.4,2,7": "--f-support",
+    "pairing-check --alpha=0 --g-support=5,3": "--g-support",
+    "pairing-check --alpha=0 --g-support=-5,-3": "--g-support",
+    "pairing-check --alpha=0,0,0": "one-dimensional",
+    "hermite-eval --alpha=0 --n=1 --grid=-1,1": "--grid",
+    "hermite-eval --alpha=0 --n=1 --grid=-1,1,2.5": "--grid",
+    "hermite-eval --alpha=0 --n=1 --grid=-1,1,0": "--grid",
+    "scan-growth --alpha=0 --seed=1 --pairs=0": "n_pairs",
+    "scan-smoothness --alpha=0 --seed=1 --pairs=-3": "n_pairs",
+}
+
+
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
@@ -519,11 +537,13 @@ class TestSubcommands:
         "pairing-check --alpha=0,0",
         "hermite-eval --alpha=0 --n=1,1 --grid=-1,1,3",
         "scan-growth --alpha=-0.7 --seed=1",
+        *NAMED_IN_ERROR,
     ])
     def test_bad_input_exits_2(self, argv, workdir, capsys):
         # exit 1 is kept for a check, scan or pairing that fails
         assert main(argv.format(dir=workdir).split()) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and NAMED_IN_ERROR.get(argv, "") in err
 
     @pytest.mark.parametrize("coeffs,named", [
         ('{"-1": 1.0}', "'-1'"),

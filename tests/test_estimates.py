@@ -203,6 +203,13 @@ class TestPairSampler:
         np.testing.assert_array_equal(X, X2)
         np.testing.assert_array_equal(Y, Y2)
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_no_pairs_refused(self, n_pairs):
+        # numpy said "need at least one array to concatenate" or "negative
+        # dimensions are not allowed" further down the scans
+        with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}"):
+            pair_sample(2, n_pairs, seed=9)
+
 
 class TestScans:
     def test_growth_passes(self):

@@ -13,12 +13,12 @@ from dunklosc.estimates import pair_sample, reflection_distance
 from dunklosc.heat import heat_kernel, q_plus_minus
 from dunklosc.hermite import AlphaParams, delta_hermite, hermite_fn, ladder_coeff
 from dunklosc.quadrature import SpectralCoeffs, default_rule, multi_indices_upto
-from dunklosc.riesz import (AnnularBump, IntervalBump, KernelConfig,
-                            SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
+from dunklosc.riesz import (KernelConfig, SchlafliMeasure, apriori_identity_check, beta_weight, delta_psi,
                             dual_pairing_check, psi_zeta, riesz_adjoint_spectral,
                             riesz_apply_spectral, riesz_kernel, riesz_kernel_components,
                             riesz_kernel_direct, riesz_kernel_with_gradient,
-                            riesz_multiplier, star_identity_check, zeta_grid, _delta_heat)
+                            riesz_multiplier, star_identity_check, zeta_grid, _bumps,
+                            _delta_heat, _orbit_gap)
 from dunklosc.suite import RunConfig, _check_route_agreement
 from dunklosc.special import bessel_ratio
 
@@ -1130,22 +1130,32 @@ class TestDualPairing:
     def test_overlap_rejected(self):
         al = AlphaParams((0.0,))
         rule = default_rule(al, 40)
-        f = IntervalBump(0.3, 1.0)
-        g = IntervalBump(0.8, 1.5)
         with pytest.raises(ValueError):
-            dual_pairing_check(f, g, 0, al, rule, CFG)
+            dual_pairing_check(((0.3, 1.0),), ((0.8, 1.5),), 0, al, rule, CFG)
         # mirrored intervals of invariant bumps count as support too
-        fa = AnnularBump(0.3, 1.0)
-        ga = AnnularBump(0.8, 1.5)
         with pytest.raises(ValueError):
-            dual_pairing_check(fa, ga, 0, al, rule, CFG)
+            dual_pairing_check(((-1.0, -0.3), (0.3, 1.0)), ((-1.5, -0.8), (0.8, 1.5)), 0, al,
+                               rule, CFG)
+        # and so does the reflection -g of a one-sided g: -g = (1, 2.5) meets f
+        assert _orbit_gap(((0.4, 2.0),), ((-2.5, -1.0),)) == -1.0
+        with pytest.raises(ValueError, match="not overlap, also after reflecting g"):
+            dual_pairing_check(((0.4, 2.0),), ((-2.5, -1.0),), 0, al, rule, CFG)
+
+    @pytest.mark.parametrize("alpha,f,g,named", [
+        ((0.0, 0.0), ((0.4, 2.0),), ((3.0, 5.0),), "one-dimensional"),
+        ((0.0,), ((2.0, 0.4),), ((3.0, 5.0),), "lo < hi"),
+        ((0.0,), ((0.4, 2.0),), ((3.0, math.nan),), "lo < hi"),
+    ])
+    def test_bad_input_refused(self, alpha, f, g, named):
+        # a d = 2 alpha raised NotImplementedError; a reversed interval had no class
+        rule = default_rule(AlphaParams((0.0,)), 40)
+        with pytest.raises(ValueError, match=named):
+            dual_pairing_check(f, g, 0, AlphaParams(alpha), rule, CFG)
 
     def test_zero_function(self):
         al = AlphaParams((0.0,))
         rule = default_rule(al, 120)
-        f = IntervalBump(0.3, 0.8)
-        g = IntervalBump(1.8, 2.6, amplitude=0.0)
-        resid, spectral, integral = dual_pairing_check(f, g, 0, al, rule, CFG,
+        resid, spectral, integral = dual_pairing_check(((0.3, 0.8),), (), 0, al, rule, CFG,
                                                        max_degree=40, leg_points=24)
         assert spectral == pytest.approx(0.0, abs=1e-14)
         assert integral == pytest.approx(0.0, abs=1e-14)
@@ -1154,31 +1164,41 @@ class TestDualPairing:
         from dunklosc.quadrature import gauss_rule_1d, tensor_rule
         al = AlphaParams((0.0,))
         rule = tensor_rule([gauss_rule_1d(0.0, 512)])
-        f = IntervalBump(0.4, 2.0)
-        g = IntervalBump(3.0, 5.0)
-        assert f.separation(g) >= 1.0
+        f, g = ((0.4, 2.0),), ((3.0, 5.0),)
+        assert _orbit_gap(f, g) >= 1.0
         resid, spectral, integral = dual_pairing_check(f, g, 0, al, rule, CFG)
         assert abs(spectral) > 0
         assert resid / abs(spectral) <= 1e-3
+
+    @pytest.mark.parametrize("alpha,pinned", [
+        (0.0, (1.4202729865081022e-05, -0.00025526517460576595, -0.000269467904470847)),
+        (1.3, (0.0001611047818238082, -0.001912812203896784, -0.0020739169857205923)),
+    ])
+    def test_pinned_outputs(self, alpha, pinned):
+        # (residual, spectral, integral) of the one-sided pairing (0.4, 2) / (3, 5)
+        # at max_degree 200, a 200-point rule and 128 zeta points, as the bump
+        # classes computed them; 1e-6 relative is the eigensolver floor of the rule
+        al = AlphaParams((alpha,))
+        out = dual_pairing_check(((0.4, 2.0),), ((3.0, 5.0),), 0, al, default_rule(al, 200),
+                                 KernelConfig(zeta_points=128), max_degree=200)
+        np.testing.assert_allclose(out, pinned, rtol=1e-6, atol=0)
 
     def test_invariant_bumps_pair_to_zero(self):
         # R_j maps sign-invariant functions to odd ones, so for two invariant
         # bumps both routes vanish identically (parity annihilation)
         al = AlphaParams((0.0,))
         rule = default_rule(al, 200)
-        f = AnnularBump(0.3, 0.8)
-        g = AnnularBump(1.8, 2.6)
-        resid, spectral, integral = dual_pairing_check(f, g, 0, al, rule, CFG,
-                                                       max_degree=150)
+        resid, spectral, integral = dual_pairing_check(
+            ((-0.8, -0.3), (0.3, 0.8)), ((-2.6, -1.8), (1.8, 2.6)), 0, al, rule, CFG,
+            max_degree=150)
         assert abs(spectral) <= 1e-12
         assert abs(integral) <= 1e-12
 
     def test_bump_invariance(self):
-        f = AnnularBump(0.5, 1.5)
-        pts = np.array([[0.7], [-0.7], [1.2], [-1.2]])
-        v = f(pts)
+        invariant = ((-1.5, -0.5), (0.5, 1.5))
+        v = _bumps(np.array([0.7, -0.7, 1.2, -1.2]), invariant)
         assert v[0] == v[1] and v[2] == v[3]
-        assert f(np.array([[0.4], [1.6]])).tolist() == [0.0, 0.0]
-        one_sided = IntervalBump(0.5, 1.5)
-        assert one_sided(np.array([[-0.7]]))[0] == 0.0
-        assert one_sided(np.array([[0.7]]))[0] > 0.0
+        assert _bumps(np.array([0.4, 1.6]), invariant).tolist() == [0.0, 0.0]
+        one_sided = ((0.5, 1.5),)
+        assert _bumps(np.array([-0.7]), one_sided)[0] == 0.0
+        assert _bumps(np.array([0.7]), one_sided)[0] > 0.0
