@@ -148,10 +148,15 @@ def _cmd_hermite_eval(ns) -> int:
         pts = np.loadtxt(ns.points, delimiter=",", comments="#", ndmin=2)
         if pts.shape[1] != al.dim:
             raise ValueError(f"point file must have {al.dim} columns")
+        bad = ~np.isfinite(pts).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"point {k} of --points is not finite: {pts[k].tolist()}")
     else:
-        if len(ns.grid) != 3 or not (ns.grid[2] >= 1 and ns.grid[2].is_integer()):
-            raise ValueError(f"--grid must be LO,HI,COUNT with COUNT a positive integer, "
-                             f"got {list(ns.grid)}")
+        if len(ns.grid) != 3 or not (np.isfinite(ns.grid[:2]).all() and ns.grid[2] >= 1
+                                     and ns.grid[2].is_integer()):
+            raise ValueError(f"--grid must be LO,HI,COUNT with LO and HI finite and COUNT a "
+                             f"positive integer, got {list(ns.grid)}")
         lo, hi, cnt = ns.grid
         pts = _grid_points(al.dim, lo, hi, int(cnt))
     vals = hermite_fn(ns.n, al, pts)

@@ -54,7 +54,7 @@ DRIFT_TOL = 0.05  # a scan's largest relative change under the doubled quadratur
 # bounds the working memory.
 BALL_NODES = 32
 BALL_GRADING = 3.0
-BALL_CHUNK = 1 << 18
+BALL_CHUNK = 1 << 16
 _BALL_T, _, _BALL_W = _graded_rule(BALL_NODES, BALL_GRADING)
 
 

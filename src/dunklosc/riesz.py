@@ -111,11 +111,11 @@ class SchlafliMeasure:
         w_k (1 + s_k) (s_k - sgn z) e^{z s_k - |z|} (sgn 0 = 1), of one sign."""
         e = np.exp(z[..., None] * self.nodes - np.abs(z)[..., None])
         w = self.weights * (1.0 + self.nodes)
+        s_sum = lambda v: np.einsum("...k,k->...", e, v)  # one order per z: batch-invariant
         if not slope:
-            return e @ w
-        p, right, left = np.moveaxis(
-            e @ np.stack([w, w * (self.nodes - 1.0), w * (self.nodes + 1.0)], axis=1), -1, 0)
-        return p, np.where(z < 0.0, left, right)
+            return s_sum(w)
+        return s_sum(w), np.where(z < 0.0, s_sum(w * (self.nodes + 1.0)),
+                                  s_sum(w * (self.nodes - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,15 @@ def _check_pairs(alpha: AlphaParams, j: int, x, y, where="") -> tuple[np.ndarray
     return X, Y, scalar
 
 
-# Pairs x zeta nodes x s-nodes per chunk of _zeta_sum, with s-nodes
-# counted as 1 on the exact route: 512 pairs at 256 zeta nodes.
+# Pairs x zeta nodes x s-nodes per chunk of _zeta_sum; the exact route counts 8
+# s-nodes, for the ~20 (T, P) arrays its gradient holds: 64 pairs at 256 zeta nodes.
 ZETA_BATCH_ELEMENTS = 2**17
+
+
+def _t_sum(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k f[k] of a (T, P) array in one order per pair (BLAS, and
+    einsum on the (T, P) layout, round a pair by the size of its batch)."""
+    return np.einsum("pk,k->p", np.ascontiguousarray(f.T), weights)
 
 
 def _delta_heat(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarray, Y: np.ndarray,
@@ -303,12 +309,12 @@ def _delta_heat_gradient(alpha: AlphaParams, j: int, t: np.ndarray, X: np.ndarra
     for i in reversed(range(d)):
         xi, yi, sgn = X[:, i], Y[:, i], np.where(z[..., i] < 0.0, -1.0, 1.0)
         dz = kj * pre[i] * rest * slopes[i] * b
-        out[:, i] = weights @ (dz * yi - kg * (tanh * xi + b * (xi - sgn * yi)))
-        out[:, d + i] = weights @ (dz * xi - kg * (tanh * yi + b * (yi - sgn * xi)))
+        out[:, i] = _t_sum(dz * yi - kg * (tanh * xi + b * (xi - sgn * yi)), weights)
+        out[:, d + i] = _t_sum(dz * xi - kg * (tanh * yi + b * (yi - sgn * xi)), weights)
         rest = rest * facs[i]
-    out[:, j] -= weights @ (np.exp(-2.0 * t) * b * pre[-1])
-    out[:, d + j] += weights @ (b * pre[-1])
-    return weights @ (pre[0] * np.prod(facs, axis=0) * b * jf), out
+    out[:, j] -= _t_sum(np.exp(-2.0 * t) * b * pre[-1], weights)
+    out[:, d + j] += _t_sum(b * pre[-1], weights)
+    return _t_sum(pre[0] * np.prod(facs, axis=0) * b * jf, weights), out
 
 
 def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
@@ -317,7 +323,9 @@ def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: Ker
     read as t = artanh zeta: sum_k w_k delta_j G_{t_k} / ((1 - zeta_k)(1 + zeta_k)
     sqrt(pi t_k)), with 2 t_k = log1p(2 zeta_k / (1 - zeta_k)) from the rule's
     complements.  The s-route only chooses the parity factor P(a, z[, slope]).
-    With ``grad`` also the partials [d/dx_1..d, d/dy_1..d], shape (P, 2d)."""
+    With ``grad`` also the partials [d/dx_1..d, d/dy_1..d], shape (P, 2d).  Every
+    t- and s-sum runs in one order per pair, so each entry equals the single-pair
+    call bit for bit, whatever the chunk."""
     factor = _parity_sum
     if cfg.s_method == "gauss-jacobi":
         rules = {a: SchlafliMeasure.from_nu(a, cfg.s_points_per_dim) for a in set(alpha)}
@@ -325,14 +333,14 @@ def _zeta_sum(alpha: AlphaParams, j: int, X: np.ndarray, Y: np.ndarray, cfg: Ker
     zeta, comp, zw = zeta_grid(cfg)
     t = 0.5 * np.log1p(2.0 * zeta / comp)
     weights = zw / (comp * (1.0 + zeta) * np.sqrt(math.pi * t))
-    s_nodes = 1 if cfg.s_method == "exact" else cfg.s_points_per_dim
+    s_nodes = 8 if cfg.s_method == "exact" else cfg.s_points_per_dim
     chunk = max(1, ZETA_BATCH_ELEMENTS // (zeta.size * s_nodes))
     vals, grads = np.empty(X.shape[0]), np.empty((X.shape[0], 2 * alpha.dim))
     for c in (slice(lo, lo + chunk) for lo in range(0, X.shape[0], chunk)):
         if grad:
             vals[c], grads[c] = _delta_heat_gradient(alpha, j, t, X[c], Y[c], factor, weights)
         else:
-            vals[c] = weights @ _delta_heat(alpha, j, t, X[c], Y[c], factor)
+            vals[c] = _t_sum(_delta_heat(alpha, j, t, X[c], Y[c], factor), weights)
     return (vals, grads) if grad else vals
 
 
@@ -356,7 +364,8 @@ def riesz_kernel_components(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig)
 
 
 def riesz_kernel(alpha: AlphaParams, j: int, x, y, cfg: KernelConfig):
-    """Full kernel R_j^alpha(x, y): delta_j G_t summed on the zeta rule."""
+    """Full kernel R_j^alpha(x, y): delta_j G_t summed on the zeta rule; for
+    (P, d) stacks each entry equals the single-pair call bit for bit."""
     X, Y, scalar = _check_pairs(alpha, j, x, y)
     vals = _zeta_sum(alpha, j, X, Y, cfg)
     return float(vals[0]) if scalar else vals
@@ -368,8 +377,8 @@ def riesz_kernel_with_gradient(alpha: AlphaParams, j: int, x, y, cfg: KernelConf
     float and a (2d,) array for a point pair.  The gradient is ``riesz_kernel``'s
     integrand differentiated analytically (``_delta_heat_gradient``) on the
     same zeta rule and s-route, so as accurate as the kernel on either route
-    (near the diagonal that takes exact s, see ``KernelConfig``); on the exact
-    route the value is ``riesz_kernel`` bit for bit."""
+    (near the diagonal that takes exact s, see ``KernelConfig``).  The value is
+    ``riesz_kernel`` bit for bit, and each entry equals the single-pair call bit for bit."""
     X, Y, scalar = _check_pairs(alpha, j, x, y)
     vals, grads = _zeta_sum(alpha, j, X, Y, cfg, grad=True)
     return (float(vals[0]), grads[0]) if scalar else (vals, grads)

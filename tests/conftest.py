@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,14 @@ def richardson_gradient(alpha, j, X, Y, cfg, rel_step=1e-3):
     the O(step^2) error term cancels."""
     return (4.0 * fd_gradient(alpha, j, X, Y, cfg, 0.5 * rel_step)
             - fd_gradient(alpha, j, X, Y, cfg, rel_step)) / 3.0
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc sees while ``call()`` runs; numpy reports
+    its array buffers to it, so this is the call's working memory."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

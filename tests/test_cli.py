@@ -33,8 +33,9 @@ def run_cli(*args, cwd=None):
 
 # Malformed fixed-arity or counted inputs, each with the flag or field its error
 # names: the one-number support crashed with a TypeError, a third support number
-# was taken as the bump's amplitude, a two-number grid named no flag, and a
-# fractional or zero COUNT wrote 2 rows or none.
+# was taken as the bump's amplitude, a two-number grid named no flag, a
+# fractional or zero COUNT wrote 2 rows or none, and a non-finite grid end or
+# point wrote nan rows with exit 0.
 NAMED_IN_ERROR = {
     "pairing-check --alpha=0 --f-support=0.4": "--f-support",
     "pairing-check --alpha=0 --f-support=0.4,2,7": "--f-support",
@@ -44,6 +45,9 @@ NAMED_IN_ERROR = {
     "hermite-eval --alpha=0 --n=1 --grid=-1,1": "--grid",
     "hermite-eval --alpha=0 --n=1 --grid=-1,1,2.5": "--grid",
     "hermite-eval --alpha=0 --n=1 --grid=-1,1,0": "--grid",
+    "hermite-eval --alpha=0 --n=1 --grid=nan,1,3": "--grid",
+    "hermite-eval --alpha=0 --n=1 --grid=0,inf,3": "--grid",
+    "hermite-eval --alpha=0,0 --n=1,1 --points={dir}/nan.csv": "point 1 of --points",
     "scan-growth --alpha=0 --seed=1 --pairs=0": "n_pairs",
     "scan-smoothness --alpha=0 --seed=1 --pairs=-3": "n_pairs",
 }

@@ -12,6 +12,8 @@ from dunklosc.hermite import AlphaParams
 from dunklosc.riesz import KernelConfig
 from dunklosc.suite import RunConfig, _check_scans
 
+from conftest import traced_peak
+
 FAST_CFG = KernelConfig(zeta_points=192, zeta_grading=3.0,
                         s_points_per_dim=48, s_method="exact")
 
@@ -152,7 +154,7 @@ class TestBallMeasure:
 
     def test_chunk_bounds_the_innermost_evaluations(self, monkeypatch):
         # at d = 3 a ball needs at most 5 * 3 theta pieces of 32 nodes each,
-        # so BALL_CHUNK bounds the closed forms of one chunk of 17 balls
+        # so BALL_CHUNK bounds the closed forms of one chunk of that many balls
         import dunklosc.estimates as est
         sizes, quadrature = [], est._ball_quadrature
 
@@ -164,7 +166,17 @@ class TestBallMeasure:
         monkeypatch.setattr(est, "_ball_quadrature", spy)
         X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(40, 3))
         ball_measure(AlphaParams((0.0, -0.5, 1.3)), X, np.full(40, 4.0))
-        assert len(sizes) == 3 and max(sizes) <= est.BALL_CHUNK
+        per_chunk = est.BALL_CHUNK // (est.BALL_NODES * 3 * est.BALL_NODES * 5)
+        assert len(sizes) == math.ceil(40 / per_chunk) and max(sizes) <= est.BALL_CHUNK
+
+    def test_traced_peak_of_64_balls(self):
+        # the balls of a 64-pair d = 3 scan: chunks of 2^18 innermost
+        # evaluations held 5.8 MB of numpy buffers (tracemalloc sees them),
+        # chunks of 2^16 hold 2.3 MB
+        al = AlphaParams((0.0, -0.5, 1.3))
+        X, Y = pair_sample(3, 64, 1234)
+        R = np.linalg.norm(X - Y, axis=1)
+        assert traced_peak(lambda: ball_measure(al, X, R)) <= 4 * 2**20
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from dunklosc.riesz import (KernelConfig, SchlafliMeasure, apriori_identity_chec
 from dunklosc.suite import RunConfig, _check_route_agreement
 from dunklosc.special import bessel_ratio
 
-from conftest import fd_gradient, richardson_gradient
+from conftest import fd_gradient, richardson_gradient, traced_peak
 
 MPMATH = json.loads(pathlib.Path(__file__).with_name("mpmath_references.json").read_text())
 # delta_j G_t against its spectral series truncated at |n| <= 44, which
@@ -645,9 +645,10 @@ class TestKernelGradient:
     @pytest.mark.parametrize("alpha", [(0.7,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
     def test_with_gradient_equals_the_two_calls(self, monkeypatch, alpha):
         # one pass forms R from the gradient's parity factors in the order of
-        # _delta_heat: bit for bit riesz_kernel on the exact route, here over
-        # three chunks
-        monkeypatch.setattr("dunklosc.riesz.ZETA_BATCH_ELEMENTS", 7 * CFG_EXACT.zeta_points)
+        # _delta_heat, and a Gauss-Jacobi factor sums each weight vector on
+        # its own: bit for bit riesz_kernel on both routes, here over three
+        # exact-route chunks (an exact pair-node counts as 8 elements)
+        monkeypatch.setattr("dunklosc.riesz.ZETA_BATCH_ELEMENTS", 7 * 8 * CFG_EXACT.zeta_points)
         al = AlphaParams(alpha)
         X, Y = pair_sample(al.dim, 20, 3)
         for j in range(al.dim):
@@ -656,10 +657,39 @@ class TestKernelGradient:
             assert grads.shape == (20, 2 * al.dim)
             v, g = riesz_kernel_with_gradient(al, j, X[4], Y[4], CFG_EXACT)
             assert type(v) is float and v == riesz_kernel(al, j, X[4], Y[4], CFG_EXACT)
-            assert g.shape == (2 * al.dim,)
-            # a Gauss-Jacobi factor is summed with its slope, so only close there
-            vals, _ = riesz_kernel_with_gradient(al, j, X, Y, CFG)
-            np.testing.assert_allclose(vals, riesz_kernel(al, j, X, Y, CFG), rtol=1e-13)
+            assert g.shape == (2 * al.dim,) and np.array_equal(g, grads[4])
+            vals, grads = riesz_kernel_with_gradient(al, j, X, Y, CFG)
+            assert np.array_equal(vals, riesz_kernel(al, j, X, Y, CFG))
+            assert np.array_equal(riesz_kernel_with_gradient(al, j, X[4], Y[4], CFG)[1], grads[4])
+
+    @pytest.mark.parametrize("s_method", ["exact", "gauss-jacobi"])
+    @pytest.mark.parametrize("alpha", [(0.7,), (-0.5, 0.7), (0.0, -0.5, 1.3)])
+    def test_batch_equals_single_calls_bitwise(self, monkeypatch, alpha, s_method):
+        # 20 pairs over three chunks of 7 against 20 point-pair calls.  On
+        # their (T, 1) arrays weights @ f (BLAS) and einsum("k,kp->p") both
+        # round differently from a batch: at alpha = (0.7), 192 zeta-nodes on
+        # pair_sample(1, 200, 1234), 162 and 182 of the 200 pairs moved
+        cfg = KernelConfig(zeta_points=96, s_points_per_dim=24, s_method=s_method)
+        s_nodes = 8 if s_method == "exact" else cfg.s_points_per_dim
+        monkeypatch.setattr("dunklosc.riesz.ZETA_BATCH_ELEMENTS", 7 * s_nodes * cfg.zeta_points)
+        al = AlphaParams(alpha)
+        X, Y = pair_sample(al.dim, 20, 5)
+        for j in range(al.dim):
+            vals = riesz_kernel(al, j, X, Y, cfg)
+            gvals, grads = riesz_kernel_with_gradient(al, j, X, Y, cfg)
+            single = [riesz_kernel_with_gradient(al, j, x, y, cfg) for x, y in zip(X, Y)]
+            assert vals.tolist() == [riesz_kernel(al, j, x, y, cfg) for x, y in zip(X, Y)]
+            assert gvals.tolist() == [v for v, _ in single] == vals.tolist()
+            assert np.array_equal(grads, np.array([g for _, g in single]))
+
+    def test_traced_peak_of_a_refined_scan_pass(self):
+        # The 384-node pass of a d = 3 scan on 200 pairs: one 2^17-element
+        # chunk held 14.2 MB of numpy buffers (tracemalloc sees them); chunks
+        # of 2^14 pair-nodes hold 3.1 MB.  The rule is built before tracing.
+        al, cfg = AlphaParams((0.0, -0.5, 1.3)), KernelConfig(zeta_points=384)
+        X, Y = pair_sample(3, 200, 1234)
+        riesz_kernel_with_gradient(al, 0, X[:1], Y[:1], cfg)
+        assert traced_peak(lambda: riesz_kernel_with_gradient(al, 0, X, Y, cfg)) <= 4 * 2**20
 
     def test_shapes_and_refusal(self):
         al = AlphaParams((0.0, 1.3))
