@@ -92,17 +92,20 @@ def _ball_quadrature(alpha: tuple[float, ...], X: np.ndarray, R: np.ndarray,
     form w_1(v, h) = F(v + h) - F(v - h).  The kinks arcsin(min(|x_1|/r, 1))
     and arccos(min(|x'_S|/r, 1)), for each nonempty subset S of the remaining
     coordinates, split [0, pi/2] into at most 2^{k-1} + 1 pieces; every piece
-    of positive length gets the graded rule."""
+    of positive length gets the graded rule.  A coordinate with a = -1/2 has
+    the weight 1, so off the positive orthant there is no arcsin cut at
+    a_1 = -1/2 and no arccos cut for an S holding such a coordinate."""
     a = alpha[0]
     x1 = X[:, 0]
     if X.shape[1] == 1:
         return (_antiderivative(a, x1 + R, positive_orthant)
                 - _antiderivative(a, x1 - R, positive_orthant))
     rest = X[:, 1:]
-    cuts = [np.zeros(R.shape), np.arcsin(np.minimum(np.abs(x1) / R, 1.0)),
-            np.full(R.shape, 0.5 * math.pi)]
+    cuts = [np.zeros(R.shape), np.full(R.shape, 0.5 * math.pi)]
+    if a > -0.5 or positive_orthant:
+        cuts.append(np.arcsin(np.minimum(np.abs(x1) / R, 1.0)))
     for mask in itertools.product((False, True), repeat=rest.shape[1]):
-        if any(mask):
+        if any(mask) and (positive_orthant or all(b > -0.5 for b, m in zip(alpha[1:], mask) if m)):
             cuts.append(np.arccos(np.minimum(np.linalg.norm(rest[:, mask], axis=1) / R, 1.0)))
     cuts = np.sort(np.stack(cuts, axis=1), axis=1)
     width = np.diff(cuts, axis=1)
@@ -143,7 +146,8 @@ def ball_measure(alpha: AlphaParams, x, r, positive_orthant: bool = False):
 
     d = 1 uses the closed-form antiderivative sgn(u) |u|^{2a+2}/(2a+2);
     d >= 2 nests one-dimensional integrals over the coordinates (see
-    ``_ball_quadrature``), split at the integrand's kinks, with
+    ``_ball_quadrature``), split at the integrand's kinks (none from a
+    coordinate with alpha_i = -1/2 off the positive orthant), with
     BALL_NODES graded Gauss-Legendre nodes per piece (relative error
     below 1e-8 for alpha_i in [-1/2, 5/2]).  ``ball_measure_qmc`` is the
     independent oracle for both.
@@ -157,7 +161,8 @@ def ball_measure(alpha: AlphaParams, x, r, positive_orthant: bool = False):
     reduction).
     """
     X, R, scalar = _balls(alpha, x, r)
-    # Level k of the nesting has at most 2^{k-1} + 1 theta pieces.
+    # Level k of the nesting has at most 2^{k-1} + 1 theta pieces (fewer
+    # with -1/2 entries; the bound is the worst case).
     per_ball = math.prod(BALL_NODES * (2 ** (k - 1) + 1) for k in range(2, alpha.dim + 1))
     step = max(BALL_CHUNK // per_ball, 1)
     vals = np.concatenate([
@@ -201,6 +206,8 @@ def pair_sample(d: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray
     log-uniform in |x - y| over [1e-2, 10] with uniform direction."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, size=(n_pairs, d))
     dist = np.exp(rng.uniform(math.log(1e-2), math.log(10.0), size=n_pairs))

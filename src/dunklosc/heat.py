@@ -109,7 +109,12 @@ def _parity_sum(a: float, z: np.ndarray, slope: bool = False):
     For z < 0 the two terms cancel, and with k = a + 1/2, x = 2|z| it is
     e^{-x} M(k, 2k+1, x)/(Gamma(a+1) 2^a), the rank-one Dunkl kernel
     E_k(z) = e^z M(k, 2k+1, -2z) after Kummer's transformation (DLMF
-    13.2.39); P' is 2(k+1)/(2k+1) times it at b = 2k+2 (DLMF 13.3.15)."""
+    13.2.39); P' is 2(k+1)/(2k+1) times it at b = 2k+2 (DLMF 13.3.15).
+    At a = -1/2 (k = 0) the kernel is e^z, so P = sqrt(2/pi) e^{2 min(z, 0)}
+    and P' = 2 sqrt(2/pi) e^{2z} below 0, 0 above, with no series."""
+    if a == -0.5:
+        out = math.sqrt(2.0 / math.pi) * np.exp(2.0 * np.minimum(z, 0.0))
+        return (out, np.where(z < 0.0, 2.0 * out, 0.0)) if slope else out
     out, neg = np.empty(z.shape), z < 0.0
     zp, x = z[~neg], -2.0 * z[neg]
     r1 = bessel_ratio_scaled(a + 1.0, zp)

@@ -458,6 +458,8 @@ def dual_pairing_check(f_supports, g_supports, j: int, alpha: AlphaParams,
     """
     if alpha.dim != 1:
         raise ValueError(f"the dual-pairing harness is one-dimensional, got d = {alpha.dim}")
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     for lo, hi in (*f_supports, *g_supports):
         if not lo < hi:
             raise ValueError(f"a support interval needs lo < hi, got ({lo}, {hi})")

@@ -161,13 +161,11 @@ def _bessel(nu: float, z: np.ndarray, series_factor, asymptotic_factor):
 
 
 def _kummer_scaled(k: float, b: float, x: np.ndarray) -> np.ndarray:
-    """e^{-x} M(k, b, x) for k, x >= 0 and b > k: the series sum_n (k)_n/(b)_n
-    x^n/n! of positive terms (DLMF 13.2.2; ``_positive_series`` at k - 1,
-    b - 1) up to x = max(50, 2(k+2)^2) (at most 600), beyond it
-    Gamma(b)/Gamma(k) x^{k-b} 2F0(b-k, 1-k;; 1/x) (DLMF 13.7.2), and e^{-x}
-    at k = 0."""
-    if k == 0.0:
-        return np.exp(-x)
+    """e^{-x} M(k, b, x) for k > 0, x >= 0 and b > k: the series sum_n
+    (k)_n/(b)_n x^n/n! of positive terms (DLMF 13.2.2; ``_positive_series``
+    at k - 1, b - 1) up to x = max(50, 2(k+2)^2) (at most 600), and beyond
+    it Gamma(b)/Gamma(k) x^{k-b} 2F0(b-k, 1-k;; 1/x) (DLMF 13.7.2).  At
+    k = 0 it is e^{-x}, which ``heat._parity_sum`` uses in closed form."""
     c = math.exp(math.lgamma(b) - math.lgamma(k))
     return _by_regime(x, min(max(50.0, 2.0 * (k + 2.0) ** 2), 600.0),
                       lambda u: np.exp(-u) * _positive_series(1.0, k - 1.0, b - 1.0, u),

@@ -75,6 +75,8 @@ class RunConfig:
             _fail("max_degree", "must be a positive integer")
         if not 1 <= self.quad_points <= MAX_POINTS:
             _fail("quad_points", f"must be an integer in [1, {MAX_POINTS}]")
+        if self.seed < 0:
+            _fail("seed", "must be a non-negative integer")
         try:  # refuse a grading too steep for a check's rule before any check
             self.route_kernel, self.scan_kernel.doubled()
         except ValueError as e:

@@ -34,8 +34,10 @@ def run_cli(*args, cwd=None):
 # Malformed fixed-arity or counted inputs, each with the flag or field its error
 # names: the one-number support crashed with a TypeError, a third support number
 # was taken as the bump's amplitude, a two-number grid named no flag, a
-# fractional or zero COUNT wrote 2 rows or none, and a non-finite grid end or
-# point wrote nan rows with exit 0.
+# fractional or zero COUNT wrote 2 rows or none, a non-finite grid end or
+# point wrote nan rows with exit 0, a negative seed got numpy's message, which
+# names no field, after verify had run checks, and a max degree below 1 either
+# crashed on a negative dimension or reported a residual of 1e296.
 NAMED_IN_ERROR = {
     "pairing-check --alpha=0 --f-support=0.4": "--f-support",
     "pairing-check --alpha=0 --f-support=0.4,2,7": "--f-support",
@@ -50,6 +52,10 @@ NAMED_IN_ERROR = {
     "hermite-eval --alpha=0,0 --n=1,1 --points={dir}/nan.csv": "point 1 of --points",
     "scan-growth --alpha=0 --seed=1 --pairs=0": "n_pairs",
     "scan-smoothness --alpha=0 --seed=1 --pairs=-3": "n_pairs",
+    "scan-growth --alpha=0 --pairs=3 --seed=-1": "seed",
+    "verify --config={dir}/negative-seed.json": "config error at seed",
+    "pairing-check --alpha=0 --max-degree=-5": "max_degree",
+    "pairing-check --alpha=0 --max-degree=0": "max_degree",
 }
 
 
@@ -156,10 +162,12 @@ class TestParseConfig:
         for kwargs, path in [(dict(quad_points=0), "quad_points"),
                              (dict(quad_points=513), "quad_points"),
                              (dict(max_degree=0), "max_degree"),
+                             (dict(seed=-1), "seed"),
                              (dict(alpha=(0.0, -0.6)), r"alpha\[1\]")]:
             with pytest.raises(ValueError, match=f"config error at {path}"):
                 RunConfig(**{"alpha": (0.0,), **kwargs})
-        for doc, path in [('"quad_points": 0', "quad_points"), ('"max_degree": 0', "max_degree")]:
+        for doc, path in [('"quad_points": 0', "quad_points"), ('"max_degree": 0', "max_degree"),
+                          ('"seed": -1', "seed")]:
             with pytest.raises(ValueError, match=f"config error at {path}"):
                 parse_config(f'{{"alpha": [0.0], {doc}}}')
 
@@ -302,6 +310,7 @@ def workdir(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("# x1,y1\n0.5,1.5\n-1.0,0.8\n2.0,0.3\n")
     (tmp_path / "nan.csv").write_text("# x1,y1\n0.5,1.5\n-1.0,nan\n")
+    (tmp_path / "negative-seed.json").write_text('{"alpha": [0.0], "seed": -1}')
     coeffs = tmp_path / "c.json"
     coeffs.write_text(json.dumps({"alpha": [0.0], "coeffs": {"0": 1.0, "2": -0.5}}))
     return tmp_path

@@ -18,6 +18,20 @@ FAST_CFG = KernelConfig(zeta_points=192, zeta_grading=3.0,
                         s_points_per_dim=48, s_method="exact")
 
 
+def innermost_sizes(monkeypatch) -> list[int]:
+    # the closed forms of each innermost _ball_quadrature call, in call order
+    import dunklosc.estimates as est
+    sizes, quadrature = [], est._ball_quadrature
+
+    def spy(alpha, X, R, positive_orthant):
+        if X.shape[1] == 1:
+            sizes.append(R.size)
+        return quadrature(alpha, X, R, positive_orthant)
+
+    monkeypatch.setattr(est, "_ball_quadrature", spy)
+    return sizes
+
+
 class TestBallMeasure:
     def test_lebesgue_case(self):
         al = AlphaParams((-0.5,))
@@ -107,7 +121,8 @@ class TestBallMeasure:
 
     @pytest.mark.parametrize("alpha", [(-0.45, 0.7), (-0.3, 2.5), (2.5, -0.45),
                                        (0.7, -0.3), (-0.45, 0.7, -0.3), (2.5, -0.3, -0.45),
-                                       (0.0, -0.5, 1.3)])
+                                       (0.0, -0.5, 1.3), (-0.5, 0.7), (0.7, -0.5),
+                                       (1.3, -0.5, -0.3)])
     @pytest.mark.parametrize("positive_orthant", [False, True])
     def test_self_convergence(self, alpha, positive_orthant, monkeypatch):
         # the module's rule against a four times finer one
@@ -156,18 +171,23 @@ class TestBallMeasure:
         # at d = 3 a ball needs at most 5 * 3 theta pieces of 32 nodes each,
         # so BALL_CHUNK bounds the closed forms of one chunk of that many balls
         import dunklosc.estimates as est
-        sizes, quadrature = [], est._ball_quadrature
-
-        def spy(alpha, X, R, positive_orthant):
-            if X.shape[1] == 1:
-                sizes.append(R.size)
-            return quadrature(alpha, X, R, positive_orthant)
-
-        monkeypatch.setattr(est, "_ball_quadrature", spy)
+        sizes = innermost_sizes(monkeypatch)
         X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(40, 3))
         ball_measure(AlphaParams((0.0, -0.5, 1.3)), X, np.full(40, 4.0))
         per_chunk = est.BALL_CHUNK // (est.BALL_NODES * 3 * est.BALL_NODES * 5)
         assert len(sizes) == math.ceil(40 / per_chunk) and max(sizes) <= est.BALL_CHUNK
+
+    @pytest.mark.parametrize("positive_orthant, count", [(False, 128_000), (True, 230_400)])
+    def test_no_cuts_at_classical_coordinates(self, positive_orthant, count, monkeypatch):
+        # the weight of a coordinate with a = -1/2 is 1: no theta cut at its
+        # hyperplane, nor at an intersection with it, so the 64 balls of a
+        # d = 3 scan need 128,000 closed forms where every cut takes 230,400;
+        # on the positive orthant its indicator is a kink, and every cut stays
+        sizes = innermost_sizes(monkeypatch)
+        X, Y = pair_sample(3, 64, 1234)
+        ball_measure(AlphaParams((0.0, -0.5, 1.3)), X, np.linalg.norm(X - Y, axis=1),
+                     positive_orthant=positive_orthant)
+        assert sum(sizes) == count
 
     def test_traced_peak_of_64_balls(self):
         # the balls of a 64-pair d = 3 scan: chunks of 2^18 innermost
@@ -221,6 +241,11 @@ class TestPairSampler:
         # dimensions are not allowed" further down the scans
         with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}"):
             pair_sample(2, n_pairs, seed=9)
+
+    def test_negative_seed_refused(self):
+        # numpy's "expected non-negative integer" named no field
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            pair_sample(2, 10, seed=-1)
 
 
 class TestScans:

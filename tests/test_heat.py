@@ -42,11 +42,21 @@ class TestParitySum:
             assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 1e-13
             assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
 
-    def test_atomic_case_is_exact(self):
-        # a = -1/2: the factor is sqrt(2/pi) for z >= 0 and sqrt(2/pi) e^{-2|z|} below
-        z = np.concatenate([-np.geomspace(1e-3, 300.0, 40), np.geomspace(1e-3, 1e3, 40)])
-        want = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * np.maximum(-z, 0.0))
-        np.testing.assert_allclose(_parity_sum(-0.5, z), want, rtol=1e-14)
+    def test_atomic_case_is_exact(self, monkeypatch):
+        # a = -1/2: the rank-one kernel is e^z, so the factor is
+        # sqrt(2/pi) e^{2 min(z, 0)} and its slope 2 sqrt(2/pi) e^{2z} below 0
+        # and 0 from 0 on, in closed form: no Bessel or Kummer series runs
+        def series(*args):
+            raise AssertionError("a series ran at a = -1/2")
+        monkeypatch.setattr(heat_module, "bessel_ratio_scaled", series)
+        monkeypatch.setattr(heat_module, "_kummer_scaled", series)
+        z = np.concatenate([-np.geomspace(1e-3, 300.0, 40), [-0.0, 0.0],
+                            np.geomspace(1e-3, 1e3, 40)])
+        want = math.sqrt(2.0 / math.pi) * np.exp(2.0 * np.minimum(z, 0.0))
+        slope = np.where(z < 0.0, 2.0 * want, 0.0)
+        np.testing.assert_array_equal(_parity_sum(-0.5, z), want)
+        for got, ref in zip(_parity_sum(-0.5, z, slope=True), (want, slope)):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestQPlusMinus:

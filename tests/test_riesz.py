@@ -1182,6 +1182,15 @@ class TestDualPairing:
         with pytest.raises(ValueError, match=named):
             dual_pairing_check(f, g, 0, AlphaParams(alpha), rule, CFG)
 
+    @pytest.mark.parametrize("max_degree", [0, -5])
+    def test_max_degree_below_one_refused(self, max_degree):
+        # -5 failed on a negative array dimension; 0 ran and reported a
+        # relative residual of 2.7e296
+        al = AlphaParams((0.0,))
+        with pytest.raises(ValueError, match=f"max_degree must be at least 1, got {max_degree}"):
+            dual_pairing_check(((0.4, 2.0),), ((3.0, 5.0),), 0, al, default_rule(al, 40), CFG,
+                               max_degree=max_degree)
+
     def test_zero_function(self):
         al = AlphaParams((0.0,))
         rule = default_rule(al, 120)
